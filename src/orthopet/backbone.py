@@ -6,11 +6,19 @@ head receive gradients.  The forward pass records an ActivationTrace with
 every insertion-site input, both for backprop and for the projection
 module's feature buffers.
 
-Layout conventions: tokens are rows, so x is (seq_len, dim) and all linear
-maps multiply on the right.  Attention splits columns into heads and scores
-are scaled by 1/sqrt(dim/heads).  The classifier reads the mean of the
-final token rows; prompt rows are excluded from the pool so prompt length
-never changes what the pooled vector means.
+Layout conventions: tokens are rows and samples stack on a leading batch
+axis, so x is (batch, seq_len, dim) and all linear maps multiply on the
+right.  Attention splits columns into heads, runs as (batch, heads, rows,
+rows) batched matmuls, and scores are scaled by 1/sqrt(dim/heads).  The
+classifier reads the mean of the final token rows; prompt rows are
+excluded from the pool so prompt length never changes what the pooled
+vector means.
+
+A batch computes the same bits as its samples run one at a time: every
+per-sample product stays its own matmul over the batch axis, and weight
+gradients are summed over that axis in sample order, which is the order a
+running per-sample sum adds them.  Folding the batch into the row axis or
+contracting it inside one product would reorder the additions.
 """
 
 from dataclasses import dataclass, field
@@ -20,6 +28,10 @@ import numpy as np
 from . import pet as pet_mod
 
 LN_EPS = 1e-8
+# Rows per forward when evaluating or sampling features: one forward over a
+# whole test split holds every activation at once and raises peak memory,
+# while the results do not depend on the chunk size.
+CHUNK_ROWS = 16
 
 
 class StaleTraceError(RuntimeError):
@@ -126,7 +138,10 @@ def init_backbone(cfg: TransformerConfig, seed) -> FrozenWeights:
 
 @dataclass
 class ActivationTrace:
-    """Everything backward() and the feature buffers need from a forward."""
+    """Everything backward() and the feature buffers need from a forward.
+
+    Every array keeps the leading batch axis, also for a single sample.
+    """
 
     x_embed: np.ndarray
     prompt_rows: int
@@ -140,9 +155,9 @@ class ActivationTrace:
 
 
 def _layernorm(x, g, b):
-    mu = x.mean(axis=1, keepdims=True)
+    mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
-    var = (xc * xc).mean(axis=1, keepdims=True)
+    var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
     return xhat * g + b, xhat, inv
@@ -150,17 +165,17 @@ def _layernorm(x, g, b):
 
 def _layernorm_backward(dout, xhat, inv, g):
     dxhat = dout * g
-    return (dxhat - dxhat.mean(axis=1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)) * inv
+    return (dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)) * inv
 
 
 def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
-    rows, d = x.shape
-    return x.reshape(rows, heads, d // heads).transpose(1, 0, 2)
+    b, rows, d = x.shape
+    return x.reshape(b, rows, heads, d // heads).transpose(0, 2, 1, 3)
 
 
 def _merge_heads(x: np.ndarray) -> np.ndarray:
-    h, rows, dh = x.shape
-    return x.transpose(1, 0, 2).reshape(rows, h * dh)
+    b, h, rows, dh = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(b, rows, h * dh)
 
 
 def _softmax_rows(s: np.ndarray) -> np.ndarray:
@@ -170,15 +185,19 @@ def _softmax_rows(s: np.ndarray) -> np.ndarray:
 
 
 def forward(w: FrozenWeights, pet: pet_mod.PetState, x: np.ndarray, head: np.ndarray | None = None, need_trace: bool = True):
-    """Run one tokenized sample (seq_len x dim) through the network.
+    """Run a batch of tokenized samples (batch x seq_len x dim) through the network.
 
-    Returns (logits, trace); trace is None when need_trace is False.  The
-    head defaults to the frozen seeded classifier; the trainer passes its
-    own mutable copy.
+    A single (seq_len x dim) sample is a batch of one; its logits come
+    back without the batch axis, its trace keeps it.  Returns (logits,
+    trace); trace is None when need_trace is False.  The head defaults to
+    the frozen seeded classifier; the trainer passes its own mutable copy.
     """
     cfg = w.cfg
-    if x.ndim != 2 or x.shape[1] != cfg.dim:
-        raise ValueError(f"token matrix must be (seq_len, {cfg.dim}), got {x.shape}")
+    if x.ndim not in (2, 3) or x.shape[-1] != cfg.dim:
+        raise ValueError(f"token matrix must be ([batch,] seq_len, {cfg.dim}), got {x.shape}")
+    single = x.ndim == 2
+    if single:
+        x = x[None]
     paradigm = pet.paradigm
     params = pet.params
     head = w.classifier if head is None else head
@@ -210,7 +229,7 @@ def forward(w: FrozenWeights, pet: pet_mod.PetState, x: np.ndarray, head: np.nda
         qh = _split_heads(q, cfg.heads)
         kh = _split_heads(k, cfg.heads)
         vh = _split_heads(v, cfg.heads)
-        attn = _softmax_rows(qh @ kh.transpose(0, 2, 1) / np.sqrt(cfg.head_dim))
+        attn = _softmax_rows(qh @ kh.swapaxes(-1, -2) / np.sqrt(cfg.head_dim))
         o = _merge_heads(attn @ vh)
         attn_out = o @ lw["w_o"]
         z_mid = z + attn_out
@@ -247,8 +266,10 @@ def forward(w: FrozenWeights, pet: pet_mod.PetState, x: np.ndarray, head: np.nda
         z = z_out
 
     z_final, xhat_f, inv_f = _layernorm(z, w.lnf_g, w.lnf_b)
-    pooled = z_final[prompt_rows:].mean(axis=0)
-    logits = pooled @ head
+    pooled = z_final[:, prompt_rows:].mean(axis=1)
+    # One (1 x dim) @ (dim x classes) product per sample, the same kernel
+    # for every batch size.
+    logits = np.matmul(pooled[:, None, :], head)[:, 0]
     if not np.all(np.isfinite(logits)):
         raise FloatingPointError("non-finite logits in forward pass")
     if trace is not None:
@@ -256,14 +277,16 @@ def forward(w: FrozenWeights, pet: pet_mod.PetState, x: np.ndarray, head: np.nda
         trace.inv_f = inv_f
         trace.pooled = pooled
         trace.logits = logits
-    return logits, trace
+    return (logits[0] if single else logits), trace
 
 
 def backward(trace: ActivationTrace, w: FrozenWeights, pet: pet_mod.PetState, dlogits: np.ndarray, head: np.ndarray | None = None):
     """Backpropagate d(loss)/d(logits) to the pet tensors and the head.
 
-    Returns (pet_grads, head_grad).  Raises StaleTraceError when the trace
-    was recorded for a different PetState object or version.
+    ``dlogits`` is (batch, classes), or (classes,) for a batch of one.
+    Returns (pet_grads, head_grad), each summed over the batch in sample
+    order.  Raises StaleTraceError when the trace was recorded for a
+    different PetState object or version.
     """
     if trace.pet_ref is not pet or trace.pet_version != pet.version:
         raise StaleTraceError("activation trace is stale for this PetState")
@@ -274,15 +297,19 @@ def backward(trace: ActivationTrace, w: FrozenWeights, pet: pet_mod.PetState, dl
     params = pet.params
     head = w.classifier if head is None else head
     dlogits = np.asarray(dlogits, dtype=np.float64)
+    if dlogits.ndim == 1:
+        dlogits = dlogits[None]
+    if dlogits.shape != trace.logits.shape:
+        raise ValueError(f"dlogits shape {dlogits.shape} does not match traced logits {trace.logits.shape}")
 
-    grads = {name: np.zeros_like(arr) for name, arr in params.items()}
-    head_grad = np.outer(trace.pooled, dlogits)
-    dpooled = head @ dlogits
+    grads = {}
+    head_grad = (trace.pooled[:, :, None] * dlogits[:, None, :]).sum(axis=0)
+    dpooled = np.matmul(head, dlogits[:, :, None])[..., 0]
 
     prompt_rows = trace.prompt_rows
-    token_rows = trace.x_embed.shape[0]
-    dz_final = np.zeros((prompt_rows + token_rows, cfg.dim))
-    dz_final[prompt_rows:] = dpooled / token_rows
+    batch, token_rows, _ = trace.x_embed.shape
+    dz_final = np.zeros((batch, prompt_rows + token_rows, cfg.dim))
+    dz_final[:, prompt_rows:] = dpooled[:, None, :] / token_rows
     dz = _layernorm_backward(dz_final, trace.xhat_f, trace.inv_f, w.lnf_g)
 
     for li in reversed(range(cfg.depth)):
@@ -297,9 +324,9 @@ def backward(trace: ActivationTrace, w: FrozenWeights, pet: pet_mod.PetState, dl
             w_up = params[f"adapter_up.{li}"]
             pre = t["y_a"] @ w_up
             g = pet_mod.gelu_grad(pre) * dmlp
-            grads[f"adapter_up.{li}"] += t["y_a"].T @ g
+            grads[f"adapter_up.{li}"] = (t["y_a"].swapaxes(-1, -2) @ g).sum(axis=0)
             dy_a = g @ w_up.T
-            grads[f"adapter_down.{li}"] += t["m_in"].T @ dy_a
+            grads[f"adapter_down.{li}"] = (t["m_in"].swapaxes(-1, -2) @ dy_a).sum(axis=0)
             dm_in += dy_a @ w_dn.T
         dact = dmlp @ lw["w_2"].T
         du = dact * pet_mod.gelu_grad(t["u"])
@@ -312,22 +339,22 @@ def backward(trace: ActivationTrace, w: FrozenWeights, pet: pet_mod.PetState, dl
         attn = t["attn"]
         kh = _split_heads(t["k"], cfg.heads)
         vh = _split_heads(t["v"], cfg.heads)
-        dattn = doh @ vh.transpose(0, 2, 1)
-        dvh = attn.transpose(0, 2, 1) @ doh
+        dattn = doh @ vh.swapaxes(-1, -2)
+        dvh = attn.swapaxes(-1, -2) @ doh
         dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
         dscores /= np.sqrt(cfg.head_dim)
         dqh = dscores @ kh
-        dkh = dscores.transpose(0, 2, 1) @ _split_heads(t["q"], cfg.heads)
+        dkh = dscores.swapaxes(-1, -2) @ _split_heads(t["q"], cfg.heads)
         dq = _merge_heads(dqh)
         dk = _merge_heads(dkh)
         dv = _merge_heads(dvh)
 
         if paradigm == "prefix":
             n_pref = params[f"prefix_k.{li}"].shape[0]
-            grads[f"prefix_k.{li}"] += dk[:n_pref]
-            grads[f"prefix_v.{li}"] += dv[:n_pref]
-            dk = dk[n_pref:]
-            dv = dv[n_pref:]
+            grads[f"prefix_k.{li}"] = dk[:, :n_pref].sum(axis=0)
+            grads[f"prefix_v.{li}"] = dv[:, :n_pref].sum(axis=0)
+            dk = dk[:, n_pref:]
+            dv = dv[:, n_pref:]
 
         da_in = dq @ lw["w_q"].T + dk @ lw["w_k"].T + dv @ lw["w_v"].T
         if paradigm == "lora":
@@ -336,14 +363,14 @@ def backward(trace: ActivationTrace, w: FrozenWeights, pet: pet_mod.PetState, dl
                 w_dn = params[f"lora_{slot}_down.{li}"]
                 w_up = params[f"lora_{slot}_up.{li}"]
                 y = t[f"y_{slot}"]
-                grads[f"lora_{slot}_up.{li}"] += y.T @ (s * dslot)
+                grads[f"lora_{slot}_up.{li}"] = (y.swapaxes(-1, -2) @ (s * dslot)).sum(axis=0)
                 dy = s * dslot @ w_up.T
-                grads[f"lora_{slot}_down.{li}"] += t["a_in"].T @ dy
+                grads[f"lora_{slot}_down.{li}"] = (t["a_in"].swapaxes(-1, -2) @ dy).sum(axis=0)
                 da_in += dy @ w_dn.T
 
         dz = dz_mid + _layernorm_backward(da_in, t["xhat1"], t["inv1"], lw["ln1_g"])
 
     if paradigm == "prompt":
-        grads["prompt"] += dz[:prompt_rows]
+        grads["prompt"] = dz[:, :prompt_rows].sum(axis=0)
 
-    return grads, head_grad
+    return {name: grads[name] for name in params}, head_grad

@@ -214,14 +214,10 @@ ORTHO_DATA = dm.ScenarioSpec(
 
 def _mean_batch_grads(w, pet, head, xs, ys, seen):
     mask = tr.logit_mask("cil", "train", head.shape[1], seen_classes=seen)
-    gsum = {k: np.zeros_like(v) for k, v in pet.params.items()}
-    for x, y in zip(xs, ys):
-        logits, trace = bb.forward(w, pet, x, head=head)
-        _, dlogits = tr.masked_cross_entropy(logits, mask, int(y))
-        grads, _ = bb.backward(trace, w, pet, dlogits, head=head)
-        for k in gsum:
-            gsum[k] += grads[k]
-    return {k: v / len(xs) for k, v in gsum.items()}
+    logits, trace = bb.forward(w, pet, xs, head=head)
+    _, dlogits = tr.masked_cross_entropy(logits, mask, ys)
+    grads, _ = bb.backward(trace, w, pet, dlogits, head=head)
+    return {k: v / len(xs) for k, v in grads.items()}
 
 
 def _rel_overlap(rows: np.ndarray, grad: np.ndarray, side: str) -> float:
@@ -349,22 +345,18 @@ def _probe_state(paradigm: str):
     return w, pet, head, bases, probes, batch
 
 
-def _drift_after_step(w, pet, head, bases, batch, probes, eta, project) -> float:
+def _probe_drift(w, pet, head, grads, probes, base, eta) -> float:
     """Probe-logit movement from one gradient step on the paradigm tensors.
 
     The head is held fixed: the first-order guarantee concerns the
     inserted tensors, which are the only ones the projector touches.
     """
-    base = np.stack([bb.forward(w, pet, x, head=head, need_trace=False)[0] for x in probes])
-    grads = _mean_batch_grads(w, pet, head, batch[0], batch[1], seen=head.shape[1])
-    if project:
-        grads = tr.project_grads(pet, grads, bases, w.cfg.depth)
     stepped = pm.PetState(
         paradigm=pet.paradigm,
         params={k: v - eta * grads[k] for k, v in pet.params.items()},
         lora_scale=pet.lora_scale,
     )
-    after = np.stack([bb.forward(w, stepped, x, head=head, need_trace=False)[0] for x in probes])
+    after, _ = bb.forward(w, stepped, probes, head=head, need_trace=False)
     return float(np.linalg.norm(after - base))
 
 
@@ -373,16 +365,25 @@ def eta_scaling_probe(paradigm: str) -> dict:
 
     A ratio near 4 means the drift is second order in the step size; near
     2 means first order.  Also reports both arms' drift at the projected
-    arm's step so their magnitudes can be compared directly.
+    arm's step so their magnitudes can be compared directly.  Every step
+    starts from the same state, so the probe logits and the raw and
+    projected batch gradients are computed once.
     """
     pm.check_paradigm(paradigm)
     w, pet, head, bases, probes, batch = _probe_state(paradigm)
     eta_p, eta_u = PROBE_ETAS[paradigm]
-    d_proj = _drift_after_step(w, pet, head, bases, batch, probes, eta_p, True)
-    d_proj_half = _drift_after_step(w, pet, head, bases, batch, probes, eta_p / 2, True)
-    d_unproj = _drift_after_step(w, pet, head, bases, batch, probes, eta_u, False)
-    d_unproj_half = _drift_after_step(w, pet, head, bases, batch, probes, eta_u / 2, False)
-    d_unproj_matched = _drift_after_step(w, pet, head, bases, batch, probes, eta_p, False)
+    base, _ = bb.forward(w, pet, probes, head=head, need_trace=False)
+    raw = _mean_batch_grads(w, pet, head, batch[0], batch[1], seen=head.shape[1])
+    projected = tr.project_grads(pet, raw, bases, w.cfg.depth)
+
+    def drift(grads, eta):
+        return _probe_drift(w, pet, head, grads, probes, base, eta)
+
+    d_proj = drift(projected, eta_p)
+    d_proj_half = drift(projected, eta_p / 2)
+    d_unproj = drift(raw, eta_u)
+    d_unproj_half = drift(raw, eta_u / 2)
+    d_unproj_matched = drift(raw, eta_p)
     return {
         "proj_eta": eta_p,
         "unproj_eta": eta_u,

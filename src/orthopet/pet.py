@@ -4,8 +4,11 @@ This module is the single place that knows which tensors each paradigm
 trains and how they touch the transformer: prompt rows concatenated ahead
 of the token embeddings, per-layer key/value prefixes, a GELU bottleneck
 bypass around each MLP block, and low-rank bypasses on the query/value
-projections.  The backbone calls into these `apply_*` functions; they are
-pure and never mutate their arguments.
+projections.  The backbone calls into these `apply_*` functions with a
+leading batch axis on the activations, (batch, rows, width); a single
+(rows, width) sample works the same way.  The paradigm tensors carry no
+batch axis and are shared by every sample.  The functions are pure and
+never mutate their arguments.
 """
 
 from dataclasses import dataclass, field
@@ -108,32 +111,52 @@ def init_pet(cfg, paradigm: str, seed) -> PetState:
     return PetState(paradigm=paradigm, params=params, lora_scale=cfg.lora_scale)
 
 
-def _check_2d_pair(a: np.ndarray, b: np.ndarray, what: str) -> None:
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"{what}: expected 2-D arrays")
+def _check_params(what: str, *params: np.ndarray) -> None:
+    if any(p.ndim != 2 for p in params):
+        raise ValueError(f"{what}: expected 2-D parameter arrays")
+
+
+def _check_rows(what: str, *xs: np.ndarray) -> None:
+    if any(x.ndim < 2 for x in xs):
+        raise ValueError(f"{what}: expected ([batch,] rows, width) arrays")
+
+
+def _prepend(p: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Concatenate the rows of p ahead of the rows of every sample in x."""
+    return np.concatenate([np.broadcast_to(p, x.shape[:-2] + p.shape), x], axis=-2)
 
 
 def apply_prompt(p: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Prepend prompt rows to the token embeddings."""
-    _check_2d_pair(p, x, "apply_prompt")
+    """Prepend prompt rows to the token embeddings of every sample."""
+    _check_params("apply_prompt", p)
+    _check_rows("apply_prompt", x)
     if p.shape[0] == 0:
         return x.copy()
-    if p.shape[1] != x.shape[1]:
-        raise ValueError(f"prompt width {p.shape[1]} != token width {x.shape[1]}")
-    return np.concatenate([p, x], axis=0)
+    if p.shape[1] != x.shape[-1]:
+        raise ValueError(f"prompt width {p.shape[1]} != token width {x.shape[-1]}")
+    return _prepend(p, x)
 
 
 def apply_prefix(p_k: np.ndarray, p_v: np.ndarray, k: np.ndarray, v: np.ndarray):
-    """Prepend key/value prefix rows to the attention K and V matrices."""
-    _check_2d_pair(p_k, k, "apply_prefix")
-    _check_2d_pair(p_v, v, "apply_prefix")
+    """Prepend key/value prefix rows to every sample's attention K and V."""
+    _check_params("apply_prefix", p_k, p_v)
+    _check_rows("apply_prefix", k, v)
     if p_k.shape != p_v.shape:
         raise ValueError(f"prefix shapes differ: {p_k.shape} vs {p_v.shape}")
     if k.shape != v.shape:
         raise ValueError(f"K/V shapes differ: {k.shape} vs {v.shape}")
-    if p_k.shape[1] != k.shape[1]:
-        raise ValueError(f"prefix width {p_k.shape[1]} != K width {k.shape[1]}")
-    return np.concatenate([p_k, k], axis=0), np.concatenate([p_v, v], axis=0)
+    if p_k.shape[1] != k.shape[-1]:
+        raise ValueError(f"prefix width {p_k.shape[1]} != K width {k.shape[-1]}")
+    return _prepend(p_k, k), _prepend(p_v, v)
+
+
+def _check_bypass(what: str, w_down: np.ndarray, w_up: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
+    _check_params(what, w_down, w_up)
+    _check_rows(what, x)
+    if x.shape[-1] != w_down.shape[0] or w_down.shape[1] != w_up.shape[0]:
+        raise ValueError(f"{what} shape mismatch: x {x.shape}, down {w_down.shape}, up {w_up.shape}")
+    if out.shape != x.shape[:-1] + (w_up.shape[1],):
+        raise ValueError(f"{what}: output shape {out.shape} does not match bypass")
 
 
 def apply_adapter(w_down: np.ndarray, w_up: np.ndarray, x: np.ndarray, backbone_out: np.ndarray):
@@ -142,13 +165,7 @@ def apply_adapter(w_down: np.ndarray, w_up: np.ndarray, x: np.ndarray, backbone_
     The activation sits outside both factors.  Returns the combined output
     and y = x @ w_down, the intermediate the projection buffers need.
     """
-    _check_2d_pair(w_down, w_up, "apply_adapter")
-    if x.shape[1] != w_down.shape[0] or w_down.shape[1] != w_up.shape[0]:
-        raise ValueError(
-            f"adapter shape mismatch: x {x.shape}, down {w_down.shape}, up {w_up.shape}"
-        )
-    if backbone_out.shape != (x.shape[0], w_up.shape[1]):
-        raise ValueError(f"backbone_out shape {backbone_out.shape} does not match bypass")
+    _check_bypass("adapter", w_down, w_up, x, backbone_out)
     y = x @ w_down
     return backbone_out + gelu(y @ w_up), y
 
@@ -158,10 +175,6 @@ def apply_lora(w_down: np.ndarray, w_up: np.ndarray, s: float, x: np.ndarray, ba
 
     Returns the combined output and y = x @ w_down for the buffers.
     """
-    _check_2d_pair(w_down, w_up, "apply_lora")
-    if x.shape[1] != w_down.shape[0] or w_down.shape[1] != w_up.shape[0]:
-        raise ValueError(f"lora shape mismatch: x {x.shape}, down {w_down.shape}, up {w_up.shape}")
-    if base_out.shape != (x.shape[0], w_up.shape[1]):
-        raise ValueError(f"base_out shape {base_out.shape} does not match bypass")
+    _check_bypass("lora", w_down, w_up, x, base_out)
     y = x @ w_down
     return base_out + float(s) * (y @ w_up), y

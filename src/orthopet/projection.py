@@ -279,17 +279,22 @@ def _site_rows(trace: bb.ActivationTrace, site: str) -> np.ndarray:
     return rows
 
 
-def sample_features(w: bb.FrozenWeights, pet, sampling_set, site: str) -> np.ndarray:
+def sample_features(w: bb.FrozenWeights, pet, sampling_set, sites) -> dict:
     """Insertion-site feature rows for every sample in the sampling set.
 
-    Each sample contributes all its token rows at the site; the caller
-    owns reservoir admission into the site buffer.
+    One traced forward per CHUNK_ROWS samples serves every site in
+    ``sites``; each sample contributes all its token rows, in sample
+    order.  Returns site -> (rows, width); the caller owns reservoir
+    admission into the site buffers.
     """
-    site_width(site, w.cfg)
-    collected = []
-    for x in sampling_set:
-        _, trace = bb.forward(w, pet, x)
-        collected.append(_site_rows(trace, site))
-    if not collected:
-        return np.zeros((0, site_width(site, w.cfg)))
-    return np.vstack(collected)
+    widths = {site: site_width(site, w.cfg) for site in sites}
+    collected = {site: [] for site in sites}
+    xs = np.asarray(sampling_set, dtype=np.float64)
+    for start in range(0, len(xs), bb.CHUNK_ROWS):
+        _, trace = bb.forward(w, pet, xs[start:start + bb.CHUNK_ROWS])
+        for site in sites:
+            collected[site].append(_site_rows(trace, site).reshape(-1, widths[site]))
+    return {
+        site: np.vstack(rows) if rows else np.zeros((0, widths[site]))
+        for site, rows in collected.items()
+    }

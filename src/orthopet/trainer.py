@@ -142,36 +142,45 @@ def logit_mask(scenario, phase, num_classes, seen_classes=None, task_classes=Non
 def masked_cross_entropy(logits, mask, label):
     """Loss and dloss/dlogits with excluded classes pinned to zero.
 
+    ``logits`` is (classes,) with an int label, or (batch, classes) with
+    one label per row; a batch gives per-row losses and gradients.
     Excluded logits are replaced by -inf, so their probabilities and
     gradient entries are exactly 0.0 rather than merely small.
     """
     logits = np.asarray(logits, dtype=np.float64)
-    if logits.shape != mask.shape:
+    if logits.ndim > 2 or logits.shape[-1:] != mask.shape:
         raise ValueError(f"logits shape {logits.shape} != mask shape {mask.shape}")
-    if not mask[label]:
-        raise ValueError(f"label {label} is masked out")
-    z = np.where(mask, logits, -np.inf)
-    z_max = z.max()
-    e = np.exp(z - z_max)
-    s = e.sum()
-    loss = float(np.log(s) - (z[label] - z_max))
-    grad = e / s
-    grad[label] -= 1.0
+    labels = np.asarray(label, dtype=np.int64)
+    if labels.shape != logits.shape[:-1]:
+        raise ValueError(f"labels shape {labels.shape} does not match logits {logits.shape}")
+    if not mask[labels].all():
+        raise ValueError(f"label {labels[~mask[labels]].flat[0]} is masked out")
+    z = np.where(mask, np.atleast_2d(logits), -np.inf)
+    labels = np.atleast_1d(labels)
+    rows = np.arange(z.shape[0])
+    z_max = z.max(axis=1)
+    e = np.exp(z - z_max[:, None])
+    s = e.sum(axis=1)
+    loss = np.log(s) - (z[rows, labels] - z_max)
+    grad = e / s[:, None]
+    grad[rows, labels] -= 1.0
+    if logits.ndim == 1:
+        return float(loss[0]), grad[0]
     return loss, grad
 
 
-def _predict(logits, mask):
-    z = np.where(mask, np.asarray(logits, dtype=np.float64), -np.inf)
-    return int(np.argmax(z))
-
-
 def evaluate_task(w, pet, head, task, scenario, seen_classes) -> float:
-    """Accuracy on one task's test split under that scenario's test mask."""
+    """Accuracy on one task's test split under that scenario's test mask.
+
+    The split runs through the backbone CHUNK_ROWS rows at a time.
+    """
     mask = logit_mask(scenario, "test", head.shape[1], seen_classes, task.classes)
     correct = 0
-    for x, y in zip(task.test_x, task.test_y):
-        logits, _ = bb.forward(w, pet, x, head=head, need_trace=False)
-        correct += int(_predict(logits, mask) == int(y))
+    for start in range(0, task.n_test, bb.CHUNK_ROWS):
+        rows = slice(start, start + bb.CHUNK_ROWS)
+        logits, _ = bb.forward(w, pet, task.test_x[rows], head=head, need_trace=False)
+        predicted = np.argmax(np.where(mask, logits, -np.inf), axis=1)
+        correct += int(np.count_nonzero(predicted == task.test_y[rows]))
     return correct / task.n_test
 
 
@@ -238,34 +247,28 @@ def train_task(w, pet, head, task, cfg, bases=None, *, opt=None, seen_classes=No
     if n == 0:
         raise ValueError(f"task {task.task_id}: no training rows")
     mask = logit_mask(cfg.scenario, "train", head.shape[1], seen_classes, task.classes)
-    grad_keys = sorted(pet.params.keys())
     curve = []
     for epoch in range(cfg.epochs):
         order = shuffle_rng.permutation(n)
         total = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            gsum = {name: np.zeros_like(pet.params[name]) for name in grad_keys}
-            hsum = np.zeros_like(head)
-            for i in idx:
-                logits, trace = bb.forward(w, pet, xs[i], head=head)
-                loss, dlogits = masked_cross_entropy(logits, mask, int(ys[i]))
+            logits, trace = bb.forward(w, pet, xs[idx], head=head)
+            losses, dlogits = masked_cross_entropy(logits, mask, ys[idx])
+            for i, loss in zip(idx, losses.tolist()):
                 if not np.isfinite(loss):
                     raise FloatingPointError(
                         f"non-finite loss on task {task.task_id}, epoch {epoch}, sample {i}"
                     )
                 total += loss
-                grads, head_grad = bb.backward(trace, w, pet, dlogits, head=head)
-                for name in grad_keys:
-                    gsum[name] += grads[name]
-                hsum += head_grad
+            grads, head_grad = bb.backward(trace, w, pet, dlogits, head=head)
             inv = 1.0 / idx.size
-            for name in grad_keys:
-                gsum[name] *= inv
-            hsum *= inv
+            for name in grads:
+                grads[name] *= inv
+            head_grad *= inv
             if bases is not None:
-                gsum = project_grads(pet, gsum, bases, w.cfg.depth)
-            apply_updates(opt, pet, head, gsum, hsum, lr)
+                grads = project_grads(pet, grads, bases, w.cfg.depth)
+            apply_updates(opt, pet, head, grads, head_grad, lr)
         curve.append(total / n)
     return curve
 
@@ -281,9 +284,10 @@ def init_buffers(paradigm, model_cfg, proj_cfg) -> dict:
 
 def update_buffers(w, pet, sampling_set, buffers, task_id, reservoir_rng):
     """Push freshly sampled site features into every reservoir."""
-    for site in sorted(buffers):
-        rows = pj.sample_features(w, pet, sampling_set, site)
-        buffers[site].add(rows, task_id, reservoir_rng)
+    sites = sorted(buffers)
+    rows = pj.sample_features(w, pet, sampling_set, sites)
+    for site in sites:
+        buffers[site].add(rows[site], task_id, reservoir_rng)
 
 
 def rebuild_bases(pet, buffers, proj_cfg, model_cfg) -> dict:

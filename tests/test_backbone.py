@@ -3,7 +3,8 @@
 Two independent oracles: a deliberately naive reference forward written
 with per-head python loops and math.erf (no shared helpers with the
 implementation), and central finite differences for every trainable
-tensor of every paradigm.
+tensor of every paradigm.  The batch-equivalence section pins the
+batched hot path bit for bit to the same samples run one at a time.
 """
 
 import math
@@ -12,7 +13,10 @@ import numpy as np
 import pytest
 
 from orthopet import backbone as bb
+from orthopet import data as dm
 from orthopet import pet as pm
+from orthopet import projection as pj
+from orthopet import trainer as tr
 
 CFG = bb.TransformerConfig(
     depth=2,
@@ -230,7 +234,7 @@ def test_attention_rows_sum_to_one_and_prompt_shape():
     w, pet, x, head = make_model("prompt")
     _, trace = bb.forward(w, pet, x, head=head)
     total = CFG.prompt_len + CFG.seq_len
-    assert trace.layers[0]["attn"].shape == (CFG.heads, total, total)
+    assert trace.layers[0]["attn"].shape == (1, CFG.heads, total, total)
     for t in trace.layers:
         assert np.abs(t["attn"].sum(axis=-1) - 1.0).max() <= 1e-12
 
@@ -239,7 +243,7 @@ def test_prefix_widens_attention_columns_only():
     w, pet, x, head = make_model("prefix")
     _, trace = bb.forward(w, pet, x, head=head)
     for t in trace.layers:
-        assert t["attn"].shape == (CFG.heads, CFG.seq_len, CFG.seq_len + CFG.prefix_len)
+        assert t["attn"].shape == (1, CFG.heads, CFG.seq_len, CFG.seq_len + CFG.prefix_len)
         assert np.abs(t["attn"].sum(axis=-1) - 1.0).max() <= 1e-12
 
 
@@ -321,3 +325,138 @@ def test_config_validation():
     cfg = bb.TransformerConfig(dim=32, heads=8, mlp_ratio=1.5)
     assert cfg.head_dim == 4
     assert cfg.mlp_hidden == 48
+
+
+# -- batch equivalence ------------------------------------------------------
+
+BATCH = 6
+
+
+def make_batch(paradigm, n=BATCH, seed=7):
+    w, pet, _, head = make_model(paradigm, seed)
+    rng = np.random.default_rng(seed + 3)
+    xs = rng.normal(0.0, 1.0, size=(n, CFG.seq_len, CFG.dim))
+    ys = rng.integers(0, CFG.num_classes, size=n)
+    return w, pet, head, xs, ys
+
+
+@pytest.mark.parametrize("paradigm", pm.PARADIGMS)
+def test_batched_pass_equals_per_sample_loop(paradigm):
+    w, pet, head, xs, ys = make_batch(paradigm)
+    mask = np.ones(CFG.num_classes, dtype=bool)
+    logits, trace = bb.forward(w, pet, xs, head=head)
+    _, dlogits = tr.masked_cross_entropy(logits, mask, ys)
+    grads, head_grad = bb.backward(trace, w, pet, dlogits, head=head)
+    assert logits.shape == (BATCH, CFG.num_classes)
+
+    gsum = {name: np.zeros_like(arr) for name, arr in pet.params.items()}
+    hsum = np.zeros_like(head)
+    for i in range(BATCH):
+        one, one_trace = bb.forward(w, pet, xs[i], head=head)
+        assert np.array_equal(one, logits[i])
+        _, d_one = tr.masked_cross_entropy(one, mask, int(ys[i]))
+        g, h = bb.backward(one_trace, w, pet, d_one, head=head)
+        for name in gsum:
+            gsum[name] += g[name]
+        hsum += h
+    assert sorted(grads) == sorted(gsum)
+    for name in gsum:
+        assert np.array_equal(grads[name], gsum[name]), name
+    assert np.array_equal(head_grad, hsum)
+
+
+@pytest.mark.parametrize("paradigm", pm.PARADIGMS)
+def test_single_sample_is_a_batch_of_one(paradigm):
+    w, pet, x, head = make_model(paradigm)
+    c = np.random.default_rng(98).normal(size=CFG.num_classes)
+    logits, trace = bb.forward(w, pet, x, head=head)
+    batch_logits, batch_trace = bb.forward(w, pet, x[None], head=head)
+    assert logits.shape == (CFG.num_classes,)
+    assert np.array_equal(logits, batch_logits[0])
+    grads, head_grad = bb.backward(trace, w, pet, c, head=head)
+    batch_grads, batch_head_grad = bb.backward(batch_trace, w, pet, c[None], head=head)
+    assert np.array_equal(head_grad, batch_head_grad)
+    for name in grads:
+        assert np.array_equal(grads[name], batch_grads[name])
+
+
+def test_backward_rejects_dlogits_of_another_batch():
+    w, pet, head, xs, _ = make_batch("adapter")
+    _, trace = bb.forward(w, pet, xs, head=head)
+    with pytest.raises(ValueError, match="dlogits"):
+        bb.backward(trace, w, pet, np.ones(CFG.num_classes), head=head)
+
+
+def test_batched_masked_cross_entropy_equals_rows():
+    rng = np.random.default_rng(11)
+    logits = rng.normal(0.0, 3.0, size=(BATCH, CFG.num_classes))
+    mask = np.array([True, False, True])
+    labels = rng.choice([0, 2], size=BATCH)
+    losses, grads = tr.masked_cross_entropy(logits, mask, labels)
+    assert losses.shape == (BATCH,) and grads.shape == logits.shape
+    for i in range(BATCH):
+        loss, grad = tr.masked_cross_entropy(logits[i], mask, int(labels[i]))
+        assert loss == losses[i]
+        assert np.array_equal(grad, grads[i])
+    with pytest.raises(ValueError, match="masked out"):
+        tr.masked_cross_entropy(logits, mask, np.ones(BATCH, dtype=np.int64))
+    with pytest.raises(ValueError, match="shape"):
+        tr.masked_cross_entropy(logits, mask, labels[:-1])
+
+
+ODD_ROWS = 37  # not a multiple of bb.CHUNK_ROWS, so the last chunk is short
+
+
+def test_evaluate_task_chunks_keep_row_order():
+    w, pet, head, xs, _ = make_batch("prefix", n=ODD_ROWS)
+    predicted = np.array([
+        int(np.argmax(bb.forward(w, pet, x, head=head, need_trace=False)[0])) for x in xs
+    ])
+    classes = list(range(CFG.num_classes))
+    shifted = (predicted + np.arange(ODD_ROWS) % 2) % CFG.num_classes
+
+    def task(labels):
+        return dm.TaskDataset(task_id=0, classes=classes, train_x=xs[:0], train_y=labels[:0],
+                              test_x=xs, test_y=labels)
+
+    # "dil" masks nothing, so each row's prediction is its plain argmax
+    assert ODD_ROWS % bb.CHUNK_ROWS != 0
+    assert tr.evaluate_task(w, pet, head, task(predicted), "dil", None) == 1.0
+    expected = np.count_nonzero(shifted == predicted) / ODD_ROWS
+    assert 0.0 < expected < 1.0
+    assert tr.evaluate_task(w, pet, head, task(shifted), "dil", None) == expected
+
+
+def test_sample_features_chunks_keep_row_order():
+    w, pet, head, xs, _ = make_batch("lora", n=ODD_ROWS)
+    sites = pj.paradigm_sites("lora", CFG.depth)
+    keys = {"attn_in": "a_in", "lora_q_mid": "y_q", "lora_v_mid": "y_v"}
+    expected = {site: [] for site in sites}
+    for x in xs:
+        _, trace = bb.forward(w, pet, x)
+        for site in sites:
+            kind, layer = site.split(".")
+            expected[site].append(trace.layers[int(layer)][keys[kind]][0])
+    rows = pj.sample_features(w, pet, xs, sites)
+    assert sorted(rows) == sorted(sites)
+    for site in sites:
+        assert np.array_equal(rows[site], np.vstack(expected[site])), site
+
+
+def test_update_buffers_reads_every_site_from_one_forward(monkeypatch):
+    w, pet, head, xs, _ = make_batch("lora", n=8)
+    proj_cfg = pj.ProjectionConfig(sample_count=8, buffer_cap=64)
+    buffers = tr.init_buffers("lora", CFG, proj_cfg)
+    calls = []
+    forward = bb.forward
+
+    def counted(*args, **kwargs):
+        calls.append(args[2].shape)
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(bb, "forward", counted)
+    tr.update_buffers(w, pet, xs, buffers, 0, np.random.default_rng(0))
+    assert len(buffers) == 3 * CFG.depth
+    assert calls == [(8, CFG.seq_len, CFG.dim)]
+    for buf in buffers.values():
+        assert buf.count == 8 * CFG.seq_len

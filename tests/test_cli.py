@@ -1,6 +1,9 @@
 """Config loading, flag overrides, and end-to-end command behaviour."""
 
 import json
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +40,18 @@ def _base(**changes):
 
 
 # -- config loading -----------------------------------------------------------
+
+def test_readme_config_block_names_every_enforced_key():
+    """The README's config block lists exactly the keys load_config accepts."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("### Config format", 1)[1].split("```", 2)[1]
+    for section, cls in cli._SECTIONS.items():
+        listed = re.search(rf'"{section}":\s*\{{([^}}]*)\}}', block)
+        assert listed is not None, section
+        keys = {k.strip() for k in listed.group(1).split(",")}
+        skip = cli._TRAIN_SKIP if section == "train" else set()
+        assert keys == {f.name for f in fields(cls)} - skip, section
+
 
 def test_load_config_happy_path(tmp_path):
     cfg = cli.load_config(_write(tmp_path, BASE))

@@ -365,18 +365,18 @@ def test_sample_features_counts_and_widths():
     samples = [rng.normal(size=(CFG.seq_len, CFG.dim)) for _ in range(8)]
 
     prompt = pm.init_pet(CFG, "prompt", 32)
-    rows = pj.sample_features(w, prompt, samples, "embed")
+    rows = pj.sample_features(w, prompt, samples, ["embed"])["embed"]
     assert rows.shape == (8 * CFG.seq_len, CFG.dim)
 
     adapter = pm.init_pet(CFG, "adapter", 33)
-    mids = pj.sample_features(w, adapter, samples, "adapter_mid.1")
+    mids = pj.sample_features(w, adapter, samples, ["adapter_mid.1"])["adapter_mid.1"]
     assert mids.shape == (8 * CFG.seq_len, CFG.rank)
 
-    again = pj.sample_features(w, adapter, samples, "adapter_mid.1")
+    again = pj.sample_features(w, adapter, samples, ["adapter_mid.1"])["adapter_mid.1"]
     assert np.array_equal(mids, again)
 
     with pytest.raises(ValueError):
-        pj.sample_features(w, adapter, samples, "lora_q_mid.0")
+        pj.sample_features(w, adapter, samples, ["lora_q_mid.0"])
     with pytest.raises(ValueError):
-        pj.sample_features(w, adapter, samples, "mlp_in.9")
-    assert pj.sample_features(w, adapter, [], "mlp_in.0").shape == (0, CFG.dim)
+        pj.sample_features(w, adapter, samples, ["mlp_in.9"])
+    assert pj.sample_features(w, adapter, [], ["mlp_in.0"])["mlp_in.0"].shape == (0, CFG.dim)
