@@ -1,32 +1,26 @@
 """Five-seed split-class CIL benchmark, projection on vs off.
 
-Geometry is pinned (tokenizer, stream, backbone) so the two arms and all
-seeds see the same problem; per-run seeds vary only the paradigm init and
-batch order.  Prints per-seed rows and the seed-mean comparison.
+Settings come from configs/cil_prompt.json.  Geometry is pinned
+(tokenizer, stream, backbone) so the two arms and all seeds see the same
+problem; per-run seeds vary only the paradigm init and batch order.
+Prints per-seed rows and the seed-mean comparison.
 """
 
 import argparse
 import time
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
-import orthopet.backbone as bb
-import orthopet.data as dm
+import orthopet.cli as cli
 import orthopet.metrics as mt
 import orthopet.pet as pm
 import orthopet.projection as pj
 import orthopet.trainer as tr
 
-MODEL = bb.TransformerConfig(dim=32, depth=2, heads=4, mlp_ratio=2.0, seq_len=4,
-                             num_classes=10, prompt_len=8)
-DATA = dm.ScenarioSpec(scenario="cil", tasks=5, classes_per_task=2,
-                       samples_per_class=200, feature_dim=64, noise=0.1,
-                       separation=8.0)
-TRAIN = tr.TrainConfig(epochs=30, batch_size=16, lr=0.03, optimizer="sgd",
-                       scenario="cil", seed=0, backbone_seed=0,
-                       proj=pj.ProjectionConfig(epsilon=0.02, sample_count=32))
+CONFIG = Path(__file__).resolve().parent.parent / "configs" / "cil_prompt.json"
 
 
 def main():
@@ -36,20 +30,19 @@ def main():
                         help="comma-separated run seeds")
     args = parser.parse_args()
     seeds = [int(s) for s in args.seeds.split(",")]
-
-    tok = dm.make_tokenizer(DATA.feature_dim, MODEL.seq_len, MODEL.dim, 0)
-    stream = dm.gen_stream(DATA, tok, 0)
+    run = cli.load_config(CONFIG, {"paradigm": args.paradigm})
+    stream = run.stream()
     means = {}
     for arm in (True, False):
         label = "projection" if arm else "baseline"
         rows = []
         print(f"-- {label} ({args.paradigm})")
         for seed in seeds:
-            cfg = replace(TRAIN, seed=seed, projection=arm)
+            cfg = replace(run.train_cfg, seed=seed, projection=arm)
             t0 = time.perf_counter()
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", pj.EmptyBasisWarning)
-                matrix, _ = tr.continual_run(stream, MODEL, args.paradigm, cfg)
+                matrix, _ = tr.continual_run(stream, run.model_cfg, run.paradigm, cfg)
             summary = mt.summarize(matrix)
             rows.append(summary)
             print(f"seed {seed}: avg_acc {summary['avg_acc']:.4f}, "

@@ -2,29 +2,23 @@
 
 Every sample is seen once, so there is no room to re-fit old classes;
 whatever the projection preserves is what survives.  Runs adapter and
-lora, projection on vs off, over the given seeds.
+lora, projection on vs off, over the given seeds, with the settings of
+configs/oil_lora.json.
 """
 
 import argparse
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
-import orthopet.backbone as bb
-import orthopet.data as dm
+import orthopet.cli as cli
 import orthopet.metrics as mt
 import orthopet.projection as pj
 import orthopet.trainer as tr
 
-MODEL = bb.TransformerConfig(dim=32, depth=2, heads=4, mlp_ratio=2.0, seq_len=4,
-                             num_classes=10, prompt_len=8, rank=16)
-DATA = dm.ScenarioSpec(scenario="oil", tasks=5, classes_per_task=2,
-                       samples_per_class=200, feature_dim=64, noise=0.1,
-                       separation=8.0)
-TRAIN = tr.TrainConfig(epochs=1, batch_size=16, lr=0.03, optimizer="adam",
-                       scenario="oil", seed=0, backbone_seed=0,
-                       proj=pj.ProjectionConfig(epsilon=0.02, sample_count=32))
+CONFIG = Path(__file__).resolve().parent.parent / "configs" / "oil_lora.json"
 
 
 def main():
@@ -33,18 +27,17 @@ def main():
                         help="comma-separated run seeds")
     args = parser.parse_args()
     seeds = [int(s) for s in args.seeds.split(",")]
-
-    tok = dm.make_tokenizer(DATA.feature_dim, MODEL.seq_len, MODEL.dim, 0)
-    stream = dm.gen_stream(DATA, tok, 0)
+    run = cli.load_config(CONFIG)
+    stream = run.stream()
     for paradigm in ("adapter", "lora"):
         means = {}
         for arm in (True, False):
             fgts, accs = [], []
             for seed in seeds:
-                cfg = replace(TRAIN, seed=seed, projection=arm)
+                cfg = replace(run.train_cfg, seed=seed, projection=arm)
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", pj.EmptyBasisWarning)
-                    matrix, _ = tr.continual_run(stream, MODEL, paradigm, cfg)
+                    matrix, _ = tr.continual_run(stream, run.model_cfg, paradigm, cfg)
                 summary = mt.summarize(matrix)
                 fgts.append(summary["forgetting"])
                 accs.append(summary["avg_acc"])

@@ -236,8 +236,8 @@ def forward(w: FrozenWeights, pet: pet_mod.PetState, x: np.ndarray, head: np.nda
 
         m_in, xhat2, inv2 = _layernorm(z_mid, lw["ln2_g"], lw["ln2_b"])
         u = m_in @ lw["w_1"]
-        act = pet_mod.gelu(u)
-        mlp = act @ lw["w_2"]
+        gelu_factor = pet_mod.gelu_factor(u)
+        mlp = pet_mod.gelu(u, gelu_factor) @ lw["w_2"]
         y_a = None
         if paradigm == "adapter":
             mlp, y_a = pet_mod.apply_adapter(params[f"adapter_down.{li}"], params[f"adapter_up.{li}"], m_in, mlp)
@@ -257,7 +257,7 @@ def forward(w: FrozenWeights, pet: pet_mod.PetState, x: np.ndarray, head: np.nda
                     "xhat2": xhat2,
                     "inv2": inv2,
                     "u": u,
-                    "act": act,
+                    "gelu_factor": gelu_factor,
                     "y_q": y_q,
                     "y_v": y_v,
                     "y_a": y_a,
@@ -329,7 +329,7 @@ def backward(trace: ActivationTrace, w: FrozenWeights, pet: pet_mod.PetState, dl
             grads[f"adapter_down.{li}"] = (t["m_in"].swapaxes(-1, -2) @ dy_a).sum(axis=0)
             dm_in += dy_a @ w_dn.T
         dact = dmlp @ lw["w_2"].T
-        du = dact * pet_mod.gelu_grad(t["u"])
+        du = dact * pet_mod.gelu_grad(t["u"], t["gelu_factor"])
         dm_in += du @ lw["w_1"].T
         dz_mid = dz + _layernorm_backward(dm_in, t["xhat2"], t["inv2"], lw["ln2_g"])
 

@@ -3,10 +3,13 @@
 Everything a run needs to resume mid-stream: the paradigm tensors, the
 trainable head, optimizer moments, feature buffers, projection bases and
 the accuracy matrix so far.  Arrays are stored as nested lists; float
-repr round-trips exactly, so save/load is lossless.
+repr round-trips exactly, so save/load is lossless.  A save replaces the
+file at its path atomically.  Version 2 dropped the per-basis `side`
+field: the gradient axis a basis acts on is read from the paradigm table.
 """
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +18,7 @@ from . import metrics as mt
 from . import pet as pm
 from . import projection as pj
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def _arr(a: np.ndarray) -> list:
@@ -51,7 +54,7 @@ def save_checkpoint(path, *, config_hash, task_index, pet, head, opt, buffers, b
             for site, buf in sorted(buffers.items())
         },
         "bases": {
-            key: {"side": b.side, "width": b.width, "b": _arr(b.b)}
+            key: {"width": b.width, "b": _arr(b.b)}
             for key, b in sorted(bases.items())
         },
         "accuracy_rows": [
@@ -62,9 +65,17 @@ def save_checkpoint(path, *, config_hash, task_index, pet, head, opt, buffers, b
     }
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+    # Write beside the target and rename over it, so an interrupted write
+    # leaves the previous checkpoint at `path` untouched.
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(doc, fh, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 
@@ -103,7 +114,6 @@ def load_checkpoint(path) -> dict:
     bases = {
         key: pj.ProjectionBasis(
             b=np.array(v["b"]).reshape(v["width"], -1) if v["b"] else np.zeros((v["width"], 0)),
-            side=v["side"],
         )
         for key, v in doc["bases"].items()
     }

@@ -64,6 +64,11 @@ class RunConfig:
             "train": asdict(self.train_cfg),
         }
 
+    def stream(self) -> list:
+        """The task stream of this config; `data_seed` fixes the tokenizer and data."""
+        tok = dm.make_tokenizer(self.spec.feature_dim, self.model_cfg.seq_len, self.model_cfg.dim, self.data_seed)
+        return dm.gen_stream(self.spec, tok, self.data_seed)
+
     def config_hash(self) -> str:
         canon = json.dumps(self.effective(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()
@@ -129,10 +134,10 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(
             f"model.num_classes: {model_cfg.num_classes} < the {spec.total_classes} classes the stream needs"
         )
-    if paradigm == "prompt" and model_cfg.prompt_len < 1:
-        raise ConfigError("model.prompt_len: prompt paradigm needs prompt_len >= 1")
-    if paradigm == "prefix" and model_cfg.prefix_len < 1:
-        raise ConfigError("model.prefix_len: prefix paradigm needs prefix_len >= 1")
+    for tensor in pm.PARADIGM_TENSORS[paradigm]:
+        for size in tensor.shape:
+            if getattr(model_cfg, size) < 1:
+                raise ConfigError(f"model.{size}: {paradigm} paradigm needs {size} >= 1")
 
     data_seed = raw.get("data_seed", 0)
     if not isinstance(data_seed, int) or data_seed < 0:
@@ -164,10 +169,7 @@ def _parse_sweep(text: str):
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    tok = dm.make_tokenizer(
-        cfg.spec.feature_dim, cfg.model_cfg.seq_len, cfg.model_cfg.dim, cfg.data_seed
-    )
-    stream = dm.gen_stream(cfg.spec, tok, cfg.data_seed)
+    stream = cfg.stream()
     ckpt_dir = cfg.out / "checkpoints"
     ckpt_dir.mkdir(parents=True, exist_ok=True)
     config_hash = cfg.config_hash()

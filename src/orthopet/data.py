@@ -1,17 +1,16 @@
-"""Synthetic task streams, the seeded tokenizer, and CSV ingestion.
+"""Synthetic task streams and the seeded tokenizer.
 
 Samples are Gaussian clusters around unit-norm class means scaled by a
 separation factor, drawn in a raw feature space and mapped to token grids
 by one frozen linear tokenizer per run.  Split-class streams give each
 task its own disjoint label block; domain-shift streams keep one label
-set and rotate the raw feature space a little further each task.
+set and rotate the raw feature space a little further each task.  Every
+stream is generated from the `data` section of a run config; there is no
+file input.
 """
 
-import csv
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -97,14 +96,6 @@ class Tokenizer:
     @property
     def feature_dim(self) -> int:
         return self.seq_len * self.token_width
-
-    def tokenize(self, raw: np.ndarray) -> np.ndarray:
-        raw = np.asarray(raw, dtype=np.float64)
-        if raw.shape != (self.feature_dim,):
-            raise ValueError(f"raw vector must have shape ({self.feature_dim},), got {raw.shape}")
-        if not np.all(np.isfinite(raw)):
-            raise ValueError("raw vector must be finite")
-        return raw.reshape(self.seq_len, self.token_width) @ self.matrix
 
     def tokenize_batch(self, raws: np.ndarray) -> np.ndarray:
         raws = np.asarray(raws, dtype=np.float64)
@@ -229,87 +220,3 @@ def gen_stream(spec: ScenarioSpec, tokenizer: Tokenizer, seed) -> list[TaskDatas
     if spec.scenario == "dil":
         return gen_domain_shift(spec, tokenizer, seed)
     return gen_split_classes(spec, tokenizer, seed)
-
-
-def load_csv(path):
-    """Parse `label,f0,f1,...` rows into (raws, labels).
-
-    A file with no data rows (or no bytes at all) is an empty dataset;
-    anything structurally wrong is an error naming the line and column.
-    """
-    path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            return np.zeros((0, 0)), np.zeros(0, dtype=np.int64)
-        expected = ["label"] + [f"f{i}" for i in range(len(header) - 1)]
-        if len(header) < 2 or header != expected:
-            raise ValueError(f"{path}:1: header must be label,f0,f1,..., got {','.join(header)}")
-        width = len(header) - 1
-        raws, labels = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ValueError(f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
-            try:
-                labels.append(int(row[0]))
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: column label: {row[0]!r} is not an integer") from None
-            feats = []
-            for col, cell in enumerate(row[1:]):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: column f{col}: {cell!r} is not a number") from None
-                if not math.isfinite(value):
-                    raise ValueError(f"{path}:{lineno}: column f{col}: non-finite value {cell!r}")
-                feats.append(value)
-            raws.append(feats)
-    if not raws:
-        return np.zeros((0, width)), np.zeros(0, dtype=np.int64)
-    return np.array(raws), np.array(labels, dtype=np.int64)
-
-
-def load_manifest(path, tokenizer: Tokenizer) -> list[TaskDataset]:
-    """Read a JSON manifest listing per-task CSV files.
-
-    Schema: {"tasks": [{"task_id": int, "classes": [int, ...],
-    "train": path, "test": path}, ...]}; file paths resolve relative to
-    the manifest's directory.
-    """
-    path = Path(path)
-    with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict) or set(doc) != {"tasks"}:
-        raise ValueError(f"{path}: manifest must be an object with exactly a 'tasks' key")
-    datasets = []
-    for entry in doc["tasks"]:
-        extra = set(entry) - {"task_id", "classes", "train", "test"}
-        if extra:
-            raise ValueError(f"{path}: unknown manifest keys {sorted(extra)}")
-        missing = {"task_id", "classes", "train", "test"} - set(entry)
-        if missing:
-            raise ValueError(f"{path}: manifest entry missing keys {sorted(missing)}")
-        splits = {}
-        for part in ("train", "test"):
-            raws, labels = load_csv(path.parent / entry[part])
-            if raws.size and raws.shape[1] != tokenizer.feature_dim:
-                raise ValueError(
-                    f"{entry[part]}: feature width {raws.shape[1]} does not match tokenizer ({tokenizer.feature_dim})"
-                )
-            if raws.shape[0]:
-                splits[part] = (tokenizer.tokenize_batch(raws), labels)
-            else:
-                splits[part] = (np.zeros((0, tokenizer.seq_len, tokenizer.dim)), labels)
-        datasets.append(
-            TaskDataset(
-                task_id=int(entry["task_id"]),
-                classes=list(entry["classes"]),
-                train_x=splits["train"][0],
-                train_y=splits["train"][1],
-                test_x=splits["test"][0],
-                test_y=splits["test"][1],
-            )
-        )
-    return datasets

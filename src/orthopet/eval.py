@@ -220,10 +220,11 @@ def _mean_batch_grads(w, pet, head, xs, ys, seen):
     return {k: v / len(xs) for k, v in grads.items()}
 
 
-def _rel_overlap(rows: np.ndarray, grad: np.ndarray, side: str) -> float:
-    """|stored rows . projected step| relative to both norms; 0 when either
-    factor is all zero (an empty basis projects every gradient to zero)."""
-    prod = rows @ (grad.T if side == "right" else grad)
+def _rel_overlap(rows: np.ndarray, grad: np.ndarray, axis: int) -> float:
+    """|stored rows . projected step| relative to both norms, contracting
+    the step on the axis its projector acts on; 0 when either factor is
+    all zero (an empty basis projects every gradient to zero)."""
+    prod = rows @ np.moveaxis(grad, axis, 0)
     denom = float(np.linalg.norm(rows)) * float(np.linalg.norm(grad))
     return float(np.linalg.norm(prod)) / denom if denom > 0 else 0.0
 
@@ -234,8 +235,10 @@ def orthogonality_check(paradigm: str, epsilon: float = 1e-10) -> dict:
     Noise-free class clusters keep every site buffer rank deficient, so at
     a tiny threshold the basis spans the exact null space and every stored
     feature row must be orthogonal to the projected gradient of the factor
-    that consumes it.  Returns the worst relative overlap across sites and
-    the worst projector idempotence defect.
+    that consumes it.  A merging tensor (the prompt) is projected by its
+    raw site basis here, which is the basis its stored rows constrain.
+    Returns the worst relative overlap across sites and the worst
+    projector idempotence defect.
     """
     cfg = ORTHO_MODEL
     tok = dm.make_tokenizer(ORTHO_DATA.feature_dim, cfg.seq_len, cfg.dim, 5)
@@ -248,39 +251,13 @@ def orthogonality_check(paradigm: str, epsilon: float = 1e-10) -> dict:
     tr.update_buffers(w, pet, stream[0].train_x[:8], buffers, 0, np.random.default_rng(5))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", pj.EmptyBasisWarning)
-        bases = {site: pj.build_basis(buffers[site], epsilon, "right" if paradigm in ("prompt", "prefix") else "left")
-                 for site in sorted(buffers)}
+        bases = {site: pj.build_basis(buffers[site].rows, epsilon, site) for site in sorted(buffers)}
+    routes = pm.routes(paradigm, cfg.depth)
+    for r in routes:
+        bases.setdefault(r.basis, bases[r.site])
     grads = _mean_batch_grads(w, pet, head, stream[1].train_x[:8], stream[1].train_y[:8], seen=4)
-
-    overlaps = []
-    if paradigm == "prompt":
-        g = pj.project_prompt_grad(grads["prompt"], bases["embed"])
-        overlaps.append(_rel_overlap(buffers["embed"].rows, g, "right"))
-    elif paradigm == "prefix":
-        for i in range(cfg.depth):
-            gk, gv = pj.project_prefix_grads(
-                grads[f"prefix_k.{i}"], grads[f"prefix_v.{i}"], bases[f"attn_in.{i}"]
-            )
-            rows = buffers[f"attn_in.{i}"].rows
-            overlaps.append(_rel_overlap(rows, gk, "right"))
-            overlaps.append(_rel_overlap(rows, gv, "right"))
-    elif paradigm == "adapter":
-        for i in range(cfg.depth):
-            gd, gu = pj.project_factor_grads(
-                grads[f"adapter_down.{i}"], grads[f"adapter_up.{i}"],
-                bases[f"mlp_in.{i}"], bases[f"adapter_mid.{i}"],
-            )
-            overlaps.append(_rel_overlap(buffers[f"mlp_in.{i}"].rows, gd, "left"))
-            overlaps.append(_rel_overlap(buffers[f"adapter_mid.{i}"].rows, gu, "left"))
-    else:
-        for i in range(cfg.depth):
-            for slot in ("q", "v"):
-                gd, gu = pj.project_factor_grads(
-                    grads[f"lora_{slot}_down.{i}"], grads[f"lora_{slot}_up.{i}"],
-                    bases[f"attn_in.{i}"], bases[f"lora_{slot}_mid.{i}"],
-                )
-                overlaps.append(_rel_overlap(buffers[f"attn_in.{i}"].rows, gd, "left"))
-                overlaps.append(_rel_overlap(buffers[f"lora_{slot}_mid.{i}"].rows, gu, "left"))
+    projected = tr.project_grads(pet, grads, bases, cfg.depth)
+    overlaps = [_rel_overlap(buffers[r.site].rows, projected[r.name], r.spec.axis) for r in routes]
 
     idem = 0.0
     for basis in bases.values():

@@ -35,39 +35,6 @@ def _check_2d(a: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} must be a 2-D ndarray")
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    _check_2d(a, "a")
-    _check_2d(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"shape mismatch for matmul: {a.shape} @ {b.shape}")
-    return a @ b
-
-
-def transpose(a: np.ndarray) -> np.ndarray:
-    _check_2d(a, "a")
-    return a.T.copy()
-
-
-def frobenius_norm(a: np.ndarray) -> float:
-    _check_2d(a, "a")
-    return float(np.sqrt(np.sum(a * a)))
-
-
-def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    _check_2d(a, "a")
-    _check_2d(b, "b")
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch for add: {a.shape} vs {b.shape}")
-    return a + b
-
-
-def scale(a: np.ndarray, c: float) -> np.ndarray:
-    _check_2d(a, "a")
-    if not np.isfinite(c):
-        raise ValueError("scale factor must be finite")
-    return a * float(c)
-
-
 def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
     u = np.asarray(u, dtype=np.float64).ravel()
     v = np.asarray(v, dtype=np.float64).ravel()

@@ -51,17 +51,6 @@ class AccuracyMatrix:
     def to_lists(self) -> list[list[float]]:
         return [[float(self.values[j, i]) for i in range(j + 1)] for j in range(self.tasks)]
 
-    @classmethod
-    def from_lists(cls, rows: list[list[float]]) -> "AccuracyMatrix":
-        t = len(rows)
-        m = cls(tasks=t)
-        for j, row in enumerate(rows):
-            if len(row) != j + 1:
-                raise ValueError(f"row {j} must have {j + 1} entries, got {len(row)}")
-            for i, acc in enumerate(row):
-                m.set(j, i, acc)
-        return m
-
 
 def _require_complete(matrix: AccuracyMatrix) -> None:
     if not matrix.is_complete():

@@ -4,7 +4,12 @@ This module is the single place that knows which tensors each paradigm
 trains and how they touch the transformer: prompt rows concatenated ahead
 of the token embeddings, per-layer key/value prefixes, a GELU bottleneck
 bypass around each MLP block, and low-rank bypasses on the query/value
-projections.  The backbone calls into these `apply_*` functions with a
+projections.  `PARADIGM_TENSORS` describes each paradigm once: every
+tensor's shape, its init, the feature site that constrains it and the
+gradient axis its projector acts on.  `SITES` says where a site's rows sit
+in an activation trace and how wide they are.  Initialization, the site
+list, feature sampling and gradient projection are all read from these two
+tables.  The backbone calls into these `apply_*` functions with a
 leading batch axis on the activations, (batch, rows, width); a single
 (rows, width) sample works the same way.  The paradigm tensors carry no
 batch axis and are shared by every sample.  The functions are pure and
@@ -12,11 +17,10 @@ never mutate their arguments.
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import erf
-
-PARADIGMS = ("prompt", "prefix", "adapter", "lora")
 
 PROMPT_INIT_STD = 0.02
 
@@ -27,14 +31,24 @@ def check_paradigm(name: str) -> str:
     return name
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
+def gelu_factor(x: np.ndarray) -> np.ndarray:
+    """1 + erf(x / sqrt 2), the factor GELU and its derivative share."""
+    return 1.0 + erf(x / np.sqrt(2.0))
+
+
+def gelu(x: np.ndarray, factor: np.ndarray | None = None) -> np.ndarray:
     """Exact (erf-based) GELU; gelu(0) = 0, which is what makes zero-init
-    adapter and LoRA bypasses exact identities."""
-    return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
+    adapter and LoRA bypasses exact identities.  Pass `gelu_factor(x)` to
+    reuse it; the result is the same either way."""
+    if factor is None:
+        factor = gelu_factor(x)
+    return 0.5 * x * factor
 
 
-def gelu_grad(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + erf(x / np.sqrt(2.0))) + x * np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+def gelu_grad(x: np.ndarray, factor: np.ndarray | None = None) -> np.ndarray:
+    if factor is None:
+        factor = gelu_factor(x)
+    return 0.5 * factor + x * np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
 
 
 @dataclass
@@ -57,57 +71,122 @@ class PetState:
         self.version += 1
 
 
-def param_names(paradigm: str, depth: int) -> list[str]:
-    check_paradigm(paradigm)
-    if paradigm == "prompt":
-        return ["prompt"]
-    if paradigm == "prefix":
-        names = []
-        for i in range(depth):
-            names += [f"prefix_k.{i}", f"prefix_v.{i}"]
-        return names
-    if paradigm == "adapter":
-        names = []
-        for i in range(depth):
-            names += [f"adapter_down.{i}", f"adapter_up.{i}"]
-        return names
-    names = []
-    for i in range(depth):
-        names += [
-            f"lora_q_down.{i}",
-            f"lora_q_up.{i}",
-            f"lora_v_down.{i}",
-            f"lora_v_up.{i}",
-        ]
-    return names
+@dataclass(frozen=True)
+class SiteKind:
+    """Where a site kind's feature rows sit in an ActivationTrace and which
+    TransformerConfig field gives their width.  A per-layer kind names one
+    site per layer (`attn_in.0`, ...) and reads `trace.layers[i][trace_key]`;
+    the embed site reads `trace.x_embed`.
+    """
+
+    trace_key: str
+    width: str
+    per_layer: bool = True
+
+
+SITES = {
+    "embed": SiteKind("x_embed", "dim", per_layer=False),
+    "attn_in": SiteKind("a_in", "dim"),
+    "mlp_in": SiteKind("m_in", "dim"),
+    "adapter_mid": SiteKind("y_a", "rank"),
+    "lora_q_mid": SiteKind("y_q", "rank"),
+    "lora_v_mid": SiteKind("y_v", "rank"),
+}
+
+
+@dataclass(frozen=True)
+class TensorSpec:
+    """One trainable tensor template of a paradigm.
+
+    `shape` names the two TransformerConfig fields that size it.  `init` is
+    "rows" (Gaussian, std PROMPT_INIT_STD), "down" (Gaussian, std
+    1/sqrt(dim)) or "up" (zeros).  `site` is the SITES kind whose feature
+    rows the tensor consumes; their null-space basis constrains its
+    gradient on `axis`: axis 1 projects as (g @ B) @ B.T (token rows live in
+    feature space), axis 0 as B @ (B.T @ g) (factors consume features on
+    their input dimension).  With `merge` set, the site basis is merged
+    with the null basis of the tensor's own rows before it projects, and
+    the merged basis is keyed by the tensor's name.
+    """
+
+    name: str
+    shape: tuple[str, str]
+    init: str
+    site: str
+    axis: int
+    merge: bool = False
+
+
+PARADIGM_TENSORS = {
+    "prompt": (
+        TensorSpec("prompt", ("prompt_len", "dim"), "rows", "embed", 1, merge=True),
+    ),
+    "prefix": (
+        TensorSpec("prefix_k", ("prefix_len", "dim"), "rows", "attn_in", 1),
+        TensorSpec("prefix_v", ("prefix_len", "dim"), "rows", "attn_in", 1),
+    ),
+    "adapter": (
+        TensorSpec("adapter_down", ("dim", "rank"), "down", "mlp_in", 0),
+        TensorSpec("adapter_up", ("rank", "dim"), "up", "adapter_mid", 0),
+    ),
+    "lora": (
+        TensorSpec("lora_q_down", ("dim", "rank"), "down", "attn_in", 0),
+        TensorSpec("lora_q_up", ("rank", "dim"), "up", "lora_q_mid", 0),
+        TensorSpec("lora_v_down", ("dim", "rank"), "down", "attn_in", 0),
+        TensorSpec("lora_v_up", ("rank", "dim"), "up", "lora_v_mid", 0),
+    ),
+}
+PARADIGMS = tuple(PARADIGM_TENSORS)
+
+
+class Route(NamedTuple):
+    """One trainable tensor of a model: its parameter key, the site whose
+    features constrain it, the key of the basis that projects its gradient,
+    and its template."""
+
+    name: str
+    site: str
+    basis: str
+    spec: TensorSpec
+
+
+def routes(paradigm: str, depth: int) -> list[Route]:
+    """Every trainable tensor of a paradigm, layer by layer in table order.
+
+    A tensor on a per-layer site gets one copy per layer, keyed
+    `<name>.<layer>`; a tensor on the embed site exists once.
+    """
+    specs = PARADIGM_TENSORS[check_paradigm(paradigm)]
+    out = []
+    for layer in range(depth):
+        for spec in specs:
+            per_layer = SITES[spec.site].per_layer
+            if per_layer or layer == 0:
+                tag = f".{layer}" if per_layer else ""
+                name, site = spec.name + tag, spec.site + tag
+                out.append(Route(name, site, name if spec.merge else site, spec))
+    return out
+
+
+_INITS = {
+    "rows": lambda rng, d, shape: rng.normal(0.0, PROMPT_INIT_STD, size=shape),
+    "down": lambda rng, d, shape: rng.normal(0.0, 1.0 / np.sqrt(d), size=shape),
+    "up": lambda rng, d, shape: np.zeros(shape),
+}
 
 
 def init_pet(cfg, paradigm: str, seed) -> PetState:
-    """Seeded paradigm state.
+    """Seeded paradigm state, drawn tensor by tensor in `routes` order.
 
     Prompt and prefix rows are small Gaussians (std 0.02).  Bottleneck
     down-factors are Gaussian with std 1/sqrt(dim) and up-factors start at
     zero, so every bypass is exactly the identity before training.
     """
-    check_paradigm(paradigm)
     rng = np.random.default_rng(seed)
-    d = cfg.dim
-    params: dict[str, np.ndarray] = {}
-    if paradigm == "prompt":
-        params["prompt"] = rng.normal(0.0, PROMPT_INIT_STD, size=(cfg.prompt_len, d))
-    elif paradigm == "prefix":
-        for i in range(cfg.depth):
-            params[f"prefix_k.{i}"] = rng.normal(0.0, PROMPT_INIT_STD, size=(cfg.prefix_len, d))
-            params[f"prefix_v.{i}"] = rng.normal(0.0, PROMPT_INIT_STD, size=(cfg.prefix_len, d))
-    elif paradigm == "adapter":
-        for i in range(cfg.depth):
-            params[f"adapter_down.{i}"] = rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, cfg.rank))
-            params[f"adapter_up.{i}"] = np.zeros((cfg.rank, d))
-    else:
-        for i in range(cfg.depth):
-            for w in ("q", "v"):
-                params[f"lora_{w}_down.{i}"] = rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, cfg.rank))
-                params[f"lora_{w}_up.{i}"] = np.zeros((cfg.rank, d))
+    params = {
+        r.name: _INITS[r.spec.init](rng, cfg.dim, tuple(getattr(cfg, f) for f in r.spec.shape))
+        for r in routes(paradigm, cfg.depth)
+    }
     return PetState(paradigm=paradigm, params=params, lora_scale=cfg.lora_scale)
 
 

@@ -15,13 +15,11 @@ attention weight), so projection only reduces their drift.
 Feature width is d for token-space sites and r for the bottleneck y-spaces.
 In the tokens-as-rows convention both basis flavors come out of the same
 SVD (the left basis of the column-oriented formulation is the right basis
-of the row-stacked one); `side` records which axis of the gradient the
-projector must act on: "right" multiplies B B^T onto the gradient's width
-axis (prompt and prefix rows), "left" onto its input-dimension axis (the
-down/up factor rows).
+of the row-stacked one).  Which axis of a gradient the projector acts on
+is a property of the tensor, not of the basis, so it lives in the paradigm
+table (`pet.PARADIGM_TENSORS`) and is passed to `project`.
 """
 
-import re
 import warnings
 from dataclasses import dataclass
 
@@ -29,8 +27,7 @@ import numpy as np
 
 from . import backbone as bb
 from . import linalg
-
-SIDES = ("right", "left")
+from . import pet as pm
 
 
 class EmptyBasisWarning(UserWarning):
@@ -110,11 +107,8 @@ class ProjectionBasis:
     """Orthonormal columns spanning the allowed update directions."""
 
     b: np.ndarray
-    side: str
 
     def __post_init__(self):
-        if self.side not in SIDES:
-            raise ValueError(f"side must be one of {SIDES}")
         self.b = np.asarray(self.b, dtype=np.float64)
         if self.b.ndim != 2:
             raise ValueError("basis must be a 2-D column matrix")
@@ -131,36 +125,32 @@ class ProjectionBasis:
         return self.b @ self.b.T
 
 
-def identity_basis(width: int, side: str = "right") -> ProjectionBasis:
-    """The vacuous constraint: projection with it is the identity map."""
-    return ProjectionBasis(b=np.eye(width), side=side)
-
-
-def build_basis(buffer: FeatureBuffer, epsilon: float, side: str) -> ProjectionBasis:
-    """Null-space basis of the buffered rows at relative threshold epsilon.
+def build_basis(rows: np.ndarray, epsilon: float, site: str) -> ProjectionBasis:
+    """Null-space basis of the feature rows at relative threshold epsilon.
 
     Directions with sigma_i <= epsilon * sigma_1 are kept (all of them when
-    sigma_1 = 0).  When the buffer has fewer rows than columns the reduced
-    SVD cannot see the rest of the exact null space, so the orthonormal
+    sigma_1 = 0).  When there are fewer rows than columns the reduced SVD
+    cannot see the rest of the exact null space, so the orthonormal
     complement of the row space is appended; without it a single-task
-    buffer would leave no room to train at all.
+    buffer would leave no room to train at all.  `site` names the rows in
+    errors and warnings.
     """
     if epsilon < 0.0:
         raise ValueError("epsilon must be >= 0")
-    if buffer.count == 0:
-        raise RuntimeError(f"cannot build a basis from the empty buffer at site {buffer.site}")
-    res = linalg.svd(buffer.rows)
+    if rows.shape[0] == 0:
+        raise RuntimeError(f"cannot build a basis from the empty buffer at site {site}")
+    res = linalg.svd(rows)
     keep = res.s <= epsilon * res.s[0]
     cols = res.vt.T[:, keep]
-    if res.s.size < buffer.width:
+    if res.s.size < rows.shape[1]:
         cols = np.hstack([cols, linalg.orthonormal_complement(res.vt.T)])
     if cols.shape[1] == 0:
         warnings.warn(
-            f"site {buffer.site}: buffer is full rank at epsilon={epsilon:g}; projected gradients will be zero",
+            f"site {site}: buffer is full rank at epsilon={epsilon:g}; projected gradients will be zero",
             EmptyBasisWarning,
             stacklevel=2,
         )
-    return ProjectionBasis(b=cols, side=side)
+    return ProjectionBasis(b=cols)
 
 
 def merge_bases(input_basis: ProjectionBasis, prompt_basis: ProjectionBasis, beta: float) -> ProjectionBasis:
@@ -183,97 +173,55 @@ def merge_bases(input_basis: ProjectionBasis, prompt_basis: ProjectionBasis, bet
         if abs(cos) > beta:
             picked.append(ci + (cp if cos >= 0.0 else -cp))
     if not picked:
-        return ProjectionBasis(b=np.zeros((input_basis.width, 0)), side="right")
-    return ProjectionBasis(b=linalg.orthonormalize(np.stack(picked, axis=1)), side="right")
+        return ProjectionBasis(b=np.zeros((input_basis.width, 0)))
+    return ProjectionBasis(b=linalg.orthonormalize(np.stack(picked, axis=1)))
 
 
-def _check_width(grad: np.ndarray, basis: ProjectionBasis, axis: int, what: str) -> None:
-    if grad.ndim != 2:
-        raise ValueError(f"{what}: gradient must be 2-D")
-    if grad.shape[axis] != basis.width:
-        raise ValueError(f"{what}: gradient axis {axis} is {grad.shape[axis]}, basis width is {basis.width}")
+def project(grad: np.ndarray, basis: ProjectionBasis, axis: int) -> np.ndarray:
+    """Project one axis of a 2-D gradient onto the span of the basis.
 
-
-def project_prompt_grad(grad: np.ndarray, basis: ProjectionBasis) -> np.ndarray:
-    """Right-project prompt rows: grad' = grad B B^T."""
-    _check_width(grad, basis, 1, "project_prompt_grad")
-    return (grad @ basis.b) @ basis.b.T
-
-
-def project_prefix_grads(grad_k: np.ndarray, grad_v: np.ndarray, input_basis: ProjectionBasis):
-    """Right-project both prefix-row gradients by the layer's input basis."""
-    _check_width(grad_k, input_basis, 1, "project_prefix_grads")
-    _check_width(grad_v, input_basis, 1, "project_prefix_grads")
-    return (
-        (grad_k @ input_basis.b) @ input_basis.b.T,
-        (grad_v @ input_basis.b) @ input_basis.b.T,
-    )
-
-
-def project_factor_grads(grad_down: np.ndarray, grad_up: np.ndarray, basis_x: ProjectionBasis, basis_y: ProjectionBasis):
-    """Project bottleneck factor gradients on their input dimensions.
-
-    grad_down is (d, r) and constrained by the x-space basis; grad_up is
-    (r, d) and constrained by the y-space basis.  Both projectors act on
-    axis 0, the dimension the factor consumes.
+    Axis 1 gives (grad B) B^T: token rows (prompt, prefix) live in feature
+    space.  Axis 0 gives B (B^T grad): a down or up factor consumes
+    features on its input dimension.
     """
-    _check_width(grad_down, basis_x, 0, "project_factor_grads")
-    _check_width(grad_up, basis_y, 0, "project_factor_grads")
-    down = basis_x.b @ (basis_x.b.T @ grad_down)
-    up = basis_y.b @ (basis_y.b.T @ grad_up)
-    return down, up
+    if grad.ndim != 2:
+        raise ValueError("project: gradient must be 2-D")
+    if grad.shape[axis] != basis.width:
+        raise ValueError(f"project: gradient axis {axis} is {grad.shape[axis]}, basis width is {basis.width}")
+    if axis == 1:
+        return (grad @ basis.b) @ basis.b.T
+    return basis.b @ (basis.b.T @ grad)
 
 
-_SITE_RE = re.compile(r"^(attn_in|mlp_in|adapter_mid|lora_q_mid|lora_v_mid)\.(\d+)$")
+def _parse_site(site: str) -> tuple[pm.SiteKind, int | None]:
+    """The kind of a site name and its layer (None for the embed site)."""
+    kind, dot, layer = site.partition(".")
+    spec = pm.SITES.get(kind)
+    if spec is None or spec.per_layer != bool(dot) or (dot and not layer.isdecimal()):
+        raise ValueError(f"unknown site {site!r}")
+    return spec, int(layer) if dot else None
 
 
 def site_width(site: str, cfg: bb.TransformerConfig) -> int:
     """Feature width at a site: d for token spaces, r for bottleneck y-spaces."""
-    if site == "embed":
-        return cfg.dim
-    m = _SITE_RE.match(site)
-    if m is None:
-        raise ValueError(f"unknown site {site!r}")
-    if int(m.group(2)) >= cfg.depth:
+    spec, layer = _parse_site(site)
+    if layer is not None and layer >= cfg.depth:
         raise ValueError(f"site {site!r} exceeds depth {cfg.depth}")
-    return cfg.rank if m.group(1).endswith("_mid") else cfg.dim
+    return getattr(cfg, spec.width)
 
 
 def paradigm_sites(paradigm: str, depth: int) -> list[str]:
     """Sites whose features must be buffered for a paradigm, in a stable order."""
-    if paradigm == "prompt":
-        return ["embed"]
-    if paradigm == "prefix":
-        return [f"attn_in.{i}" for i in range(depth)]
-    if paradigm == "adapter":
-        return [s for i in range(depth) for s in (f"mlp_in.{i}", f"adapter_mid.{i}")]
-    if paradigm == "lora":
-        return [
-            s
-            for i in range(depth)
-            for s in (f"attn_in.{i}", f"lora_q_mid.{i}", f"lora_v_mid.{i}")
-        ]
-    raise ValueError(f"unknown paradigm {paradigm!r}")
+    return list(dict.fromkeys(r.site for r in pm.routes(paradigm, depth)))
 
 
 def _site_rows(trace: bb.ActivationTrace, site: str) -> np.ndarray:
-    if site == "embed":
-        return trace.x_embed
-    m = _SITE_RE.match(site)
-    if m is None:
-        raise ValueError(f"unknown site {site!r}")
-    kind, layer = m.group(1), int(m.group(2))
+    spec, layer = _parse_site(site)
+    if layer is None:
+        return getattr(trace, spec.trace_key)
     if layer >= len(trace.layers):
         raise ValueError(f"site {site!r} exceeds traced depth {len(trace.layers)}")
-    t = trace.layers[layer]
-    key = {
-        "attn_in": "a_in",
-        "mlp_in": "m_in",
-        "adapter_mid": "y_a",
-        "lora_q_mid": "y_q",
-        "lora_v_mid": "y_v",
-    }[kind]
-    rows = t[key]
+    rows = trace.layers[layer][spec.trace_key]
     if rows is None:
         raise ValueError(f"site {site!r} is not active for paradigm of this trace")
     return rows

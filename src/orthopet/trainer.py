@@ -185,44 +185,12 @@ def evaluate_task(w, pet, head, task, scenario, seen_classes) -> float:
 
 
 def project_grads(pet, grads, bases, depth) -> dict:
-    """Route each tensor's raw gradient through its site basis.
-
-    Prompt rows and prefix rows live in feature space, so their gradients
-    are right-projected; down/up factors are hit on the input axis, so
-    theirs are left-projected through the paired-site bases.
-    """
-    out = {}
-    if pet.paradigm == "prompt":
-        out["prompt"] = pj.project_prompt_grad(grads["prompt"], bases["prompt"])
-    elif pet.paradigm == "prefix":
-        for i in range(depth):
-            gk, gv = pj.project_prefix_grads(
-                grads[f"prefix_k.{i}"], grads[f"prefix_v.{i}"], bases[f"attn_in.{i}"]
-            )
-            out[f"prefix_k.{i}"] = gk
-            out[f"prefix_v.{i}"] = gv
-    elif pet.paradigm == "adapter":
-        for i in range(depth):
-            gd, gu = pj.project_factor_grads(
-                grads[f"adapter_down.{i}"],
-                grads[f"adapter_up.{i}"],
-                bases[f"mlp_in.{i}"],
-                bases[f"adapter_mid.{i}"],
-            )
-            out[f"adapter_down.{i}"] = gd
-            out[f"adapter_up.{i}"] = gu
-    else:
-        for i in range(depth):
-            for slot in ("q", "v"):
-                gd, gu = pj.project_factor_grads(
-                    grads[f"lora_{slot}_down.{i}"],
-                    grads[f"lora_{slot}_up.{i}"],
-                    bases[f"attn_in.{i}"],
-                    bases[f"lora_{slot}_mid.{i}"],
-                )
-                out[f"lora_{slot}_down.{i}"] = gd
-                out[f"lora_{slot}_up.{i}"] = gu
-    return out
+    """Route each tensor's raw gradient through its basis, on the axis the
+    paradigm table gives it (see `pet.PARADIGM_TENSORS`)."""
+    return {
+        r.name: pj.project(grads[r.name], bases[r.basis], r.spec.axis)
+        for r in pm.routes(pet.paradigm, depth)
+    }
 
 
 def train_task(w, pet, head, task, cfg, bases=None, *, opt=None, seen_classes=None,
@@ -291,27 +259,25 @@ def update_buffers(w, pet, sampling_set, buffers, task_id, reservoir_rng):
 
 
 def rebuild_bases(pet, buffers, proj_cfg, model_cfg) -> dict:
-    """Null-space basis per site, plus the merged basis for prompt rows.
+    """Null-space basis per site, plus a merged basis per merging tensor.
 
     Prompt gradients must avoid both the stored input features and the
     span of the frozen previous prompt, so the embed-site basis is merged
     with a basis built from the current prompt rows.
     """
-    side = "right" if pet.paradigm in ("prompt", "prefix") else "left"
-    bases = {}
-    for site in sorted(buffers):
-        bases[site] = pj.build_basis(buffers[site], proj_cfg.epsilon, side)
-    if pet.paradigm == "prompt":
-        rows = pet.params["prompt"]
+    bases = {
+        site: pj.build_basis(buffers[site].rows, proj_cfg.epsilon, site)
+        for site in sorted(buffers)
+    }
+    for r in pm.routes(pet.paradigm, model_cfg.depth):
+        if not r.spec.merge:
+            continue
+        rows = pet.params[r.name]
         if rows.shape[0] == 0:
-            bases["prompt"] = bases["embed"]
+            bases[r.basis] = bases[r.site]
         else:
-            prompt_buf = pj.FeatureBuffer(
-                site="prompt_rows", width=model_cfg.dim, cap=rows.shape[0]
-            )
-            prompt_buf.add(rows, task_id=-1, rng=np.random.default_rng(0))
-            prompt_basis = pj.build_basis(prompt_buf, proj_cfg.epsilon, "right")
-            bases["prompt"] = pj.merge_bases(bases["embed"], prompt_basis, proj_cfg.beta)
+            own = pj.build_basis(rows, proj_cfg.epsilon, r.name)
+            bases[r.basis] = pj.merge_bases(bases[r.site], own, proj_cfg.beta)
     return bases
 
 

@@ -18,17 +18,15 @@ same step.  Every paradigm's unprojected ratio must sit in 1.6-2.4.
 import json
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-import orthopet.backbone as bb
 import orthopet.cli as cli
-import orthopet.data as dm
 import orthopet.eval as ev
 import orthopet.metrics as mt
 import orthopet.pet as pm
-import orthopet.projection as pj
 import orthopet.trainer as tr
 
 pytestmark = pytest.mark.filterwarnings(
@@ -36,11 +34,12 @@ pytestmark = pytest.mark.filterwarnings(
 
 SEEDS = [0, 1, 2, 3, 4]
 
-BENCH_MODEL = bb.TransformerConfig(dim=32, depth=2, heads=4, mlp_ratio=2.0,
-                                   seq_len=4, num_classes=10, prompt_len=8)
-BENCH_DATA = dm.ScenarioSpec(scenario="cil", tasks=5, classes_per_task=2,
-                             samples_per_class=200, feature_dim=64, noise=0.1,
-                             separation=8.0)
+# The benchmark settings of criteria 5-7 are the shipped configs.
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _config(name, **overrides) -> cli.RunConfig:
+    return cli.load_config(CONFIGS / name, overrides)
 
 
 def _verdict(num, name, ok, detail) -> bool:
@@ -48,17 +47,16 @@ def _verdict(num, name, ok, detail) -> bool:
     return ok
 
 
-def _grid(model, spec, paradigm, base_cfg):
-    """ON/OFF seed grids on one fixed benchmark; returns summaries and times."""
-    tok = dm.make_tokenizer(spec.feature_dim, model.seq_len, model.dim, 0)
-    stream = dm.gen_stream(spec, tok, 0)
+def _grid(run):
+    """ON/OFF seed grids on one config's benchmark; returns summaries and times."""
+    stream = run.stream()
     summaries, times = {}, []
     for arm in (True, False):
         rows = []
         for seed in SEEDS:
-            cfg = replace(base_cfg, seed=seed, projection=arm)
+            cfg = replace(run.train_cfg, seed=seed, projection=arm)
             t0 = time.perf_counter()
-            matrix, _ = tr.continual_run(stream, model, paradigm, cfg)
+            matrix, _ = tr.continual_run(stream, run.model_cfg, run.paradigm, cfg)
             times.append(time.perf_counter() - t0)
             rows.append(mt.summarize(matrix))
         summaries[arm] = rows
@@ -122,10 +120,7 @@ def test_criterion_4_step_size_scaling():
 
 
 def test_criterion_5_cil_forgetting_reduction():
-    cfg = tr.TrainConfig(epochs=30, batch_size=16, lr=0.03, optimizer="sgd",
-                         scenario="cil", seed=0, backbone_seed=0,
-                         proj=pj.ProjectionConfig(epsilon=0.02, sample_count=32))
-    summaries, max_run = _grid(BENCH_MODEL, BENCH_DATA, "prompt", cfg)
+    summaries, max_run = _grid(_config("cil_prompt.json"))
     fgt_on = _mean(summaries[True], "forgetting")
     fgt_off = _mean(summaries[False], "forgetting")
     acc_on = _mean(summaries[True], "avg_acc")
@@ -139,14 +134,9 @@ def test_criterion_5_cil_forgetting_reduction():
 
 
 def test_criterion_6_oil_single_epoch():
-    model = replace(BENCH_MODEL, rank=16)
-    spec = replace(BENCH_DATA, scenario="oil")
-    cfg = tr.TrainConfig(epochs=1, batch_size=16, lr=0.03, optimizer="adam",
-                         scenario="oil", seed=0, backbone_seed=0,
-                         proj=pj.ProjectionConfig(epsilon=0.02, sample_count=32))
     details, ok = [], True
     for paradigm in ("adapter", "lora"):
-        summaries, _ = _grid(model, spec, paradigm, cfg)
+        summaries, _ = _grid(_config("oil_lora.json", paradigm=paradigm))
         fgt_on = _mean(summaries[True], "forgetting")
         fgt_off = _mean(summaries[False], "forgetting")
         ok = ok and fgt_on < fgt_off
@@ -156,15 +146,10 @@ def test_criterion_6_oil_single_epoch():
 
 
 def test_criterion_7_basis_size_sweep():
-    model = replace(BENCH_MODEL, rank=4)
-    spec = dm.ScenarioSpec(scenario="oil", tasks=5, classes_per_task=2,
-                           samples_per_class=200, feature_dim=64, noise=0.05,
-                           separation=12.0)
-    cfg = tr.TrainConfig(epochs=1, batch_size=16, lr=0.5, optimizer="adam",
-                         scenario="oil", seed=0, backbone_seed=0,
-                         proj=pj.ProjectionConfig(sample_count=32))
-    rows = ev.ablation_sweep(model, spec, "lora", cfg, "epsilon",
-                             [0.6, 0.15, 1e-4], SEEDS, data_seed=0)
+    run = _config("ablation_lora.json")
+    rows = ev.ablation_sweep(run.model_cfg, run.spec, run.paradigm, run.train_cfg,
+                             "epsilon", [0.6, 0.15, 1e-4], SEEDS,
+                             data_seed=run.data_seed)
     cols = [r["basis_columns"] for r in rows]
     fgt = [r["forgetting"] for r in rows]
     new = [r["new_acc"] for r in rows]

@@ -146,7 +146,7 @@ def test_backward_zero_loss_grad_gives_zero_grads(paradigm):
     assert not head_grad.any()
     for g in grads.values():
         assert not g.any()
-    assert sorted(grads) == sorted(pm.param_names(paradigm, CFG.depth))
+    assert sorted(grads) == sorted(r.name for r in pm.routes(paradigm, CFG.depth))
 
 
 def test_backward_shapes():

@@ -31,11 +31,11 @@ def _handmade_state():
         buf.add(rng.normal(size=(6, buf.width)), task_id=0, rng=rng)
 
     bases = {
-        site: pj.build_basis(buf, epsilon=0.5, side="left")
+        site: pj.build_basis(buf.rows, 0.5, site)
         for site, buf in buffers.items()
     }
     # one deliberately empty basis: zero allowed directions must survive a save
-    bases["mlp_in.0"] = pj.ProjectionBasis(b=np.zeros((MODEL.dim, 0)), side="left")
+    bases["mlp_in.0"] = pj.ProjectionBasis(b=np.zeros((MODEL.dim, 0)))
 
     matrix = mt.AccuracyMatrix(tasks=3)
     matrix.set(0, 0, 0.9375)
@@ -70,7 +70,6 @@ def test_round_trip_exact(tmp_path):
         assert np.array_equal(got.tasks, buf.tasks)
     for key, basis in bases.items():
         got = state["bases"][key]
-        assert got.side == basis.side
         assert got.b.shape == basis.b.shape
         assert np.array_equal(got.b, basis.b)
     assert np.array_equal(
@@ -92,6 +91,35 @@ def test_resave_is_byte_identical(tmp_path):
                        buffers=state["buffers"], bases=state["bases"],
                        matrix=state["matrix"])
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_bases_carry_no_side_field(tmp_path):
+    pet, head, opt, buffers, bases, matrix = _handmade_state()
+    path = tmp_path / "e.json"
+    ck.save_checkpoint(path, config_hash="h", task_index=0, pet=pet, head=head,
+                       opt=opt, buffers=buffers, bases=bases, matrix=matrix)
+    doc = json.loads(path.read_text())
+    assert doc["version"] == ck.CHECKPOINT_VERSION == 2
+    assert all(set(b) == {"width", "b"} for b in doc["bases"].values())
+
+
+def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    pet, head, opt, buffers, bases, matrix = _handmade_state()
+    path = tmp_path / "task_0.json"
+    ck.save_checkpoint(path, config_hash="h", task_index=0, pet=pet, head=head,
+                       opt=opt, buffers=buffers, bases=bases, matrix=matrix)
+    before = path.read_bytes()
+
+    def dump_then_fail(doc, fh, **kwargs):
+        fh.write(json.dumps(doc, **kwargs)[:100])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(ck.json, "dump", dump_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        ck.save_checkpoint(path, config_hash="other", task_index=1, pet=pet, head=head,
+                           opt=opt, buffers=buffers, bases=bases, matrix=matrix)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["task_0.json"]
 
 
 def test_unsupported_version_rejected(tmp_path):
@@ -126,7 +154,6 @@ def test_empty_basis_round_trips(tmp_path):
                        opt=opt, buffers=buffers, bases=bases, matrix=matrix)
     got = ck.load_checkpoint(path)["bases"]["mlp_in.0"]
     assert got.b.shape == (MODEL.dim, 0)
-    assert got.side == "left"
 
 
 @pytest.mark.filterwarnings("ignore::orthopet.projection.EmptyBasisWarning")

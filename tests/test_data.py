@@ -1,4 +1,4 @@
-"""Tests for stream generation, tokenization and file loading.
+"""Tests for stream generation and tokenization.
 
 The learnability oracle is a nearest-centroid probe defined here: with
 well-separated Gaussian clusters it should be essentially perfect, and it
@@ -57,10 +57,11 @@ def test_task_classes_disjoint_vs_shared():
 
 def test_tokenizer_linearity_zero_and_determinism():
     tok = dm.make_tokenizer(16, 4, 8, seed=3)
-    assert tok.tokenize(np.zeros(16)).tolist() == np.zeros((4, 8)).tolist()
+    assert tok.tokenize_batch(np.zeros((1, 16))).tolist() == np.zeros((1, 4, 8)).tolist()
     rng = np.random.default_rng(0)
     a, b = rng.normal(size=16), rng.normal(size=16)
-    assert np.allclose(tok.tokenize(a + b), tok.tokenize(a) + tok.tokenize(b), atol=1e-12)
+    ta, tb, tab = tok.tokenize_batch(np.stack([a, b, a + b]))
+    assert np.allclose(tab, ta + tb, atol=1e-12)
     tok2 = dm.make_tokenizer(16, 4, 8, seed=3)
     assert np.array_equal(tok.matrix, tok2.matrix)
     assert not np.array_equal(tok.matrix, dm.make_tokenizer(16, 4, 8, seed=4).matrix)
@@ -68,9 +69,11 @@ def test_tokenizer_linearity_zero_and_determinism():
     with pytest.raises(ValueError):
         dm.make_tokenizer(17, 4, 8, seed=0)
     with pytest.raises(ValueError):
-        tok.tokenize(np.zeros(15))
+        tok.tokenize_batch(np.zeros((1, 15)))
     with pytest.raises(ValueError):
-        tok.tokenize(np.array([np.inf] + [0.0] * 15))
+        tok.tokenize_batch(np.zeros(16))
+    with pytest.raises(ValueError):
+        tok.tokenize_batch(np.array([[np.inf] + [0.0] * 15]))
 
 
 def test_split_classes_shapes_and_balance():
@@ -162,91 +165,8 @@ def test_scenario_routing():
         dm.gen_split_classes(cil, mismatched, seed=0)
 
 
-def test_load_csv_well_formed(tmp_path):
-    p = tmp_path / "ok.csv"
-    p.write_text("label,f0,f1\n0,1.5,-2.0\n1,0.25,3.5\n0,0.0,1.0\n")
-    raws, labels = dm.load_csv(p)
-    assert raws.shape == (3, 2)
-    assert labels.tolist() == [0, 1, 0]
-    assert raws[1].tolist() == [0.25, 3.5]
-
-
-def test_load_csv_errors_name_line_and_column(tmp_path):
-    bad_cell = tmp_path / "cell.csv"
-    bad_cell.write_text("label,f0,f1\n0,1.0,2.0\n1,oops,3.0\n")
-    with pytest.raises(ValueError, match=r"cell\.csv:3: column f0"):
-        dm.load_csv(bad_cell)
-
-    bad_label = tmp_path / "lab.csv"
-    bad_label.write_text("label,f0\nx,1.0\n")
-    with pytest.raises(ValueError, match=r"lab\.csv:2: column label"):
-        dm.load_csv(bad_label)
-
-    short_row = tmp_path / "short.csv"
-    short_row.write_text("label,f0,f1\n0,1.0\n")
-    with pytest.raises(ValueError, match=r"short\.csv:2: expected 3 cells"):
-        dm.load_csv(short_row)
-
-    bad_header = tmp_path / "head.csv"
-    bad_header.write_text("label,a,b\n")
-    with pytest.raises(ValueError, match=r"head\.csv:1: header"):
-        dm.load_csv(bad_header)
-
-    non_finite = tmp_path / "inf.csv"
-    non_finite.write_text("label,f0\n0,inf\n")
-    with pytest.raises(ValueError, match=r"inf\.csv:2: column f0: non-finite"):
-        dm.load_csv(non_finite)
-
-
-def test_load_csv_empty_inputs(tmp_path):
-    empty = tmp_path / "empty.csv"
-    empty.write_text("")
-    raws, labels = dm.load_csv(empty)
-    assert raws.shape == (0, 0) and labels.shape == (0,)
-
-    header_only = tmp_path / "header.csv"
-    header_only.write_text("label,f0,f1\n")
-    raws, labels = dm.load_csv(header_only)
-    assert raws.shape == (0, 2) and labels.shape == (0,)
-
-
-def test_manifest_round_trip(tmp_path):
-    header = "label," + ",".join(f"f{i}" for i in range(16))
-    row = lambda lab, val: f"{lab}," + ",".join([str(val)] * 16)
-    (tmp_path / "t0_train.csv").write_text(header + "\n" + row(0, 0.5) + "\n" + row(1, -0.5) + "\n")
-    (tmp_path / "t0_test.csv").write_text(header + "\n" + row(1, 0.25) + "\n")
-    manifest = tmp_path / "stream.json"
-    manifest.write_text(
-        '{"tasks": [{"task_id": 0, "classes": [0, 1], "train": "t0_train.csv", "test": "t0_test.csv"}]}'
-    )
-    tok = dm.make_tokenizer(16, 4, 8, seed=1)
-    tasks = dm.load_manifest(manifest, tok)
-    assert len(tasks) == 1
-    assert tasks[0].train_x.shape == (2, 4, 8)
-    assert tasks[0].test_y.tolist() == [1]
-
-
-def test_manifest_validation(tmp_path):
-    tok = dm.make_tokenizer(16, 4, 8, seed=1)
-    bad_top = tmp_path / "a.json"
-    bad_top.write_text('{"tasks": [], "extra": 1}')
-    with pytest.raises(ValueError, match="exactly a 'tasks' key"):
-        dm.load_manifest(bad_top, tok)
-
-    missing = tmp_path / "b.json"
-    missing.write_text('{"tasks": [{"task_id": 0, "classes": [0]}]}')
-    with pytest.raises(ValueError, match="missing keys"):
-        dm.load_manifest(missing, tok)
-
-    unknown = tmp_path / "c.json"
-    unknown.write_text('{"tasks": [{"task_id": 0, "classes": [0], "train": "x", "test": "y", "oops": 1}]}')
-    with pytest.raises(ValueError, match="unknown manifest keys"):
-        dm.load_manifest(unknown, tok)
-
-    header = "label," + ",".join(f"f{i}" for i in range(16))
-    (tmp_path / "train.csv").write_text(header + "\n2," + ",".join(["0.0"] * 16) + "\n")
-    (tmp_path / "test.csv").write_text(header + "\n")
-    labeled = tmp_path / "d.json"
-    labeled.write_text('{"tasks": [{"task_id": 0, "classes": [0, 1], "train": "train.csv", "test": "test.csv"}]}')
+def test_task_dataset_rejects_labels_outside_classes():
+    x = np.zeros((2, 4, 8))
     with pytest.raises(ValueError, match="labels outside declared classes"):
-        dm.load_manifest(labeled, tok)
+        dm.TaskDataset(task_id=0, classes=[0, 1], train_x=x, train_y=np.array([0, 2]),
+                       test_x=x, test_y=np.array([0, 1]))

@@ -254,39 +254,6 @@ def test_orthonormal_complement_of_empty_is_full():
     assert np.allclose(comp.T @ comp, np.eye(4), atol=1e-12)
 
 
-# ---------------------------------------------------------------- plumbing ops
-
-
-def test_matmul_identity():
-    rng = np.random.default_rng(5)
-    a = rng.normal(size=(4, 3))
-    assert np.array_equal(linalg.matmul(np.eye(4), a), a)
-
-
-def test_matmul_shape_mismatch():
-    with pytest.raises(ValueError):
-        linalg.matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-
-def test_transpose_involution():
-    rng = np.random.default_rng(6)
-    a = rng.normal(size=(3, 5))
-    assert np.array_equal(linalg.transpose(linalg.transpose(a)), a)
-
-
-def test_frobenius_hand_value():
-    assert linalg.frobenius_norm(np.array([[3.0, 4.0]])) == pytest.approx(5.0, abs=1e-14)
-
-
-def test_add_and_scale():
-    a = np.array([[1.0, 2.0]])
-    b = np.array([[3.0, -2.0]])
-    assert np.array_equal(linalg.add(a, b), np.array([[4.0, 0.0]]))
-    assert np.array_equal(linalg.scale(a, -2.0), np.array([[-2.0, -4.0]]))
-    with pytest.raises(ValueError):
-        linalg.add(a, np.zeros((2, 2)))
-
-
 def test_matrix_rejects_bad_input():
     with pytest.raises(ValueError):
         linalg.matrix([1.0, 2.0])

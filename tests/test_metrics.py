@@ -96,12 +96,15 @@ def test_matrix_validation():
 def test_matrix_list_round_trip():
     rng = np.random.default_rng(1)
     m = random_matrix(rng, 4)
-    again = mt.AccuracyMatrix.from_lists(m.to_lists())
+    rows = m.to_lists()
+    assert [len(row) for row in rows] == [1, 2, 3, 4]
+    again = mt.AccuracyMatrix(len(rows))
+    for j, row in enumerate(rows):
+        for i, acc in enumerate(row):
+            again.set(j, i, acc)
     assert np.array_equal(
         np.nan_to_num(again.values, nan=-1.0), np.nan_to_num(m.values, nan=-1.0)
     )
-    with pytest.raises(ValueError):
-        mt.AccuracyMatrix.from_lists([[0.5], [0.5]])
 
 
 def test_report_round_trip(tmp_path):

@@ -8,9 +8,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
+from dataclasses import replace
+
+from orthopet import backbone as bb
 from orthopet.backbone import TransformerConfig
 from orthopet import pet as pm
+from orthopet import projection as pj
+from orthopet import trainer as tr
 
 CFG = TransformerConfig(
     depth=2,
@@ -51,27 +57,81 @@ def test_check_paradigm_rejects_unknown():
         pm.check_paradigm("bitfit")
 
 
+def names(paradigm, depth):
+    return [r.name for r in pm.routes(paradigm, depth)]
+
+
 @pytest.mark.parametrize("paradigm", pm.PARADIGMS)
 def test_param_names_cover_init(paradigm):
     pet = pm.init_pet(CFG, paradigm, 5)
-    assert sorted(pet.params) == sorted(pm.param_names(paradigm, CFG.depth))
+    assert list(pet.params) == names(paradigm, CFG.depth)
 
 
 def test_param_names_fixed_lists():
-    assert pm.param_names("prompt", 2) == ["prompt"]
-    assert pm.param_names("prefix", 2) == [
+    assert names("prompt", 2) == ["prompt"]
+    assert names("prefix", 2) == [
         "prefix_k.0",
         "prefix_v.0",
         "prefix_k.1",
         "prefix_v.1",
     ]
-    assert pm.param_names("adapter", 1) == ["adapter_down.0", "adapter_up.0"]
-    assert pm.param_names("lora", 1) == [
+    assert names("adapter", 1) == ["adapter_down.0", "adapter_up.0"]
+    assert names("lora", 1) == [
         "lora_q_down.0",
         "lora_q_up.0",
         "lora_v_down.0",
         "lora_v_up.0",
     ]
+    with pytest.raises(ValueError):
+        pm.routes("bitfit", 1)
+
+
+def test_routes_sites_and_axes():
+    prompt, = pm.routes("prompt", 2)
+    assert (prompt.site, prompt.basis, prompt.spec.axis) == ("embed", "prompt", 1)
+    assert [(r.site, r.basis, r.spec.axis) for r in pm.routes("prefix", 1)] == [
+        ("attn_in.0", "attn_in.0", 1), ("attn_in.0", "attn_in.0", 1)]
+    assert [(r.site, r.spec.axis) for r in pm.routes("adapter", 1)] == [
+        ("mlp_in.0", 0), ("adapter_mid.0", 0)]
+    assert [(r.site, r.spec.axis) for r in pm.routes("lora", 1)] == [
+        ("attn_in.0", 0), ("lora_q_mid.0", 0), ("attn_in.0", 0), ("lora_v_mid.0", 0)]
+
+
+def test_init_draws_layer_by_layer_in_table_order():
+    """The table-driven init makes the same draws, in the same order, as
+    writing each paradigm's tensors out by hand."""
+    d, r = CFG.dim, CFG.rank
+    rng = np.random.default_rng(9)
+    expected = {}
+    for i in range(CFG.depth):
+        expected[f"prefix_k.{i}"] = rng.normal(0.0, pm.PROMPT_INIT_STD, size=(CFG.prefix_len, d))
+        expected[f"prefix_v.{i}"] = rng.normal(0.0, pm.PROMPT_INIT_STD, size=(CFG.prefix_len, d))
+    got = pm.init_pet(CFG, "prefix", 9).params
+    assert list(got) == list(expected)
+    assert all(np.array_equal(got[k], v) for k, v in expected.items())
+
+    rng = np.random.default_rng(9)
+    expected = {}
+    for i in range(CFG.depth):
+        for w in ("q", "v"):
+            expected[f"lora_{w}_down.{i}"] = rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, r))
+            expected[f"lora_{w}_up.{i}"] = np.zeros((r, d))
+    got = pm.init_pet(CFG, "lora", 9).params
+    assert list(got) == list(expected)
+    assert all(np.array_equal(got[k], v) for k, v in expected.items())
+
+
+def test_gelu_reuses_its_factor_bit_for_bit():
+    x = np.linspace(-6.0, 6.0, 241)
+    factor = pm.gelu_factor(x)
+    assert np.array_equal(pm.gelu(x, factor), pm.gelu(x))
+    assert np.array_equal(pm.gelu_grad(x, factor), pm.gelu_grad(x))
+    # the expressions before the factor was shared, so no bit moved
+    assert np.array_equal(pm.gelu(x), 0.5 * x * (1.0 + erf(x / np.sqrt(2.0))))
+    assert np.array_equal(
+        pm.gelu_grad(x),
+        0.5 * (1.0 + erf(x / np.sqrt(2.0))) + x * np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi),
+    )
 
 
 @pytest.mark.parametrize("paradigm", pm.PARADIGMS)
@@ -205,3 +265,33 @@ def test_version_bump():
     pet.bump()
     pet.bump()
     assert pet.version == 2
+
+
+@pytest.mark.filterwarnings("ignore::orthopet.projection.EmptyBasisWarning")
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("paradigm", pm.PARADIGMS)
+def test_paradigm_table_is_consistent(paradigm, depth):
+    """Init, backward, projection and the site list agree with the table."""
+    cfg = replace(CFG, depth=depth)
+    w = bb.init_backbone(cfg, 1)
+    pet = pm.init_pet(cfg, paradigm, 2)
+    xs = np.random.default_rng(3).normal(size=(5, cfg.seq_len, cfg.dim))
+    table = names(paradigm, depth)
+
+    logits, trace = bb.forward(w, pet, xs)
+    grads, _ = bb.backward(trace, w, pet, np.ones_like(logits))
+    sites = pj.paradigm_sites(paradigm, depth)
+    buffers = tr.init_buffers(paradigm, cfg, pj.ProjectionConfig())
+    tr.update_buffers(w, pet, xs, buffers, 0, np.random.default_rng(4))
+    bases = tr.rebuild_bases(pet, buffers, pj.ProjectionConfig(), cfg)
+    projected = tr.project_grads(pet, grads, bases, depth)
+    assert list(pet.params) == list(grads) == list(projected) == table
+
+    feats = pj.sample_features(w, pet, xs, sites)
+    for r in pm.routes(paradigm, depth):
+        assert r.site in sites
+        width = pj.site_width(r.site, cfg)
+        assert feats[r.site].shape == (5 * cfg.seq_len, width)
+        assert pet.params[r.name].shape == tuple(getattr(cfg, f) for f in r.spec.shape)
+        assert bases[r.basis].width == grads[r.name].shape[r.spec.axis] == width
+    assert sorted(buffers) == sorted(sites)

@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 from orthopet import backbone as bb
 from orthopet import pet as pm
 from orthopet import projection as pj
+from orthopet import trainer as tr
 
 
 def gs_columns(cols, tol=1e-10):
@@ -51,13 +52,6 @@ def null_space_oracle(x):
 
 def rank_deficient(rng, n, w, r):
     return rng.normal(size=(n, r)) @ rng.normal(size=(r, w))
-
-
-def make_buffer(rows, site="probe", cap=None):
-    rows = np.asarray(rows, dtype=np.float64)
-    buf = pj.FeatureBuffer(site=site, width=rows.shape[1], cap=cap or max(1, rows.shape[0]))
-    buf.add(rows, task_id=0, rng=np.random.default_rng(0))
-    return buf
 
 
 def test_projection_config_validation():
@@ -111,15 +105,15 @@ def test_buffer_rejects_bad_rows():
 
 def test_build_basis_empty_buffer_is_invalid_state():
     buf = pj.FeatureBuffer(site="s", width=3, cap=4)
-    with pytest.raises(RuntimeError):
-        pj.build_basis(buf, 0.0, "right")
+    with pytest.raises(RuntimeError, match="site s"):
+        pj.build_basis(buf.rows, 0.0, buf.site)
 
 
 def test_build_basis_two_dim_subspace_of_r4():
     rng = np.random.default_rng(3)
     span = gs_columns(rng.normal(size=(4, 2)))
     x = rng.normal(size=(6, 2)) @ span.T
-    basis = pj.build_basis(make_buffer(x), 0.0, "right")
+    basis = pj.build_basis(x, 0.0, "probe")
     assert basis.ncols == 2
     assert np.abs(x @ basis.b).max() <= 1e-10
     assert np.abs(basis.b.T @ basis.b - np.eye(2)).max() <= 1e-10
@@ -129,16 +123,16 @@ def test_build_basis_full_rank_square_is_empty_and_warns():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(5, 5)) + 5.0 * np.eye(5)
     with pytest.warns(pj.EmptyBasisWarning):
-        basis = pj.build_basis(make_buffer(x), 0.0, "right")
+        basis = pj.build_basis(x, 0.0, "probe")
     assert basis.ncols == 0
     g = rng.normal(size=(2, 5))
-    assert np.abs(pj.project_prompt_grad(g, basis)).max() == 0.0
+    assert np.abs(pj.project(g, basis, 1)).max() == 0.0
 
 
 def test_build_basis_rank3_in_r6_matches_null_space_oracle():
     rng = np.random.default_rng(5)
     x = rank_deficient(rng, 8, 6, 3)
-    basis = pj.build_basis(make_buffer(x), 1e-10, "right")
+    basis = pj.build_basis(x, 1e-10, "probe")
     oracle = null_space_oracle(x)
     assert basis.ncols == 3 and oracle.shape[1] == 3
     diff = basis.projector() - oracle @ oracle.T
@@ -150,7 +144,7 @@ def test_build_basis_appends_complement_when_rows_are_few():
     though the reduced SVD only yields two singular directions."""
     rng = np.random.default_rng(6)
     x = rng.normal(size=(2, 6))
-    basis = pj.build_basis(make_buffer(x), 1e-10, "right")
+    basis = pj.build_basis(x, 1e-10, "probe")
     assert basis.ncols == 4
     assert np.abs(x @ basis.b).max() <= 1e-10
     oracle = null_space_oracle(x)
@@ -158,7 +152,7 @@ def test_build_basis_appends_complement_when_rows_are_few():
 
 
 def test_build_basis_zero_rows_select_everything():
-    basis = pj.build_basis(make_buffer(np.zeros((3, 5))), 0.0, "right")
+    basis = pj.build_basis(np.zeros((3, 5)), 0.0, "probe")
     assert basis.ncols == 5
     assert np.abs(basis.projector() - np.eye(5)).max() <= 1e-12
 
@@ -169,12 +163,12 @@ def test_build_basis_threshold_is_relative():
     v = gs_columns(rng.normal(size=(4, 4)))
     sigmas = np.array([1.0, 0.5, 0.01, 1e-12])
     x = u @ np.diag(sigmas) @ v.T
-    counts = {eps: pj.build_basis(make_buffer(x), eps, "right").ncols for eps in (1e-11, 0.02, 0.6)}
+    counts = {eps: pj.build_basis(x, eps, "probe").ncols for eps in (1e-11, 0.02, 0.6)}
     assert counts[1e-11] == 1
     assert counts[0.02] == 2
     assert counts[0.6] == 3
     # scaling the whole buffer must not change any count
-    scaled = pj.build_basis(make_buffer(1e3 * x), 0.02, "right")
+    scaled = pj.build_basis(1e3 * x, 0.02, "probe")
     assert scaled.ncols == 2
 
 
@@ -187,32 +181,32 @@ def test_build_basis_count_monotone_in_epsilon(eps_a, eps_b, seed):
     lo, hi = sorted((eps_a, eps_b))
     rng = np.random.default_rng(seed)
     x = rank_deficient(rng, 7, 5, 3)
-    buf = make_buffer(x)
-    assert pj.build_basis(buf, lo, "right").ncols <= pj.build_basis(buf, hi, "right").ncols
+    assert pj.build_basis(x, lo, "probe").ncols <= pj.build_basis(x, hi, "probe").ncols
 
 
 def test_identity_basis_is_vacuous():
-    basis = pj.identity_basis(4)
+    basis = pj.ProjectionBasis(np.eye(4))
     g = np.random.default_rng(8).normal(size=(3, 4))
-    assert np.allclose(pj.project_prompt_grad(g, basis), g, atol=1e-15)
+    assert np.allclose(pj.project(g, basis, 1), g, atol=1e-15)
+    assert np.allclose(pj.project(g.T, basis, 0), g.T, atol=1e-15)
 
 
 def test_merge_identical_single_columns():
     v = np.array([[3.0], [4.0]]) / 5.0
-    merged = pj.merge_bases(pj.ProjectionBasis(v, "right"), pj.ProjectionBasis(v.copy(), "right"), 0.5)
+    merged = pj.merge_bases(pj.ProjectionBasis(v), pj.ProjectionBasis(v.copy()), 0.5)
     assert merged.ncols == 1
     assert np.allclose(merged.b, v, atol=1e-12)
 
 
 def test_merge_orthogonal_single_columns_is_empty():
-    a = pj.ProjectionBasis(np.array([[1.0], [0.0]]), "right")
-    b = pj.ProjectionBasis(np.array([[0.0], [1.0]]), "right")
+    a = pj.ProjectionBasis(np.array([[1.0], [0.0]]))
+    b = pj.ProjectionBasis(np.array([[0.0], [1.0]]))
     assert pj.merge_bases(a, b, 0.5).ncols == 0
 
 
 def test_merge_sign_alignment():
     v = np.array([[1.0], [0.0], [0.0]])
-    merged = pj.merge_bases(pj.ProjectionBasis(v, "right"), pj.ProjectionBasis(-v, "right"), 0.5)
+    merged = pj.merge_bases(pj.ProjectionBasis(v), pj.ProjectionBasis(-v), 0.5)
     assert merged.ncols == 1
     assert np.abs(merged.projector() - v @ v.T).max() <= 1e-12
 
@@ -228,7 +222,7 @@ def test_merge_three_columns_matches_explicit_oracle():
         axis=1,
     )
     beta = 0.7
-    merged = pj.merge_bases(pj.ProjectionBasis(vi, "right"), pj.ProjectionBasis(vp, "right"), beta)
+    merged = pj.merge_bases(pj.ProjectionBasis(vi), pj.ProjectionBasis(vp), beta)
     cos = [float(vi[:, j] @ vp[:, j]) for j in range(3)]
     assert abs(cos[0]) > beta and abs(cos[1]) < beta and abs(cos[2]) > beta
 
@@ -241,16 +235,16 @@ def test_merge_three_columns_matches_explicit_oracle():
 def test_merge_uses_shorter_column_count():
     rng = np.random.default_rng(10)
     q = gs_columns(rng.normal(size=(5, 4)))
-    long = pj.ProjectionBasis(q[:, :3], "right")
-    short = pj.ProjectionBasis(q[:, :1].copy(), "right")
+    long = pj.ProjectionBasis(q[:, :3])
+    short = pj.ProjectionBasis(q[:, :1].copy())
     merged = pj.merge_bases(long, short, 0.5)
     assert merged.ncols == 1
     assert np.abs(merged.projector() - q[:, :1] @ q[:, :1].T).max() <= 1e-12
 
 
 def test_merge_validation():
-    a = pj.ProjectionBasis(np.eye(3)[:, :1], "right")
-    b = pj.ProjectionBasis(np.eye(4)[:, :1], "right")
+    a = pj.ProjectionBasis(np.eye(3)[:, :1])
+    b = pj.ProjectionBasis(np.eye(4)[:, :1])
     with pytest.raises(ValueError):
         pj.merge_bases(a, b, 0.5)
     with pytest.raises(ValueError):
@@ -260,19 +254,19 @@ def test_merge_validation():
 def test_project_prompt_grad_fixed_point_and_annihilation():
     rng = np.random.default_rng(11)
     x = rank_deficient(rng, 8, 6, 3)
-    basis = pj.build_basis(make_buffer(x), 1e-10, "right")
+    basis = pj.build_basis(x, 1e-10, "probe")
     inside = rng.normal(size=(2, basis.ncols)) @ basis.b.T
-    assert np.abs(pj.project_prompt_grad(inside, basis) - inside).max() <= 1e-12
+    assert np.abs(pj.project(inside, basis, 1) - inside).max() <= 1e-12
     outside = rng.normal(size=(2, 8)) @ x  # rows inside the feature row space
-    assert np.abs(pj.project_prompt_grad(outside, basis)).max() <= 1e-12 * np.abs(outside).max()
+    assert np.abs(pj.project(outside, basis, 1)).max() <= 1e-12 * np.abs(outside).max()
 
 
 def test_project_prompt_grad_orthogonality_bound():
     rng = np.random.default_rng(12)
     x = rank_deficient(rng, 10, 6, 4)
-    basis = pj.build_basis(make_buffer(x), 1e-10, "right")
+    basis = pj.build_basis(x, 1e-10, "probe")
     g = rng.normal(size=(3, 6))
-    gp = pj.project_prompt_grad(g, basis)
+    gp = pj.project(g, basis, 1)
     lhs = np.linalg.norm(x @ gp.T)
     assert lhs <= 1e-9 * np.linalg.norm(x) * max(np.linalg.norm(gp), 1e-300)
 
@@ -281,10 +275,10 @@ def test_projector_idempotence_and_contraction():
     for seed in range(20):
         r = np.random.default_rng(seed)
         x = rank_deficient(r, 9, 5, r.integers(1, 5))
-        basis = pj.build_basis(make_buffer(x), 1e-10, "right")
+        basis = pj.build_basis(x, 1e-10, "probe")
         g = r.normal(size=(3, 5))
-        once = pj.project_prompt_grad(g, basis)
-        twice = pj.project_prompt_grad(once, basis)
+        once = pj.project(g, basis, 1)
+        twice = pj.project(once, basis, 1)
         assert np.linalg.norm(twice - once) <= 1e-12 * np.linalg.norm(g)
         assert np.linalg.norm(once) <= np.linalg.norm(g) * (1.0 + 1e-12)
         assert np.abs(basis.b.T @ basis.b - np.eye(basis.ncols)).max() <= 1e-10
@@ -293,15 +287,19 @@ def test_projector_idempotence_and_contraction():
 def test_project_prefix_grads_both_outputs():
     rng = np.random.default_rng(14)
     x = rank_deficient(rng, 10, 6, 3)
-    basis = pj.build_basis(make_buffer(x), 1e-10, "right")
+    basis = pj.build_basis(x, 1e-10, "probe")
     gk = rng.normal(size=(2, 6))
     gv = rng.normal(size=(2, 6))
-    pk, pv = pj.project_prefix_grads(gk, gv, basis)
-    for g, gp in ((gk, pk), (gv, pv)):
+    bases = {"attn_in.0": basis}
+    pet = pm.PetState("prefix", {"prefix_k.0": gk, "prefix_v.0": gv})
+    out = tr.project_grads(pet, {"prefix_k.0": gk, "prefix_v.0": gv}, bases, 1)
+    assert sorted(out) == ["prefix_k.0", "prefix_v.0"]
+    for g, gp in ((gk, out["prefix_k.0"]), (gv, out["prefix_v.0"])):
+        assert np.array_equal(gp, pj.project(g, basis, 1))
         assert np.linalg.norm(x @ gp.T) <= 1e-9 * np.linalg.norm(x) * np.linalg.norm(gp)
         assert np.linalg.norm(gp) <= np.linalg.norm(g) * (1.0 + 1e-12)
     with pytest.raises(ValueError):
-        pj.project_prefix_grads(gk[:, :5], gv, basis)
+        pj.project(gk[:, :5], basis, 1)
 
 
 def test_project_factor_grads_orthogonality():
@@ -309,15 +307,15 @@ def test_project_factor_grads_orthogonality():
     d, r = 8, 3
     x = rank_deficient(rng, 12, d, 4)
     y = rank_deficient(rng, 12, r, 1)
-    bx = pj.build_basis(make_buffer(x), 1e-10, "left")
-    by = pj.build_basis(make_buffer(y), 1e-10, "left")
+    bx = pj.build_basis(x, 1e-10, "probe")
+    by = pj.build_basis(y, 1e-10, "probe")
     gd = rng.normal(size=(d, r))
     gu = rng.normal(size=(r, d))
-    pd_, pu = pj.project_factor_grads(gd, gu, bx, by)
+    pd_, pu = pj.project(gd, bx, 0), pj.project(gu, by, 0)
     assert np.linalg.norm(x @ pd_) <= 1e-9 * np.linalg.norm(x) * np.linalg.norm(pd_)
     assert np.linalg.norm(y @ pu) <= 1e-9 * np.linalg.norm(y) * np.linalg.norm(pu)
-    # idempotence through the pair API
-    pd2, pu2 = pj.project_factor_grads(pd_, pu, bx, by)
+    # idempotence
+    pd2, pu2 = pj.project(pd_, bx, 0), pj.project(pu, by, 0)
     assert np.linalg.norm(pd2 - pd_) <= 1e-12 * np.linalg.norm(gd)
     assert np.linalg.norm(pu2 - pu) <= 1e-12 * np.linalg.norm(gu)
 
@@ -325,15 +323,16 @@ def test_project_factor_grads_orthogonality():
 def test_project_factor_grads_zero_and_vacuous():
     rng = np.random.default_rng(16)
     d, r = 6, 2
-    bx = pj.build_basis(make_buffer(rank_deficient(rng, 9, d, 2)), 1e-10, "left")
-    by = pj.build_basis(make_buffer(np.zeros((4, r))), 1e-10, "left")
-    zd, zu = pj.project_factor_grads(np.zeros((d, r)), np.zeros((r, d)), bx, by)
+    bx = pj.build_basis(rank_deficient(rng, 9, d, 2), 1e-10, "probe")
+    by = pj.build_basis(np.zeros((4, r)), 1e-10, "probe")
+    zd, zu = pj.project(np.zeros((d, r)), bx, 0), pj.project(np.zeros((r, d)), by, 0)
     assert not zd.any() and not zu.any()
     gu = rng.normal(size=(r, d))
-    _, pu = pj.project_factor_grads(np.zeros((d, r)), gu, bx, by)
-    assert np.allclose(pu, gu, atol=1e-12)
+    assert np.allclose(pj.project(gu, by, 0), gu, atol=1e-12)
     with pytest.raises(ValueError):
-        pj.project_factor_grads(np.zeros((d + 1, r)), gu, bx, by)
+        pj.project(np.zeros((d + 1, r)), bx, 0)
+    with pytest.raises(ValueError):
+        pj.project(np.zeros(d), bx, 0)
 
 
 CFG = bb.TransformerConfig(depth=2, dim=16, heads=4, seq_len=4, num_classes=3, prompt_len=2, prefix_len=2, rank=3)
@@ -355,8 +354,9 @@ def test_site_width_and_validation():
     assert pj.site_width("lora_v_mid.1", CFG) == CFG.rank
     with pytest.raises(ValueError):
         pj.site_width("attn_in.2", CFG)
-    with pytest.raises(ValueError):
-        pj.site_width("banana", CFG)
+    for bad in ("banana", "embed.0", "attn_in", "attn_in.x"):
+        with pytest.raises(ValueError, match="unknown site"):
+            pj.site_width(bad, CFG)
 
 
 def test_sample_features_counts_and_widths():

@@ -188,8 +188,8 @@ def test_identity_bases_match_no_projection():
     head_b = head_a.copy()
     identity = {}
     for i in range(MODEL.depth):
-        identity[f"mlp_in.{i}"] = pj.identity_basis(MODEL.dim, side="left")
-        identity[f"adapter_mid.{i}"] = pj.identity_basis(MODEL.rank, side="left")
+        identity[f"mlp_in.{i}"] = pj.ProjectionBasis(np.eye(MODEL.dim))
+        identity[f"adapter_mid.{i}"] = pj.ProjectionBasis(np.eye(MODEL.rank))
 
     curve_a = tr.train_task(w, pet_a, head_a, stream[0], cfg, bases=None,
                             shuffle_rng=np.random.default_rng(9), seen_classes=2)
