@@ -50,7 +50,6 @@ class TransformerConfig:
     prompt_len: int = 4
     prefix_len: int = 4
     rank: int = 4
-    lora_scale: float = 1.0
 
     def __post_init__(self):
         if self.depth < 1:
@@ -221,8 +220,8 @@ def forward(w: FrozenWeights, pet: pet_mod.PetState, x: np.ndarray, head: np.nda
         v = a_in @ lw["w_v"]
         y_q = y_v = None
         if paradigm == "lora":
-            q, y_q = pet_mod.apply_lora(params[f"lora_q_down.{li}"], params[f"lora_q_up.{li}"], pet.lora_scale, a_in, q)
-            v, y_v = pet_mod.apply_lora(params[f"lora_v_down.{li}"], params[f"lora_v_up.{li}"], pet.lora_scale, a_in, v)
+            q, y_q = pet_mod.apply_lora(params[f"lora_q_down.{li}"], params[f"lora_q_up.{li}"], a_in, q)
+            v, y_v = pet_mod.apply_lora(params[f"lora_v_down.{li}"], params[f"lora_v_up.{li}"], a_in, v)
         if paradigm == "prefix":
             k, v = pet_mod.apply_prefix(params[f"prefix_k.{li}"], params[f"prefix_v.{li}"], k, v)
 
@@ -238,9 +237,9 @@ def forward(w: FrozenWeights, pet: pet_mod.PetState, x: np.ndarray, head: np.nda
         u = m_in @ lw["w_1"]
         gelu_factor = pet_mod.gelu_factor(u)
         mlp = pet_mod.gelu(u, gelu_factor) @ lw["w_2"]
-        y_a = None
+        y_a = adapter_factor = None
         if paradigm == "adapter":
-            mlp, y_a = pet_mod.apply_adapter(params[f"adapter_down.{li}"], params[f"adapter_up.{li}"], m_in, mlp)
+            mlp, y_a, adapter_factor = pet_mod.apply_adapter(params[f"adapter_down.{li}"], params[f"adapter_up.{li}"], m_in, mlp)
         z_out = z_mid + mlp
 
         if trace is not None:
@@ -261,6 +260,7 @@ def forward(w: FrozenWeights, pet: pet_mod.PetState, x: np.ndarray, head: np.nda
                     "y_q": y_q,
                     "y_v": y_v,
                     "y_a": y_a,
+                    "adapter_factor": adapter_factor,
                 }
             )
         z = z_out
@@ -323,7 +323,7 @@ def backward(trace: ActivationTrace, w: FrozenWeights, pet: pet_mod.PetState, dl
             w_dn = params[f"adapter_down.{li}"]
             w_up = params[f"adapter_up.{li}"]
             pre = t["y_a"] @ w_up
-            g = pet_mod.gelu_grad(pre) * dmlp
+            g = pet_mod.gelu_grad(pre, t["adapter_factor"]) * dmlp
             grads[f"adapter_up.{li}"] = (t["y_a"].swapaxes(-1, -2) @ g).sum(axis=0)
             dy_a = g @ w_up.T
             grads[f"adapter_down.{li}"] = (t["m_in"].swapaxes(-1, -2) @ dy_a).sum(axis=0)
@@ -358,13 +358,12 @@ def backward(trace: ActivationTrace, w: FrozenWeights, pet: pet_mod.PetState, dl
 
         da_in = dq @ lw["w_q"].T + dk @ lw["w_k"].T + dv @ lw["w_v"].T
         if paradigm == "lora":
-            s = pet.lora_scale
             for slot, dslot in (("q", dq), ("v", dv)):
                 w_dn = params[f"lora_{slot}_down.{li}"]
                 w_up = params[f"lora_{slot}_up.{li}"]
                 y = t[f"y_{slot}"]
-                grads[f"lora_{slot}_up.{li}"] = (y.swapaxes(-1, -2) @ (s * dslot)).sum(axis=0)
-                dy = s * dslot @ w_up.T
+                grads[f"lora_{slot}_up.{li}"] = (y.swapaxes(-1, -2) @ dslot).sum(axis=0)
+                dy = dslot @ w_up.T
                 grads[f"lora_{slot}_down.{li}"] = (t["a_in"].swapaxes(-1, -2) @ dy).sum(axis=0)
                 da_in += dy @ w_dn.T
 

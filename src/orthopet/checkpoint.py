@@ -6,6 +6,8 @@ the accuracy matrix so far.  Arrays are stored as nested lists; float
 repr round-trips exactly, so save/load is lossless.  A save replaces the
 file at its path atomically.  Version 2 dropped the per-basis `side`
 field: the gradient axis a basis acts on is read from the paradigm table.
+Version 3 stores each buffer as its width and every sampled row, and
+drops the LoRA scale, which is fixed at 1.
 """
 
 import json
@@ -18,7 +20,7 @@ from . import metrics as mt
 from . import pet as pm
 from . import projection as pj
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 def _arr(a: np.ndarray) -> list:
@@ -32,7 +34,6 @@ def save_checkpoint(path, *, config_hash, task_index, pet, head, opt, buffers, b
         "task_index": task_index,
         "pet": {
             "paradigm": pet.paradigm,
-            "lora_scale": pet.lora_scale,
             "pet_version": pet.version,
             "params": {name: _arr(arr) for name, arr in sorted(pet.params.items())},
         },
@@ -44,13 +45,7 @@ def save_checkpoint(path, *, config_hash, task_index, pet, head, opt, buffers, b
             "v": {name: _arr(arr) for name, arr in sorted(opt.v.items())},
         },
         "buffers": {
-            site: {
-                "width": buf.width,
-                "cap": buf.cap,
-                "seen": buf.seen,
-                "tasks": buf.tasks.tolist(),
-                "rows": _arr(buf.rows),
-            }
+            site: {"width": buf.width, "rows": _arr(buf.rows)}
             for site, buf in sorted(buffers.items())
         },
         "bases": {
@@ -91,7 +86,6 @@ def load_checkpoint(path) -> dict:
     pet = pm.PetState(
         paradigm=doc["pet"]["paradigm"],
         params={name: np.array(v) for name, v in doc["pet"]["params"].items()},
-        lora_scale=doc["pet"]["lora_scale"],
         version=doc["pet"]["pet_version"],
     )
     opt = tr.OptimizerState(
@@ -100,17 +94,10 @@ def load_checkpoint(path) -> dict:
         v={name: np.array(v) for name, v in doc["optimizer"]["v"].items()},
         step=doc["optimizer"]["step"],
     )
-    buffers = {}
-    for site, b in doc["buffers"].items():
-        rows = np.array(b["rows"]) if b["rows"] else np.zeros((0, b["width"]))
-        buffers[site] = pj.FeatureBuffer(
-            site=site,
-            width=b["width"],
-            cap=b["cap"],
-            rows=rows.reshape(-1, b["width"]),
-            tasks=np.array(b["tasks"], dtype=np.int64),
-            seen=b["seen"],
-        )
+    buffers = {
+        site: pj.FeatureBuffer(site=site, width=b["width"], rows=np.array(b["rows"]).reshape(-1, b["width"]))
+        for site, b in doc["buffers"].items()
+    }
     bases = {
         key: pj.ProjectionBasis(
             b=np.array(v["b"]).reshape(v["width"], -1) if v["b"] else np.zeros((v["width"], 0)),

@@ -246,9 +246,8 @@ def orthogonality_check(paradigm: str, epsilon: float = 1e-10) -> dict:
     w = bb.init_backbone(cfg, rng_mod.sub_seed(5, "backbone"))
     pet = pm.init_pet(cfg, paradigm, rng_mod.sub_seed(5, "pet"))
     head = w.classifier.copy()
-    proj_cfg = pj.ProjectionConfig(epsilon=epsilon, beta=0.3, sample_count=8, buffer_cap=256)
-    buffers = tr.init_buffers(paradigm, cfg, proj_cfg)
-    tr.update_buffers(w, pet, stream[0].train_x[:8], buffers, 0, np.random.default_rng(5))
+    buffers = tr.init_buffers(paradigm, cfg)
+    tr.update_buffers(w, pet, stream[0].train_x[:8], buffers)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", pj.EmptyBasisWarning)
         bases = {site: pj.build_basis(buffers[site].rows, epsilon, site) for site in sorted(buffers)}
@@ -310,8 +309,8 @@ def _probe_state(paradigm: str):
     )
     tr.train_task(w, pet, head, stream[0], train_cfg, bases=None,
                   seen_classes=2, shuffle_rng=np.random.default_rng(0))
-    buffers = tr.init_buffers(paradigm, cfg, PROBE_PROJ)
-    tr.update_buffers(w, pet, stream[0].train_x[:32], buffers, 0, np.random.default_rng(1))
+    buffers = tr.init_buffers(paradigm, cfg)
+    tr.update_buffers(w, pet, stream[0].train_x[:32], buffers)
     with warnings.catch_warnings():
         # A full-rank bottleneck buffer is a legitimate operating point
         # here; the affected factor simply stays frozen.
@@ -331,7 +330,6 @@ def _probe_drift(w, pet, head, grads, probes, base, eta) -> float:
     stepped = pm.PetState(
         paradigm=pet.paradigm,
         params={k: v - eta * grads[k] for k, v in pet.params.items()},
-        lora_scale=pet.lora_scale,
     )
     after, _ = bb.forward(w, stepped, probes, head=head, need_trace=False)
     return float(np.linalg.norm(after - base))

@@ -39,11 +39,6 @@ class AccuracyMatrix:
             raise ValueError(f"accuracy {acc} outside [0, 1]")
         self.values[model_row, task_col] = acc
 
-    def get(self, model_row: int, task_col: int) -> float:
-        if not 0 <= task_col <= model_row < self.tasks:
-            raise ValueError(f"entry ({model_row}, {task_col}) is outside the lower triangle")
-        return float(self.values[model_row, task_col])
-
     def is_complete(self) -> bool:
         lower = np.tril_indices(self.tasks)
         return bool(np.all(np.isfinite(self.values[lower])))

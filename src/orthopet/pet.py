@@ -64,7 +64,6 @@ class PetState:
 
     paradigm: str
     params: dict[str, np.ndarray] = field(default_factory=dict)
-    lora_scale: float = 1.0
     version: int = 0
 
     def bump(self) -> None:
@@ -187,7 +186,7 @@ def init_pet(cfg, paradigm: str, seed) -> PetState:
         r.name: _INITS[r.spec.init](rng, cfg.dim, tuple(getattr(cfg, f) for f in r.spec.shape))
         for r in routes(paradigm, cfg.depth)
     }
-    return PetState(paradigm=paradigm, params=params, lora_scale=cfg.lora_scale)
+    return PetState(paradigm=paradigm, params=params)
 
 
 def _check_params(what: str, *params: np.ndarray) -> None:
@@ -241,19 +240,22 @@ def _check_bypass(what: str, w_down: np.ndarray, w_up: np.ndarray, x: np.ndarray
 def apply_adapter(w_down: np.ndarray, w_up: np.ndarray, x: np.ndarray, backbone_out: np.ndarray):
     """Bottleneck bypass: backbone_out + gelu(x @ w_down @ w_up).
 
-    The activation sits outside both factors.  Returns the combined output
-    and y = x @ w_down, the intermediate the projection buffers need.
+    The activation sits outside both factors.  Returns the combined output,
+    y = x @ w_down (the intermediate the projection buffers need) and the
+    `gelu_factor` of y @ w_up, which the backward pass reuses.
     """
     _check_bypass("adapter", w_down, w_up, x, backbone_out)
     y = x @ w_down
-    return backbone_out + gelu(y @ w_up), y
+    pre = y @ w_up
+    factor = gelu_factor(pre)
+    return backbone_out + gelu(pre, factor), y, factor
 
 
-def apply_lora(w_down: np.ndarray, w_up: np.ndarray, s: float, x: np.ndarray, base_out: np.ndarray):
-    """Low-rank bypass: base_out + s * (x @ w_down @ w_up).
+def apply_lora(w_down: np.ndarray, w_up: np.ndarray, x: np.ndarray, base_out: np.ndarray):
+    """Low-rank bypass: base_out + x @ w_down @ w_up.
 
     Returns the combined output and y = x @ w_down for the buffers.
     """
     _check_bypass("lora", w_down, w_up, x, base_out)
     y = x @ w_down
-    return base_out + float(s) * (y @ w_up), y
+    return base_out + y @ w_up, y

@@ -40,7 +40,6 @@ class ProjectionConfig:
     epsilon: float = 0.02
     beta: float = 0.7
     sample_count: int = 32
-    buffer_cap: int = 1024
 
     def __post_init__(self):
         if self.epsilon < 0.0:
@@ -49,57 +48,31 @@ class ProjectionConfig:
             raise ValueError("beta must lie in [0, 1]")
         if self.sample_count < 1:
             raise ValueError("sample_count must be >= 1")
-        if self.buffer_cap < self.sample_count:
-            raise ValueError("buffer_cap must be >= sample_count")
 
 
 @dataclass
 class FeatureBuffer:
-    """Sampled feature rows for one insertion site, reservoir-capped.
+    """Every sampled feature row for one insertion site, in sampling order.
 
-    `seen` counts every row ever offered so reservoir replacement stays
-    uniform over the whole stream, not just the survivors.
+    Like GPM, the buffer keeps all rows: each task adds sample_count
+    samples times their token rows, so it grows linearly with the stream.
     """
 
     site: str
     width: int
-    cap: int
     rows: np.ndarray = None
-    tasks: np.ndarray = None
-    seen: int = 0
 
     def __post_init__(self):
-        if self.cap < 1:
-            raise ValueError("cap must be >= 1")
         if self.rows is None:
             self.rows = np.zeros((0, self.width))
-        if self.tasks is None:
-            self.tasks = np.zeros(0, dtype=np.int64)
 
-    @property
-    def count(self) -> int:
-        return self.rows.shape[0]
-
-    def add(self, new_rows: np.ndarray, task_id: int, rng: np.random.Generator) -> None:
+    def add(self, new_rows: np.ndarray) -> None:
         new_rows = np.asarray(new_rows, dtype=np.float64)
         if new_rows.ndim != 2 or new_rows.shape[1] != self.width:
             raise ValueError(f"rows for site {self.site} must be (n, {self.width}), got {new_rows.shape}")
         if not np.all(np.isfinite(new_rows)):
             raise ValueError(f"non-finite feature rows at site {self.site}")
-        rows = list(self.rows)
-        tasks = list(self.tasks)
-        for row in new_rows:
-            self.seen += 1
-            if len(rows) < self.cap:
-                rows.append(row)
-                tasks.append(task_id)
-            else:
-                j = int(rng.integers(0, self.seen))
-                if j < self.cap:
-                    rows[j] = row
-                    tasks[j] = task_id
-        self.rows = np.stack(rows) if rows else np.zeros((0, self.width))
-        self.tasks = np.asarray(tasks, dtype=np.int64)
+        self.rows = np.vstack([self.rows, new_rows])
 
 
 @dataclass
@@ -232,8 +205,8 @@ def sample_features(w: bb.FrozenWeights, pet, sampling_set, sites) -> dict:
 
     One traced forward per CHUNK_ROWS samples serves every site in
     ``sites``; each sample contributes all its token rows, in sample
-    order.  Returns site -> (rows, width); the caller owns reservoir
-    admission into the site buffers.
+    order.  Returns site -> rows of shape (n, width); the caller adds them
+    to the site buffers.
     """
     widths = {site: site_width(site, w.cfg) for site in sites}
     collected = {site: [] for site in sites}

@@ -12,7 +12,6 @@ _DOMAINS = {
     "pet": 4,
     "shuffle": 5,
     "sampling": 6,
-    "reservoir": 7,
 }
 
 

@@ -2,11 +2,12 @@
 
 One continual run is a loop over a task stream.  Each task trains the
 paradigm tensors plus a shared linear head, evaluates on every task seen
-so far, then feeds a held-out feature slice into per-site reservoir
-buffers and rebuilds the projection bases from them.  From the second
-task onward, raw gradients are projected onto the stored feature null
-space before the optimizer sees them, so optimizer moments accumulate
-already-projected directions.  The head is never projected.
+so far, then appends the features of a held-out sampling slice to
+per-site buffers, which keep every sampled row, and rebuilds the
+projection bases from them.  From the second task onward, raw gradients
+are projected onto the stored feature null space before the optimizer
+sees them, so optimizer moments accumulate already-projected directions.
+The head is never projected.
 
 Class visibility is controlled per scenario:
 
@@ -40,9 +41,7 @@ ADAM_EPS = 1e-8
 class TrainConfig:
     """Per-run optimization settings.
 
-    ``first_task_lr`` optionally overrides ``lr`` on the first task only;
-    the remaining tasks are the continual regime under test.  Online
-    class-incremental streams are single-pass by definition, so the
+    Online class-incremental streams are single-pass by definition, so the
     constructor rejects ``scenario="oil"`` with more than one epoch
     rather than silently coercing it.
     """
@@ -50,7 +49,6 @@ class TrainConfig:
     epochs: int = 5
     batch_size: int = 16
     lr: float = 0.01
-    first_task_lr: float | None = None
     optimizer: str = "adam"
     scenario: str = "cil"
     seed: int = 0
@@ -65,8 +63,6 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.lr < 0 or not np.isfinite(self.lr):
             raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
-        if self.first_task_lr is not None and (self.first_task_lr < 0 or not np.isfinite(self.first_task_lr)):
-            raise ValueError(f"first_task_lr must be finite and >= 0, got {self.first_task_lr}")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
         if self.scenario not in dm.SCENARIOS:
@@ -194,7 +190,7 @@ def project_grads(pet, grads, bases, depth) -> dict:
 
 
 def train_task(w, pet, head, task, cfg, bases=None, *, opt=None, seen_classes=None,
-               shuffle_rng=None, lr=None, train_rows=None) -> list[float]:
+               shuffle_rng=None, train_rows=None) -> list[float]:
     """Train on one task; returns the per-epoch mean loss curve.
 
     ``bases=None`` disables projection entirely (the baseline path);
@@ -208,8 +204,6 @@ def train_task(w, pet, head, task, cfg, bases=None, *, opt=None, seen_classes=No
         seen_classes = max(task.classes) + 1
     if shuffle_rng is None:
         shuffle_rng = rng_mod.generator(cfg.seed, "shuffle")
-    if lr is None:
-        lr = cfg.lr
     xs, ys = (task.train_x, task.train_y) if train_rows is None else train_rows
     n = xs.shape[0]
     if n == 0:
@@ -236,26 +230,24 @@ def train_task(w, pet, head, task, cfg, bases=None, *, opt=None, seen_classes=No
             head_grad *= inv
             if bases is not None:
                 grads = project_grads(pet, grads, bases, w.cfg.depth)
-            apply_updates(opt, pet, head, grads, head_grad, lr)
+            apply_updates(opt, pet, head, grads, head_grad, cfg.lr)
         curve.append(total / n)
     return curve
 
 
-def init_buffers(paradigm, model_cfg, proj_cfg) -> dict:
+def init_buffers(paradigm, model_cfg) -> dict:
     return {
-        site: pj.FeatureBuffer(
-            site=site, width=pj.site_width(site, model_cfg), cap=proj_cfg.buffer_cap
-        )
+        site: pj.FeatureBuffer(site=site, width=pj.site_width(site, model_cfg))
         for site in pj.paradigm_sites(paradigm, model_cfg.depth)
     }
 
 
-def update_buffers(w, pet, sampling_set, buffers, task_id, reservoir_rng):
-    """Push freshly sampled site features into every reservoir."""
+def update_buffers(w, pet, sampling_set, buffers):
+    """Append freshly sampled site features to every buffer."""
     sites = sorted(buffers)
     rows = pj.sample_features(w, pet, sampling_set, sites)
     for site in sites:
-        buffers[site].add(rows[site], task_id, reservoir_rng)
+        buffers[site].add(rows[site])
 
 
 def rebuild_bases(pet, buffers, proj_cfg, model_cfg) -> dict:
@@ -309,10 +301,9 @@ def continual_run(stream, model_cfg, paradigm, cfg, out_dir=None, config_hash=""
     w = bb.init_backbone(model_cfg, rng_mod.sub_seed(backbone_entropy, "backbone"))
     pet = pm.init_pet(model_cfg, paradigm, rng_mod.sub_seed(cfg.seed, "pet"))
     head = w.classifier.copy()
-    buffers = init_buffers(paradigm, model_cfg, cfg.proj)
+    buffers = init_buffers(paradigm, model_cfg)
     shuffle_rng = rng_mod.generator(cfg.seed, "shuffle")
     sampling_rng = rng_mod.generator(cfg.seed, "sampling")
-    reservoir_rng = rng_mod.generator(cfg.seed, "reservoir")
     matrix = mt.AccuracyMatrix(len(stream))
     bases = None
     info = {"loss_curves": [], "basis_sizes": []}
@@ -323,17 +314,15 @@ def continual_run(stream, model_cfg, paradigm, cfg, out_dir=None, config_hash=""
         sampling_set = task.train_x[perm[:k]]
         train_rows = (task.train_x[perm[k:]], task.train_y[perm[k:]])
         opt = init_optimizer(cfg.optimizer, pet, head)
-        lr = cfg.first_task_lr if (t == 0 and cfg.first_task_lr is not None) else cfg.lr
         use_bases = bases if (cfg.projection and t > 0) else None
         curve = train_task(
             w, pet, head, task, cfg, use_bases,
-            opt=opt, seen_classes=seen, shuffle_rng=shuffle_rng, lr=lr,
-            train_rows=train_rows,
+            opt=opt, seen_classes=seen, shuffle_rng=shuffle_rng, train_rows=train_rows,
         )
         info["loss_curves"].append(curve)
         for i in range(t + 1):
             matrix.set(t, i, evaluate_task(w, pet, head, stream[i], cfg.scenario, seen))
-        update_buffers(w, pet, sampling_set, buffers, t, reservoir_rng)
+        update_buffers(w, pet, sampling_set, buffers)
         bases = rebuild_bases(pet, buffers, cfg.proj, model_cfg)
         info["basis_sizes"].append({key: b.ncols for key, b in sorted(bases.items())})
         if out_dir is not None:

@@ -26,9 +26,11 @@ def _handmade_state():
     grads = {name: rng.normal(size=arr.shape) for name, arr in pet.params.items()}
     tr.apply_updates(opt, pet, head, grads, rng.normal(size=head.shape), lr=0.01)
 
-    buffers = tr.init_buffers("adapter", MODEL, pj.ProjectionConfig())
+    # two tasks' worth of rows per site
+    buffers = tr.init_buffers("adapter", MODEL)
     for site, buf in buffers.items():
-        buf.add(rng.normal(size=(6, buf.width)), task_id=0, rng=rng)
+        buf.add(rng.normal(size=(6, buf.width)))
+        buf.add(rng.normal(size=(4, buf.width)))
 
     bases = {
         site: pj.build_basis(buf.rows, 0.5, site)
@@ -65,9 +67,9 @@ def test_round_trip_exact(tmp_path):
         assert np.array_equal(state["optimizer"].v[name], opt.v[name])
     for site, buf in buffers.items():
         got = state["buffers"][site]
-        assert got.width == buf.width and got.cap == buf.cap and got.seen == buf.seen
+        assert got.site == site and got.width == buf.width
+        assert got.rows.shape == (10, buf.width)
         assert np.array_equal(got.rows, buf.rows)
-        assert np.array_equal(got.tasks, buf.tasks)
     for key, basis in bases.items():
         got = state["bases"][key]
         assert got.b.shape == basis.b.shape
@@ -99,8 +101,40 @@ def test_bases_carry_no_side_field(tmp_path):
     ck.save_checkpoint(path, config_hash="h", task_index=0, pet=pet, head=head,
                        opt=opt, buffers=buffers, bases=bases, matrix=matrix)
     doc = json.loads(path.read_text())
-    assert doc["version"] == ck.CHECKPOINT_VERSION == 2
+    assert doc["version"] == ck.CHECKPOINT_VERSION == 3
     assert all(set(b) == {"width", "b"} for b in doc["bases"].values())
+
+
+def test_two_task_buffer_round_trips(tmp_path):
+    """A version-3 buffer is its width and every row, in sampling order."""
+    pet, head, opt, buffers, bases, matrix = _handmade_state()
+    rows = np.arange(5.0 * MODEL.dim).reshape(5, MODEL.dim) / 7.0
+    buffers["mlp_in.1"] = pj.FeatureBuffer(site="mlp_in.1", width=MODEL.dim)
+    buffers["mlp_in.1"].add(rows[:3])
+    buffers["mlp_in.1"].add(rows[3:])
+    path = tmp_path / "task_1.json"
+    ck.save_checkpoint(path, config_hash="h", task_index=1, pet=pet, head=head,
+                       opt=opt, buffers=buffers, bases=bases, matrix=matrix)
+    doc = json.loads(path.read_text())
+    assert all(set(b) == {"width", "rows"} for b in doc["buffers"].values())
+    assert set(doc["pet"]) == {"paradigm", "pet_version", "params"}
+    got = ck.load_checkpoint(path)["buffers"]["mlp_in.1"]
+    assert np.array_equal(got.rows, rows)
+
+
+def test_version_2_checkpoint_rejected(tmp_path):
+    pet, head, opt, buffers, bases, matrix = _handmade_state()
+    path = tmp_path / "task_0.json"
+    ck.save_checkpoint(path, config_hash="h", task_index=0, pet=pet, head=head,
+                       opt=opt, buffers=buffers, bases=bases, matrix=matrix)
+    doc = json.loads(path.read_text())
+    doc["version"] = 2
+    doc["pet"]["lora_scale"] = 1.0
+    for b in doc["buffers"].values():
+        b.update(cap=1024, seen=len(b["rows"]), tasks=[0] * len(b["rows"]))
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="unsupported checkpoint version 2"):
+        ck.load_checkpoint(path)
 
 
 def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
@@ -136,15 +170,12 @@ def test_unsupported_version_rejected(tmp_path):
 
 def test_empty_rows_buffer_round_trips(tmp_path):
     pet, head, opt, buffers, bases, matrix = _handmade_state()
-    buffers["mlp_in.0"] = pj.FeatureBuffer(
-        site="mlp_in.0", width=MODEL.dim, cap=8,
-        rows=np.zeros((0, MODEL.dim)), tasks=np.zeros(0, dtype=np.int64), seen=0)
+    buffers["mlp_in.0"] = pj.FeatureBuffer(site="mlp_in.0", width=MODEL.dim)
     path = tmp_path / "c.json"
     ck.save_checkpoint(path, config_hash="h", task_index=0, pet=pet, head=head,
                        opt=opt, buffers=buffers, bases=bases, matrix=matrix)
     got = ck.load_checkpoint(path)["buffers"]["mlp_in.0"]
     assert got.rows.shape == (0, MODEL.dim)
-    assert got.seen == 0 and got.tasks.shape == (0,)
 
 
 def test_empty_basis_round_trips(tmp_path):

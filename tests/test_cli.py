@@ -9,6 +9,8 @@ import pytest
 
 import orthopet.cli as cli
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
 BASE = {
     "paradigm": "adapter",
     "model": {"dim": 16, "depth": 2, "heads": 2, "mlp_ratio": 2.0, "seq_len": 4,
@@ -213,9 +215,16 @@ def test_report_missing_file_is_a_runtime_error(tmp_path, capsys):
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
-    path = _write(tmp_path, _base(**{"model.wdith": 32}))
-    assert cli.main(["train", "--config", path]) == 2
-    assert "config error: model.wdith: unknown key" in capsys.readouterr().err
+    # a typo, and the three keys that were deleted from the schema
+    for key in ("model.wdith", "model.lora_scale", "train.first_task_lr", "projection.buffer_cap"):
+        path = _write(tmp_path, _base(**{key: 1}))
+        assert cli.main(["train", "--config", path]) == 2
+        assert f"config error: {key}: unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", sorted(p.name for p in CONFIGS.glob("*.json")))
+def test_shipped_configs_load(config):
+    assert isinstance(cli.load_config(CONFIGS / config), cli.RunConfig)
 
 
 def test_verify_exit_codes(monkeypatch, capsys):

@@ -16,20 +16,20 @@ def random_matrix(rng, t):
 
 def avg_oracle(m):
     t = m.tasks
-    return sum(m.get(t - 1, i) for i in range(t)) / t
+    return sum(m.values[t - 1, i] for i in range(t)) / t
 
 
 def forgetting_oracle(m):
     t = m.tasks
     total = 0.0
     for i in range(t - 1):
-        best = max(m.get(j, i) for j in range(i, t - 1))
-        total += best - m.get(t - 1, i)
+        best = max(m.values[j, i] for j in range(i, t - 1))
+        total += best - m.values[t - 1, i]
     return total / (t - 1)
 
 
 def new_acc_oracle(m):
-    return sum(m.get(i, i) for i in range(m.tasks)) / m.tasks
+    return sum(m.values[i, i] for i in range(m.tasks)) / m.tasks
 
 
 def test_metrics_match_oracles_on_1000_random_matrices():

@@ -27,7 +27,6 @@ CFG = TransformerConfig(
     prompt_len=2,
     prefix_len=2,
     rank=3,
-    lora_scale=0.5,
 )
 
 
@@ -158,7 +157,6 @@ def test_init_shapes_and_scales():
     assert not adapter.params["adapter_up.1"].any()
 
     lora = pm.init_pet(CFG, "lora", 3)
-    assert lora.lora_scale == CFG.lora_scale
     for i in range(CFG.depth):
         assert not lora.params[f"lora_q_up.{i}"].any()
         assert not lora.params[f"lora_v_up.{i}"].any()
@@ -217,36 +215,37 @@ def test_apply_adapter_hand_case():
     w_down = np.array([[0.5], [0.25]])
     w_up = np.array([[2.0, -1.0]])
     base = np.array([[0.1, 0.2]])
-    out, y = pm.apply_adapter(w_down, w_up, x, base)
+    out, y, factor = pm.apply_adapter(w_down, w_up, x, base)
     assert np.allclose(y, [[0.0]], atol=1e-15)
     assert np.allclose(out, base + gelu_oracle(y @ w_up), atol=1e-15)
+    assert np.array_equal(factor, [[1.0, 1.0]])
 
     x2 = np.array([[2.0, 4.0]])
-    out2, y2 = pm.apply_adapter(w_down, w_up, x2, base)
+    out2, y2, factor2 = pm.apply_adapter(w_down, w_up, x2, base)
     assert np.allclose(y2, [[2.0]], atol=1e-15)
     assert np.allclose(out2, base + gelu_oracle(np.array([[4.0, -2.0]])), atol=1e-14)
+    assert np.array_equal(factor2, pm.gelu_factor(np.array([[4.0, -2.0]])))
 
 
 def test_apply_adapter_zero_up_is_exact_identity():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(3, 4))
     base = rng.normal(size=(3, 4))
-    out, _ = pm.apply_adapter(rng.normal(size=(4, 2)), np.zeros((2, 4)), x, base)
+    out, _, _ = pm.apply_adapter(rng.normal(size=(4, 2)), np.zeros((2, 4)), x, base)
     assert np.array_equal(out, base)
 
 
-def test_apply_lora_zero_scale_and_scaling():
+def test_apply_lora_adds_the_unscaled_product():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(3, 4))
     base = rng.normal(size=(3, 4))
     w_down = rng.normal(size=(4, 2))
     w_up = rng.normal(size=(2, 4))
-    out0, y = pm.apply_lora(w_down, w_up, 0.0, x, base)
+    out0, y = pm.apply_lora(w_down, w_up * 0.0, x, base)
     assert np.array_equal(out0, base)
     assert np.allclose(y, x @ w_down, atol=1e-15)
-    out1, _ = pm.apply_lora(w_down, w_up, 1.0, x, base)
-    out2, _ = pm.apply_lora(w_down, w_up, 2.0, x, base)
-    assert np.allclose(out2 - base, 2.0 * (out1 - base), atol=1e-13)
+    out, _ = pm.apply_lora(w_down, w_up, x, base)
+    assert np.array_equal(out, base + (x @ w_down) @ w_up)
 
 
 def test_apply_ops_leave_inputs_unchanged():
@@ -255,7 +254,7 @@ def test_apply_ops_leave_inputs_unchanged():
     snap = x.copy()
     pm.apply_prompt(rng.normal(size=(2, 4)), x)
     pm.apply_adapter(rng.normal(size=(4, 2)), rng.normal(size=(2, 4)), x, x.copy())
-    pm.apply_lora(rng.normal(size=(4, 2)), rng.normal(size=(2, 4)), 1.0, x, x.copy())
+    pm.apply_lora(rng.normal(size=(4, 2)), rng.normal(size=(2, 4)), x, x.copy())
     assert np.array_equal(x, snap)
 
 
@@ -281,8 +280,8 @@ def test_paradigm_table_is_consistent(paradigm, depth):
     logits, trace = bb.forward(w, pet, xs)
     grads, _ = bb.backward(trace, w, pet, np.ones_like(logits))
     sites = pj.paradigm_sites(paradigm, depth)
-    buffers = tr.init_buffers(paradigm, cfg, pj.ProjectionConfig())
-    tr.update_buffers(w, pet, xs, buffers, 0, np.random.default_rng(4))
+    buffers = tr.init_buffers(paradigm, cfg)
+    tr.update_buffers(w, pet, xs, buffers)
     bases = tr.rebuild_bases(pet, buffers, pj.ProjectionConfig(), cfg)
     projected = tr.project_grads(pet, grads, bases, depth)
     assert list(pet.params) == list(grads) == list(projected) == table

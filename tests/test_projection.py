@@ -62,49 +62,30 @@ def test_projection_config_validation():
         pj.ProjectionConfig(beta=1.5)
     with pytest.raises(ValueError):
         pj.ProjectionConfig(sample_count=0)
-    with pytest.raises(ValueError):
-        pj.ProjectionConfig(sample_count=64, buffer_cap=32)
 
 
-def test_buffer_keeps_everything_under_cap():
-    rng = np.random.default_rng(1)
-    rows = rng.normal(size=(7, 4))
-    buf = pj.FeatureBuffer(site="s", width=4, cap=100)
-    buf.add(rows[:3], task_id=0, rng=rng)
-    buf.add(rows[3:], task_id=1, rng=rng)
-    assert buf.count == 7 and buf.seen == 7
+def test_buffer_add_keeps_every_row_in_order():
+    rows = np.random.default_rng(1).normal(size=(1500, 4))
+    buf = pj.FeatureBuffer(site="s", width=4)
+    assert buf.rows.shape == (0, 4)
+    for start in range(0, 1500, 300):
+        buf.add(rows[start:start + 300])
+    buf.add(np.zeros((0, 4)))
     assert np.array_equal(buf.rows, rows)
-    assert buf.tasks.tolist() == [0, 0, 0, 1, 1, 1, 1]
-
-
-def test_buffer_reservoir_caps_and_is_deterministic():
-    stream = np.random.default_rng(2).normal(size=(100, 3))
-
-    def fill(seed):
-        buf = pj.FeatureBuffer(site="s", width=3, cap=10)
-        buf.add(stream, task_id=0, rng=np.random.default_rng(seed))
-        return buf
-
-    a, b, c = fill(5), fill(5), fill(6)
-    assert a.count == 10 and a.seen == 100
-    assert np.array_equal(a.rows, b.rows) and np.array_equal(a.tasks, b.tasks)
-    assert not np.array_equal(a.rows, c.rows)
-    # every survivor really came from the stream
-    for row in a.rows:
-        assert any(np.array_equal(row, s) for s in stream)
 
 
 def test_buffer_rejects_bad_rows():
-    buf = pj.FeatureBuffer(site="s", width=3, cap=4)
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        buf.add(np.zeros((2, 5)), task_id=0, rng=rng)
-    with pytest.raises(ValueError):
-        buf.add(np.array([[1.0, np.nan, 0.0]]), task_id=0, rng=rng)
+    buf = pj.FeatureBuffer(site="s", width=3)
+    buf.add(np.ones((2, 3)))
+    for bad in (np.zeros((2, 5)), np.zeros(3), np.array([[1.0, np.nan, 0.0]]),
+                np.array([[np.inf, 0.0, 0.0]])):
+        with pytest.raises(ValueError, match="site s"):
+            buf.add(bad)
+    assert np.array_equal(buf.rows, np.ones((2, 3)))
 
 
 def test_build_basis_empty_buffer_is_invalid_state():
-    buf = pj.FeatureBuffer(site="s", width=3, cap=4)
+    buf = pj.FeatureBuffer(site="s", width=3)
     with pytest.raises(RuntimeError, match="site s"):
         pj.build_basis(buf.rows, 0.0, buf.site)
 
