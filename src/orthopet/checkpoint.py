@@ -1,13 +1,18 @@
-"""Versioned JSON checkpoint bundles for continual runs.
+"""Versioned checkpoints for continual runs: one binary `.npz` per task.
 
-Everything a run needs to resume mid-stream: the paradigm tensors, the
-trainable head, optimizer moments, feature buffers, projection bases and
-the accuracy matrix so far.  Arrays are stored as nested lists; float
-repr round-trips exactly, so save/load is lossless.  A save replaces the
-file at its path atomically.  Version 2 dropped the per-basis `side`
-field: the gradient axis a basis acts on is read from the paradigm table.
-Version 3 stores each buffer as its width and every sampled row, and
-drops the LoRA scale, which is fixed at 1.
+A checkpoint holds exactly what a resume at the next task boundary
+needs: the paradigm tensors, the trainable head, every feature buffer's
+rows, the accuracy matrix so far and the state of the `shuffle` and
+`sampling` generators.  Arrays are stored as exact float64 `.npy`
+members; everything else sits in one JSON string member, `meta`.
+
+Two things a run keeps are left out because a resume rebuilds them:
+optimizer moments (`continual_run` starts a fresh optimizer for every
+task) and projection bases (`trainer.rebuild_bases` derives them bit for
+bit from the buffers and the paradigm tensors).
+
+A save replaces the file at its path atomically.  Only version 4 loads;
+versions 1-3 were one JSON document each and are rejected by version.
 """
 
 import json
@@ -20,53 +25,54 @@ from . import metrics as mt
 from . import pet as pm
 from . import projection as pj
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
+_PET = "pet/"
+_BUFFER = "buffer/"
 
 
-def _arr(a: np.ndarray) -> list:
-    return np.asarray(a, dtype=np.float64).tolist()
+def task_path(directory, task_index: int) -> Path:
+    """Where a run keeps the checkpoint written after task `task_index`."""
+    return Path(directory) / f"task_{task_index}.npz"
 
 
-def save_checkpoint(path, *, config_hash, task_index, pet, head, opt, buffers, bases, matrix) -> Path:
-    doc = {
+def last_task_path(directory):
+    """The highest-numbered task checkpoint in `directory`, or None."""
+    done = [p.stem[len("task_"):] for p in Path(directory).glob("task_*.npz")]
+    done = [int(t) for t in done if t.isdigit()]
+    return task_path(directory, max(done)) if done else None
+
+
+def save_checkpoint(path, *, config_hash, task_index, pet, head, buffers, matrix, rngs) -> Path:
+    """Write the state after task `task_index` to `path`; returns `path`.
+
+    `rngs` maps generator name (`shuffle`, `sampling`) to the generator
+    whose state a resume continues from.
+    """
+    meta = {
         "version": CHECKPOINT_VERSION,
         "config_hash": config_hash,
         "task_index": task_index,
-        "pet": {
-            "paradigm": pet.paradigm,
-            "pet_version": pet.version,
-            "params": {name: _arr(arr) for name, arr in sorted(pet.params.items())},
-        },
-        "head": _arr(head),
-        "optimizer": {
-            "kind": opt.kind,
-            "step": opt.step,
-            "m": {name: _arr(arr) for name, arr in sorted(opt.m.items())},
-            "v": {name: _arr(arr) for name, arr in sorted(opt.v.items())},
-        },
-        "buffers": {
-            site: {"width": buf.width, "rows": _arr(buf.rows)}
-            for site, buf in sorted(buffers.items())
-        },
-        "bases": {
-            key: {"width": b.width, "b": _arr(b.b)}
-            for key, b in sorted(bases.items())
-        },
+        "paradigm": pet.paradigm,
+        "pet_version": pet.version,
         "accuracy_rows": [
             [matrix.values[j, i] for i in range(j + 1) if np.isfinite(matrix.values[j, i])]
             for j in range(task_index + 1)
         ],
         "matrix_tasks": matrix.tasks,
+        "rng_states": {name: g.bit_generator.state for name, g in sorted(rngs.items())},
     }
+    arrays = {"meta": np.array(json.dumps(meta, sort_keys=True)), "head": head}
+    arrays.update((_PET + name, arr) for name, arr in sorted(pet.params.items()))
+    arrays.update((_BUFFER + site, buf.rows) for site, buf in sorted(buffers.items()))
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     # Write beside the target and rename over it, so an interrupted write
-    # leaves the previous checkpoint at `path` untouched.
+    # leaves the previous checkpoint at `path` untouched.  Writing to an
+    # open handle keeps numpy from appending `.npz` to the temp name.
     tmp = path.with_name(f".{path.name}.tmp")
     try:
-        with open(tmp, "w") as fh:
-            json.dump(doc, fh, sort_keys=True)
-            fh.write("\n")
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **arrays)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -74,48 +80,47 @@ def save_checkpoint(path, *, config_hash, task_index, pet, head, opt, buffers, b
     return path
 
 
+def _legacy_version(path: Path):
+    """The version a pre-4 JSON checkpoint names, or None for other files."""
+    with open(path, "rb") as fh:
+        if fh.read(1) != b"{":
+            return None
+    with open(path) as fh:
+        return json.load(fh).get("version")
+
+
 def load_checkpoint(path) -> dict:
     path = Path(path)
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {doc.get('version')!r}")
-
-    from . import trainer as tr
-
-    pet = pm.PetState(
-        paradigm=doc["pet"]["paradigm"],
-        params={name: np.array(v) for name, v in doc["pet"]["params"].items()},
-        version=doc["pet"]["pet_version"],
-    )
-    opt = tr.OptimizerState(
-        kind=doc["optimizer"]["kind"],
-        m={name: np.array(v) for name, v in doc["optimizer"]["m"].items()},
-        v={name: np.array(v) for name, v in doc["optimizer"]["v"].items()},
-        step=doc["optimizer"]["step"],
-    )
-    buffers = {
-        site: pj.FeatureBuffer(site=site, width=b["width"], rows=np.array(b["rows"]).reshape(-1, b["width"]))
-        for site, b in doc["buffers"].items()
-    }
-    bases = {
-        key: pj.ProjectionBasis(
-            b=np.array(v["b"]).reshape(v["width"], -1) if v["b"] else np.zeros((v["width"], 0)),
+    legacy = _legacy_version(path)
+    if legacy is not None:
+        raise ValueError(
+            f"{path}: unsupported checkpoint version {legacy!r} (a JSON checkpoint); "
+            f"only version {CHECKPOINT_VERSION} .npz checkpoints load"
         )
-        for key, v in doc["bases"].items()
-    }
-    matrix = mt.AccuracyMatrix(tasks=doc["matrix_tasks"])
-    for j, row in enumerate(doc["accuracy_rows"]):
+    with np.load(path, allow_pickle=False) as data:
+        meta = json.loads(str(data["meta"]))
+        if meta.get("version") != CHECKPOINT_VERSION:
+            raise ValueError(f"{path}: unsupported checkpoint version {meta.get('version')!r}")
+        params = {k[len(_PET):]: data[k] for k in data.files if k.startswith(_PET)}
+        buffers = {
+            k[len(_BUFFER):]: data[k] for k in data.files if k.startswith(_BUFFER)
+        }
+        head = data["head"]
+
+    matrix = mt.AccuracyMatrix(tasks=meta["matrix_tasks"])
+    for j, row in enumerate(meta["accuracy_rows"]):
         for i, acc in enumerate(row):
             matrix.set(j, i, acc)
     return {
-        "version": doc["version"],
-        "config_hash": doc["config_hash"],
-        "task_index": doc["task_index"],
-        "pet": pet,
-        "head": np.array(doc["head"]),
-        "optimizer": opt,
-        "buffers": buffers,
-        "bases": bases,
+        "version": meta["version"],
+        "config_hash": meta["config_hash"],
+        "task_index": meta["task_index"],
+        "pet": pm.PetState(paradigm=meta["paradigm"], params=params, version=meta["pet_version"]),
+        "head": head,
+        "buffers": {
+            site: pj.FeatureBuffer(site=site, width=rows.shape[1], rows=rows)
+            for site, rows in buffers.items()
+        },
         "matrix": matrix,
+        "rng_states": meta["rng_states"],
     }

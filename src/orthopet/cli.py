@@ -5,7 +5,8 @@ typo cannot silently fall back to a default mid-experiment.  Every
 artifact records the sha256 hash of the effective config (after flag
 overrides, output path excluded), and report files contain no
 timestamps or absolute paths, so the same config and seed reproduce a
-report byte for byte.
+report byte for byte.  `train --resume` continues a stopped run from its
+last checkpoint and gives the same report bytes.
 
 Exit codes: 0 success, 1 runtime failure, 2 invalid config or usage.
 """
@@ -19,6 +20,7 @@ from pathlib import Path
 
 from . import data as dm
 from . import backbone as bb
+from . import checkpoint as ck
 from . import eval as ev
 from . import metrics as mt
 from . import pet as pm
@@ -168,14 +170,31 @@ def _parse_sweep(text: str):
     return key, values
 
 
-def cmd_train(cfg: RunConfig) -> int:
+def _resume_state(ckpt_dir: Path, config_hash: str, tasks: int) -> dict:
+    """The last checkpoint under `ckpt_dir`, checked against this run."""
+    path = ck.last_task_path(ckpt_dir)
+    if path is None:
+        raise ConfigError(f"--resume: no task_<t>.npz checkpoint under {ckpt_dir}")
+    state = ck.load_checkpoint(path)
+    if state["config_hash"] != config_hash:
+        raise ConfigError(
+            f"--resume: {path} was written by config {state['config_hash'][:12]}, "
+            f"not by this config {config_hash[:12]}"
+        )
+    if state["task_index"] >= tasks - 1:
+        raise ConfigError(f"--resume: {path} is the last of {tasks} tasks; every task is already done")
+    return state
+
+
+def cmd_train(cfg: RunConfig, resume: bool = False) -> int:
     stream = cfg.stream()
     ckpt_dir = cfg.out / "checkpoints"
-    ckpt_dir.mkdir(parents=True, exist_ok=True)
     config_hash = cfg.config_hash()
+    state = _resume_state(ckpt_dir, config_hash, len(stream)) if resume else None
+    ckpt_dir.mkdir(parents=True, exist_ok=True)
     matrix, info = tr.continual_run(
         stream, cfg.model_cfg, cfg.paradigm, cfg.train_cfg,
-        out_dir=str(ckpt_dir), config_hash=config_hash,
+        out_dir=str(ckpt_dir), config_hash=config_hash, resume=state,
     )
     record = {
         "config_hash": config_hash,
@@ -217,10 +236,13 @@ def cmd_ablate(cfg: RunConfig, sweep_key: str, sweep_values: list[float]) -> int
         })
     report = mt.emit_report(records, cfg.out / "ablation.jsonl")
     for rec in records:
+        fgt_lo, fgt_hi = ev.seed_range(rec, "forgetting")
+        new_lo, new_hi = ev.seed_range(rec, "new_acc")
         print(
             f"{sweep_key}={rec['value']:g}: columns {rec['basis_columns']:.1f}, "
-            f"avg_acc {rec['avg_acc']:.4f}, forgetting {rec['forgetting']:.4f}, "
-            f"new_acc {rec['new_acc']:.4f}"
+            f"avg_acc {rec['avg_acc']:.4f}, "
+            f"forgetting {rec['forgetting']:.4f} (seeds {fgt_lo:.4f}-{fgt_hi:.4f}), "
+            f"new_acc {rec['new_acc']:.4f} (seeds {new_lo:.4f}-{new_hi:.4f})"
         )
     print(f"report: {report}")
     return 0
@@ -259,7 +281,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", choices=dm.SCENARIOS, help="override scenario")
         p.add_argument("--out", help="output directory")
 
-    add_run_flags(sub.add_parser("train", help="run one continual stream"))
+    train = sub.add_parser("train", help="run one continual stream")
+    add_run_flags(train)
+    train.add_argument("--resume", action="store_true",
+                       help="continue from the last checkpoint under <out>/checkpoints")
     ablate = sub.add_parser("ablate", help="sweep a projection knob over seeds")
     add_run_flags(ablate)
     ablate.add_argument("--sweep", required=True, help="epsilon=v1,v2,... or beta=v1,v2,...")
@@ -293,7 +318,7 @@ def main(argv=None) -> int:
             return cmd_report(args.path)
         cfg = load_config(args.config, _overrides(args))
         if args.command == "train":
-            return cmd_train(cfg)
+            return cmd_train(cfg, args.resume)
         sweep_key, sweep_values = _parse_sweep(args.sweep)
         return cmd_ablate(cfg, sweep_key, sweep_values)
     except ConfigError as exc:

@@ -76,6 +76,12 @@ def ablation_sweep(model_cfg, spec, paradigm, base_cfg, key, values, seeds,
     return rows
 
 
+def seed_range(row: dict, key: str) -> tuple[float, float]:
+    """Lowest and highest per-seed value of `key` in one `ablation_sweep` row."""
+    values = [r[key] for r in row["per_seed"]]
+    return min(values), max(values)
+
+
 # ------------------------------------------------------------ svd checks
 
 

@@ -4,9 +4,12 @@ Everything here is deterministic: the same input array always produces the
 same output bits, which is what makes run-level reproducibility checks
 byte-stable.  The SVD is a one-sided Jacobi, chosen over bidiagonalization
 schemes because at this scale it is simple, accurate, and has no
-implementation-defined branching.
+implementation-defined branching.  Its pair loop keeps the arithmetic of
+the plain per-pair numpy loop and trims only interpreter work, so the
+bits match that loop, which `tests/test_linalg.py` keeps as the oracle.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,21 +70,35 @@ def _jacobi_orthogonalize(b: np.ndarray) -> np.ndarray:
 
     Convergence: every pair satisfies |<bi,bj>| <= tol * |bi| * |bj|, or the
     sweep cap is hit.  Pair order is fixed, so the result is deterministic.
+
+    b and v are rotated as one stacked matrix [b; v], so each rotation is
+    six in-place ufunc calls on a column pair through two scratch vectors;
+    every element is still `c*x - s*y` and `s*x + c*y`.  The dot product
+    runs on the b rows of the stacked columns, which have b's own strides,
+    and the scalar work runs on Python floats (`math.sqrt` and
+    `math.copysign` are correctly rounded, like their numpy forms).  So
+    the output bits are those of the plain per-pair numpy loop.  Folding
+    the update into a 2x2 matmul, or dotting unit-stride rows, changes them.
     """
-    n = b.shape[1]
-    v = np.eye(n)
+    m, n = b.shape
+    bv = np.vstack([b, np.eye(n)])
+    cols = [bv[:, k] for k in range(n)]
+    b_cols = [bv[:m, k] for k in range(n)]
+    sx = np.empty(m + n)
+    sy = np.empty(m + n)
     for _ in range(SVD_MAX_SWEEPS):
         # Re-sync cached squared norms each sweep to bound drift.
-        sq = np.sum(b * b, axis=0)
+        sq = np.sum(bv[:m] * bv[:m], axis=0).tolist()
         rotated = False
         for i in range(n - 1):
+            x = cols[i]
             for j in range(i + 1, n):
                 alpha = sq[i]
                 beta = sq[j]
                 if alpha <= 0.0 or beta <= 0.0:
                     continue
-                gamma = float(b[:, i] @ b[:, j])
-                if gamma == 0.0 or abs(gamma) <= SVD_SWEEP_TOL * np.sqrt(alpha * beta):
+                gamma = float(b_cols[i] @ b_cols[j])
+                if gamma == 0.0 or abs(gamma) <= SVD_SWEEP_TOL * math.sqrt(alpha * beta):
                     continue
                 rotated = True
                 zeta = (beta - alpha) / (2.0 * gamma)
@@ -90,15 +107,16 @@ def _jacobi_orthogonalize(b: np.ndarray) -> np.ndarray:
                 elif abs(zeta) > 1e100:
                     t = 0.5 / zeta  # asymptotic root; zeta**2 would overflow
                 else:
-                    t = np.sign(zeta) / (abs(zeta) + np.sqrt(1.0 + zeta * zeta))
-                c = 1.0 / np.sqrt(1.0 + t * t)
+                    t = math.copysign(1.0, zeta) / (abs(zeta) + math.sqrt(1.0 + zeta * zeta))
+                c = 1.0 / math.sqrt(1.0 + t * t)
                 s = c * t
-                bi = b[:, i].copy()
-                b[:, i] = c * bi - s * b[:, j]
-                b[:, j] = s * bi + c * b[:, j]
-                vi = v[:, i].copy()
-                v[:, i] = c * vi - s * v[:, j]
-                v[:, j] = s * vi + c * v[:, j]
+                y = cols[j]
+                np.multiply(x, s, out=sx)
+                np.multiply(y, s, out=sy)
+                np.multiply(x, c, out=x)
+                np.subtract(x, sy, out=x)
+                np.multiply(y, c, out=y)
+                np.add(sx, y, out=y)
                 cs = c * s
                 # Cached norms can round slightly negative; clamp so the
                 # relative-tolerance test above stays NaN-free.
@@ -106,7 +124,8 @@ def _jacobi_orthogonalize(b: np.ndarray) -> np.ndarray:
                 sq[j] = max(s * s * alpha + 2.0 * cs * gamma + c * c * beta, 0.0)
         if not rotated:
             break
-    return v
+    b[...] = bv[:m]
+    return bv[m:].copy()
 
 
 def _complete_orthonormal(cols: np.ndarray, need: int) -> np.ndarray:

@@ -282,12 +282,16 @@ def _seen_after(stream, t, scenario, num_classes) -> int:
     return seen
 
 
-def continual_run(stream, model_cfg, paradigm, cfg, out_dir=None, config_hash=""):
+def continual_run(stream, model_cfg, paradigm, cfg, out_dir=None, config_hash="", resume=None):
     """Run the full task sequence; returns (AccuracyMatrix, info dict).
 
     info carries per-task loss curves and, after each rebuild, the basis
-    column count per site.  With ``out_dir`` set, a checkpoint bundle is
-    written after every task.
+    column count per site.  With ``out_dir`` set, a checkpoint is written
+    after every task.  ``resume``, a state returned by
+    `checkpoint.load_checkpoint`, continues the run from the task after
+    the saved one: the backbone is re-initialised from its seed, the
+    bases are rebuilt from the restored buffers and paradigm tensors, and
+    info covers only the tasks run here.
     """
     pm.check_paradigm(paradigm)
     if len(stream) == 0:
@@ -299,17 +303,33 @@ def continual_run(stream, model_cfg, paradigm, cfg, out_dir=None, config_hash=""
         )
     backbone_entropy = cfg.seed if cfg.backbone_seed is None else cfg.backbone_seed
     w = bb.init_backbone(model_cfg, rng_mod.sub_seed(backbone_entropy, "backbone"))
-    pet = pm.init_pet(model_cfg, paradigm, rng_mod.sub_seed(cfg.seed, "pet"))
-    head = w.classifier.copy()
-    buffers = init_buffers(paradigm, model_cfg)
-    shuffle_rng = rng_mod.generator(cfg.seed, "shuffle")
-    sampling_rng = rng_mod.generator(cfg.seed, "sampling")
-    matrix = mt.AccuracyMatrix(len(stream))
-    bases = None
+    rngs = {
+        "shuffle": rng_mod.generator(cfg.seed, "shuffle"),
+        "sampling": rng_mod.generator(cfg.seed, "sampling"),
+    }
+    if resume is None:
+        pet = pm.init_pet(model_cfg, paradigm, rng_mod.sub_seed(cfg.seed, "pet"))
+        head = w.classifier.copy()
+        buffers = init_buffers(paradigm, model_cfg)
+        matrix = mt.AccuracyMatrix(len(stream))
+        bases = None
+        start = 0
+    else:
+        pet, head, buffers, matrix = resume["pet"], resume["head"], resume["buffers"], resume["matrix"]
+        start = resume["task_index"] + 1
+        if pet.paradigm != paradigm or matrix.tasks != len(stream) or start >= len(stream):
+            raise ValueError(
+                f"cannot resume a {pet.paradigm} run of {matrix.tasks} tasks after task "
+                f"{start - 1} as a {paradigm} run of {len(stream)} tasks"
+            )
+        for name, g in rngs.items():
+            g.bit_generator.state = resume["rng_states"][name]
+        bases = rebuild_bases(pet, buffers, cfg.proj, model_cfg)
     info = {"loss_curves": [], "basis_sizes": []}
-    for t, task in enumerate(stream):
+    for t in range(start, len(stream)):
+        task = stream[t]
         seen = _seen_after(stream, t, cfg.scenario, model_cfg.num_classes)
-        perm = sampling_rng.permutation(task.n_train)
+        perm = rngs["sampling"].permutation(task.n_train)
         k = min(cfg.proj.sample_count, max(task.n_train - 1, 0))
         sampling_set = task.train_x[perm[:k]]
         train_rows = (task.train_x[perm[k:]], task.train_y[perm[k:]])
@@ -317,7 +337,7 @@ def continual_run(stream, model_cfg, paradigm, cfg, out_dir=None, config_hash=""
         use_bases = bases if (cfg.projection and t > 0) else None
         curve = train_task(
             w, pet, head, task, cfg, use_bases,
-            opt=opt, seen_classes=seen, shuffle_rng=shuffle_rng, train_rows=train_rows,
+            opt=opt, seen_classes=seen, shuffle_rng=rngs["shuffle"], train_rows=train_rows,
         )
         info["loss_curves"].append(curve)
         for i in range(t + 1):
@@ -327,8 +347,8 @@ def continual_run(stream, model_cfg, paradigm, cfg, out_dir=None, config_hash=""
         info["basis_sizes"].append({key: b.ncols for key, b in sorted(bases.items())})
         if out_dir is not None:
             ck.save_checkpoint(
-                f"{out_dir}/task_{t}.json",
+                ck.task_path(out_dir, t),
                 config_hash=config_hash, task_index=t, pet=pet, head=head,
-                opt=opt, buffers=buffers, bases=bases, matrix=matrix,
+                buffers=buffers, matrix=matrix, rngs=rngs,
             )
     return matrix, info

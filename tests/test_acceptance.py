@@ -159,10 +159,16 @@ def test_criterion_7_basis_size_sweep():
     ties = sum(a == b for a, b in zip(fgt, fgt[1:]))
     ties += sum(a == b for a, b in zip(new, new[1:]))
     ok = shrinking and fgt_ok and new_ok and ties <= 1
+
+    def seed_ranges(key):
+        return "/".join("{:.4f}-{:.4f}".format(*ev.seed_range(r, key)) for r in rows)
+
     assert _verdict(7, "basis-size sweep", ok, (
         f"columns {cols[0]:.1f}/{cols[1]:.1f}/{cols[2]:.1f}, "
-        f"forgetting {fgt[0]:.4f}/{fgt[1]:.4f}/{fgt[2]:.4f}, "
-        f"new_acc {new[0]:.4f}/{new[1]:.4f}/{new[2]:.4f}, {ties} ties"
+        f"forgetting {fgt[0]:.4f}/{fgt[1]:.4f}/{fgt[2]:.4f} "
+        f"(seeds {seed_ranges('forgetting')}), "
+        f"new_acc {new[0]:.4f}/{new[1]:.4f}/{new[2]:.4f} "
+        f"(seeds {seed_ranges('new_acc')}), {ties} ties"
     ))
 
 

@@ -1,6 +1,7 @@
 """Checkpoint round-trips must be lossless and version-gated."""
 
 import json
+import zipfile
 
 import numpy as np
 import pytest
@@ -11,10 +12,12 @@ import orthopet.data as dm
 import orthopet.metrics as mt
 import orthopet.pet as pm
 import orthopet.projection as pj
+import orthopet.rng as rng_mod
 import orthopet.trainer as tr
 
 MODEL = bb.TransformerConfig(dim=16, depth=2, heads=2, mlp_ratio=2.0, seq_len=4,
                              num_classes=4, prompt_len=4, prefix_len=4, rank=4)
+PROJ = pj.ProjectionConfig(epsilon=1e-6)
 
 
 def _handmade_state():
@@ -22,7 +25,6 @@ def _handmade_state():
     pet = pm.init_pet(MODEL, "adapter", 3)
     head = rng.normal(size=(MODEL.dim, MODEL.num_classes))
     opt = tr.init_optimizer("adam", pet, head)
-    # nonzero moments so the optimizer slot round-trip is exercised
     grads = {name: rng.normal(size=arr.shape) for name, arr in pet.params.items()}
     tr.apply_updates(opt, pet, head, grads, rng.normal(size=head.shape), lr=0.01)
 
@@ -31,160 +33,210 @@ def _handmade_state():
     for site, buf in buffers.items():
         buf.add(rng.normal(size=(6, buf.width)))
         buf.add(rng.normal(size=(4, buf.width)))
-
-    bases = {
-        site: pj.build_basis(buf.rows, 0.5, site)
-        for site, buf in buffers.items()
-    }
-    # one deliberately empty basis: zero allowed directions must survive a save
-    bases["mlp_in.0"] = pj.ProjectionBasis(b=np.zeros((MODEL.dim, 0)))
+    # one full-rank buffer, so one rebuilt basis is empty
+    buffers["mlp_in.0"].add(rng.normal(size=(MODEL.dim, MODEL.dim)))
 
     matrix = mt.AccuracyMatrix(tasks=3)
     matrix.set(0, 0, 0.9375)
     matrix.set(1, 0, 0.8125)
     matrix.set(1, 1, 0.96875)
-    return pet, head, opt, buffers, bases, matrix
+
+    # generators part-way through their streams
+    rngs = {name: rng_mod.generator(11, name) for name in ("shuffle", "sampling")}
+    rngs["shuffle"].permutation(40)
+    rngs["sampling"].normal(size=3)
+    return pet, head, buffers, matrix, rngs
+
+
+def _save(path, *, config_hash="h", task_index=1, state=None):
+    pet, head, buffers, matrix, rngs = state or _handmade_state()
+    return ck.save_checkpoint(path, config_hash=config_hash, task_index=task_index, pet=pet,
+                              head=head, buffers=buffers, matrix=matrix, rngs=rngs)
+
+
+def _members(path) -> dict:
+    """Every member of the archive as raw bytes (the zip headers carry a clock)."""
+    with zipfile.ZipFile(path) as zf:
+        return {name: zf.read(name) for name in zf.namelist()}
+
+
+def _rewrite_meta(path, **changes):
+    with np.load(path, allow_pickle=False) as data:
+        arrays = {key: data[key] for key in data.files}
+    meta = json.loads(str(arrays["meta"]))
+    meta.update(changes)
+    arrays["meta"] = np.array(json.dumps(meta))
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
 
 
 def test_round_trip_exact(tmp_path):
-    pet, head, opt, buffers, bases, matrix = _handmade_state()
-    path = tmp_path / "task_1.json"
-    ck.save_checkpoint(path, config_hash="abc123", task_index=1, pet=pet, head=head,
-                       opt=opt, buffers=buffers, bases=bases, matrix=matrix)
-    state = ck.load_checkpoint(path)
+    pet, head, buffers, matrix, rngs = state = _handmade_state()
+    path = tmp_path / "task_1.npz"
+    assert _save(path, config_hash="abc123", state=state) == path
+    got = ck.load_checkpoint(path)
 
-    assert state["config_hash"] == "abc123"
-    assert state["task_index"] == 1
-    assert state["pet"].paradigm == "adapter"
-    assert state["pet"].version == pet.version
+    assert got["version"] == 4
+    assert got["config_hash"] == "abc123"
+    assert got["task_index"] == 1
+    assert got["pet"].paradigm == "adapter"
+    assert got["pet"].version == pet.version
+    assert sorted(got["pet"].params) == sorted(pet.params)
     for name, arr in pet.params.items():
-        assert np.array_equal(state["pet"].params[name], arr)
-    assert np.array_equal(state["head"], head)
-    assert state["optimizer"].kind == "adam"
-    assert state["optimizer"].step == opt.step
-    for name in opt.m:
-        assert np.array_equal(state["optimizer"].m[name], opt.m[name])
-        assert np.array_equal(state["optimizer"].v[name], opt.v[name])
+        assert np.array_equal(got["pet"].params[name], arr)
+    assert np.array_equal(got["head"], head)
+    assert sorted(got["buffers"]) == sorted(buffers)
     for site, buf in buffers.items():
-        got = state["buffers"][site]
-        assert got.site == site and got.width == buf.width
-        assert got.rows.shape == (10, buf.width)
-        assert np.array_equal(got.rows, buf.rows)
-    for key, basis in bases.items():
-        got = state["bases"][key]
-        assert got.b.shape == basis.b.shape
-        assert np.array_equal(got.b, basis.b)
+        restored = got["buffers"][site]
+        assert restored.site == site and restored.width == buf.width
+        assert np.array_equal(restored.rows, buf.rows)
     assert np.array_equal(
-        np.isfinite(state["matrix"].values), np.isfinite(matrix.values))
+        np.isfinite(got["matrix"].values), np.isfinite(matrix.values))
     filled = np.isfinite(matrix.values)
-    assert np.array_equal(state["matrix"].values[filled], matrix.values[filled])
+    assert np.array_equal(got["matrix"].values[filled], matrix.values[filled])
+    assert got["rng_states"] == {name: g.bit_generator.state for name, g in rngs.items()}
 
 
 def test_resave_is_byte_identical(tmp_path):
-    pet, head, opt, buffers, bases, matrix = _handmade_state()
-    first = tmp_path / "a.json"
-    second = tmp_path / "b.json"
-    ck.save_checkpoint(first, config_hash="h", task_index=1, pet=pet, head=head,
-                       opt=opt, buffers=buffers, bases=bases, matrix=matrix)
-    state = ck.load_checkpoint(first)
-    ck.save_checkpoint(second, config_hash=state["config_hash"],
-                       task_index=state["task_index"], pet=state["pet"],
-                       head=state["head"], opt=state["optimizer"],
-                       buffers=state["buffers"], bases=state["bases"],
-                       matrix=state["matrix"])
-    assert first.read_bytes() == second.read_bytes()
+    first, second = tmp_path / "a.npz", tmp_path / "b.npz"
+    _save(first)
+    got = ck.load_checkpoint(first)
+    rngs = {name: rng_mod.generator(0, name) for name in got["rng_states"]}
+    for name, g in rngs.items():
+        g.bit_generator.state = got["rng_states"][name]
+    ck.save_checkpoint(second, config_hash=got["config_hash"], task_index=got["task_index"],
+                       pet=got["pet"], head=got["head"], buffers=got["buffers"],
+                       matrix=got["matrix"], rngs=rngs)
+    assert _members(first) == _members(second)
 
 
-def test_bases_carry_no_side_field(tmp_path):
-    pet, head, opt, buffers, bases, matrix = _handmade_state()
-    path = tmp_path / "e.json"
-    ck.save_checkpoint(path, config_hash="h", task_index=0, pet=pet, head=head,
-                       opt=opt, buffers=buffers, bases=bases, matrix=matrix)
-    doc = json.loads(path.read_text())
-    assert doc["version"] == ck.CHECKPOINT_VERSION == 3
-    assert all(set(b) == {"width", "b"} for b in doc["bases"].values())
+def test_checkpoint_holds_no_moments_or_bases(tmp_path):
+    """Version 4 stores only what a resume reads: no optimizer, no bases."""
+    pet, _, buffers, _, _ = state = _handmade_state()
+    path = _save(tmp_path / "e.npz", state=state)
+    with np.load(path, allow_pickle=False) as data:
+        files = set(data.files)
+        meta = json.loads(str(data["meta"]))
+    assert files == ({"meta", "head"} | {f"pet/{n}" for n in pet.params}
+                     | {f"buffer/{s}" for s in buffers})
+    assert meta["version"] == ck.CHECKPOINT_VERSION == 4
+    assert set(meta) == {"version", "config_hash", "task_index", "paradigm", "pet_version",
+                         "accuracy_rows", "matrix_tasks", "rng_states"}
+    assert set(meta["rng_states"]) == {"shuffle", "sampling"}
 
 
 def test_two_task_buffer_round_trips(tmp_path):
-    """A version-3 buffer is its width and every row, in sampling order."""
-    pet, head, opt, buffers, bases, matrix = _handmade_state()
+    """A buffer is stored as its rows, in sampling order; the width is their shape."""
+    pet, head, buffers, matrix, rngs = _handmade_state()
     rows = np.arange(5.0 * MODEL.dim).reshape(5, MODEL.dim) / 7.0
     buffers["mlp_in.1"] = pj.FeatureBuffer(site="mlp_in.1", width=MODEL.dim)
     buffers["mlp_in.1"].add(rows[:3])
     buffers["mlp_in.1"].add(rows[3:])
-    path = tmp_path / "task_1.json"
-    ck.save_checkpoint(path, config_hash="h", task_index=1, pet=pet, head=head,
-                       opt=opt, buffers=buffers, bases=bases, matrix=matrix)
-    doc = json.loads(path.read_text())
-    assert all(set(b) == {"width", "rows"} for b in doc["buffers"].values())
-    assert set(doc["pet"]) == {"paradigm", "pet_version", "params"}
+    path = _save(tmp_path / "task_1.npz", state=(pet, head, buffers, matrix, rngs))
+    with np.load(path, allow_pickle=False) as data:
+        assert data["buffer/mlp_in.1"].shape == (5, MODEL.dim)
     got = ck.load_checkpoint(path)["buffers"]["mlp_in.1"]
+    assert got.width == MODEL.dim
     assert np.array_equal(got.rows, rows)
 
 
+def test_rebuilt_bases_match_the_saved_state(tmp_path):
+    """Bases are not stored: rebuilding them from a loaded checkpoint gives
+    the same bits as from the state that was saved, empty bases included."""
+    pet, _, buffers, _, _ = state = _handmade_state()
+    with pytest.warns(pj.EmptyBasisWarning):
+        before = tr.rebuild_bases(pet, buffers, PROJ, MODEL)
+    got = ck.load_checkpoint(_save(tmp_path / "d.npz", state=state))
+    with pytest.warns(pj.EmptyBasisWarning):
+        after = tr.rebuild_bases(got["pet"], got["buffers"], PROJ, MODEL)
+    assert before["mlp_in.0"].b.shape == (MODEL.dim, 0)
+    assert sorted(after) == sorted(before)
+    for key, basis in before.items():
+        assert np.array_equal(after[key].b, basis.b)
+
+
+def test_generator_state_round_trips(tmp_path):
+    _, _, _, _, rngs = state = _handmade_state()
+    got = ck.load_checkpoint(_save(tmp_path / "g.npz", state=state))
+    for name, saved in rngs.items():
+        restored = rng_mod.generator(0, name)
+        restored.bit_generator.state = got["rng_states"][name]
+        assert np.array_equal(restored.permutation(50), saved.permutation(50))
+        assert np.array_equal(restored.normal(size=7), saved.normal(size=7))
+
+
+def _legacy_json(path, version):
+    """A JSON checkpoint with the fields its version carried."""
+    pet, head, buffers, _, _ = _handmade_state()
+    doc = {
+        "version": version, "config_hash": "h", "task_index": 0,
+        "pet": {"paradigm": pet.paradigm, "pet_version": pet.version,
+                "params": {n: a.tolist() for n, a in pet.params.items()}},
+        "head": head.tolist(),
+        "optimizer": {"kind": "sgd", "step": 0, "m": {}, "v": {}},
+        "buffers": {s: {"width": b.width, "rows": b.rows.tolist()} for s, b in buffers.items()},
+        "bases": {}, "accuracy_rows": [[0.5]], "matrix_tasks": 3,
+    }
+    if version == 2:
+        doc["pet"]["lora_scale"] = 1.0
+        for b in doc["buffers"].values():
+            b.update(cap=1024, seen=len(b["rows"]), tasks=[0] * len(b["rows"]))
+    path.write_text(json.dumps(doc, sort_keys=True) + "\n")
+    return path
+
+
 def test_version_2_checkpoint_rejected(tmp_path):
-    pet, head, opt, buffers, bases, matrix = _handmade_state()
-    path = tmp_path / "task_0.json"
-    ck.save_checkpoint(path, config_hash="h", task_index=0, pet=pet, head=head,
-                       opt=opt, buffers=buffers, bases=bases, matrix=matrix)
-    doc = json.loads(path.read_text())
-    doc["version"] = 2
-    doc["pet"]["lora_scale"] = 1.0
-    for b in doc["buffers"].values():
-        b.update(cap=1024, seen=len(b["rows"]), tasks=[0] * len(b["rows"]))
-    path.write_text(json.dumps(doc))
+    path = _legacy_json(tmp_path / "task_0.json", 2)
     with pytest.raises(ValueError, match="unsupported checkpoint version 2"):
         ck.load_checkpoint(path)
 
 
+def test_version_3_json_checkpoint_rejected(tmp_path):
+    path = _legacy_json(tmp_path / "task_0.json", 3)
+    with pytest.raises(ValueError, match=r"unsupported checkpoint version 3 .*only version 4"):
+        ck.load_checkpoint(path)
+
+
 def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
-    pet, head, opt, buffers, bases, matrix = _handmade_state()
-    path = tmp_path / "task_0.json"
-    ck.save_checkpoint(path, config_hash="h", task_index=0, pet=pet, head=head,
-                       opt=opt, buffers=buffers, bases=bases, matrix=matrix)
+    path = _save(tmp_path / "task_0.npz", task_index=0)
     before = path.read_bytes()
 
-    def dump_then_fail(doc, fh, **kwargs):
-        fh.write(json.dumps(doc, **kwargs)[:100])
+    def write_then_fail(fh, **arrays):
+        fh.write(b"PK\x03\x04" + bytes(96))
         raise OSError("disk full")
 
-    monkeypatch.setattr(ck.json, "dump", dump_then_fail)
+    monkeypatch.setattr(ck.np, "savez", write_then_fail)
     with pytest.raises(OSError, match="disk full"):
-        ck.save_checkpoint(path, config_hash="other", task_index=1, pet=pet, head=head,
-                           opt=opt, buffers=buffers, bases=bases, matrix=matrix)
+        _save(path, config_hash="other", task_index=1)
     assert path.read_bytes() == before
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["task_0.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["task_0.npz"]
 
 
 def test_unsupported_version_rejected(tmp_path):
-    pet, head, opt, buffers, bases, matrix = _handmade_state()
-    path = tmp_path / "task_0.json"
-    ck.save_checkpoint(path, config_hash="h", task_index=0, pet=pet, head=head,
-                       opt=opt, buffers=buffers, bases=bases, matrix=matrix)
-    doc = json.loads(path.read_text())
-    doc["version"] = ck.CHECKPOINT_VERSION + 1
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="version"):
+    path = _save(tmp_path / "task_0.npz", task_index=0)
+    _rewrite_meta(path, version=ck.CHECKPOINT_VERSION + 1)
+    with pytest.raises(ValueError, match="unsupported checkpoint version 5"):
+        ck.load_checkpoint(path)
+
+
+def test_pickled_members_are_refused(tmp_path):
+    path = _save(tmp_path / "task_0.npz", task_index=0)
+    with np.load(path, allow_pickle=False) as data:
+        arrays = {key: data[key] for key in data.files}
+    arrays["head"] = np.array([{"not": "an array"}], dtype=object)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    with pytest.raises(ValueError, match="allow_pickle"):
         ck.load_checkpoint(path)
 
 
 def test_empty_rows_buffer_round_trips(tmp_path):
-    pet, head, opt, buffers, bases, matrix = _handmade_state()
+    pet, head, buffers, matrix, rngs = _handmade_state()
     buffers["mlp_in.0"] = pj.FeatureBuffer(site="mlp_in.0", width=MODEL.dim)
-    path = tmp_path / "c.json"
-    ck.save_checkpoint(path, config_hash="h", task_index=0, pet=pet, head=head,
-                       opt=opt, buffers=buffers, bases=bases, matrix=matrix)
+    path = _save(tmp_path / "c.npz", task_index=0, state=(pet, head, buffers, matrix, rngs))
     got = ck.load_checkpoint(path)["buffers"]["mlp_in.0"]
     assert got.rows.shape == (0, MODEL.dim)
-
-
-def test_empty_basis_round_trips(tmp_path):
-    pet, head, opt, buffers, bases, matrix = _handmade_state()
-    path = tmp_path / "d.json"
-    ck.save_checkpoint(path, config_hash="h", task_index=0, pet=pet, head=head,
-                       opt=opt, buffers=buffers, bases=bases, matrix=matrix)
-    got = ck.load_checkpoint(path)["bases"]["mlp_in.0"]
-    assert got.b.shape == (MODEL.dim, 0)
+    assert got.width == MODEL.dim
 
 
 @pytest.mark.filterwarnings("ignore::orthopet.projection.EmptyBasisWarning")
@@ -198,8 +250,9 @@ def test_run_emits_loadable_checkpoints(tmp_path):
                          scenario="cil", seed=0, backbone_seed=0)
     matrix, info = tr.continual_run(stream, MODEL, "adapter", cfg,
                                     out_dir=tmp_path, config_hash="deadbeef")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["task_0.npz", "task_1.npz"]
     for t in range(spec.tasks):
-        state = ck.load_checkpoint(tmp_path / f"task_{t}.json")
+        state = ck.load_checkpoint(tmp_path / f"task_{t}.npz")
         assert state["config_hash"] == "deadbeef"
         assert state["task_index"] == t
         assert state["pet"].paradigm == "adapter"
@@ -207,6 +260,24 @@ def test_run_emits_loadable_checkpoints(tmp_path):
         for j in range(t + 1):
             for i in range(j + 1):
                 assert 0.0 <= vals[j, i] <= 1.0
-    final = ck.load_checkpoint(tmp_path / "task_1.json")
+    final = ck.load_checkpoint(tmp_path / "task_1.npz")
     filled = np.isfinite(matrix.values)
     assert np.array_equal(final["matrix"].values[filled], matrix.values[filled])
+
+
+@pytest.mark.filterwarnings("ignore::orthopet.projection.EmptyBasisWarning")
+def test_resume_state_must_fit_the_run(tmp_path):
+    """`continual_run` refuses a state from another paradigm or stream
+    length, and one with no task left to run."""
+    spec = dm.ScenarioSpec(scenario="cil", tasks=2, classes_per_task=2,
+                           samples_per_class=12, feature_dim=64, noise=0.1,
+                           separation=4.0)
+    stream = dm.gen_stream(spec, dm.make_tokenizer(64, MODEL.seq_len, MODEL.dim, 0), 0)
+    cfg = tr.TrainConfig(epochs=1, batch_size=8, lr=0.05, optimizer="sgd",
+                         scenario="cil", seed=0, backbone_seed=0)
+    tr.continual_run(stream, MODEL, "lora", cfg, out_dir=tmp_path, config_hash="h")
+    for t, paradigm, tasks in ((0, "prompt", 2), (0, "lora", 1), (1, "lora", 2)):
+        state = ck.load_checkpoint(ck.task_path(tmp_path, t))
+        with pytest.raises(ValueError, match="cannot resume a lora run of 2 tasks"):
+            tr.continual_run(stream[:tasks], MODEL, paradigm, cfg, resume=state)
+    assert ck.last_task_path(tmp_path) == tmp_path / "task_1.npz"

@@ -2,12 +2,16 @@
 
 import json
 import re
+import shutil
+import warnings
+import zipfile
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import orthopet.cli as cli
+from orthopet.projection import EmptyBasisWarning
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -162,8 +166,8 @@ def test_train_writes_report_and_checkpoints(tmp_path, capsys):
     assert cli.main(["train", "--config", path, "--out", str(out)]) == 0
     assert (out / "report.jsonl").exists()
     assert (out / "report.txt").exists()
-    assert (out / "checkpoints" / "task_0.json").exists()
-    assert (out / "checkpoints" / "task_1.json").exists()
+    assert (out / "checkpoints" / "task_0.npz").exists()
+    assert (out / "checkpoints" / "task_1.npz").exists()
     shown = capsys.readouterr().out
     assert "avg_acc=" in shown and "report:" in shown
 
@@ -189,7 +193,13 @@ def test_ablate_writes_one_record_per_value(tmp_path, capsys):
     records = [json.loads(line) for line in lines]
     assert [r["record"] for r in records] == ["run", "run", "summary"]
     assert [r["value"] for r in records[:2]] == [0.0001, 0.5]
-    assert "epsilon=0.0001" in capsys.readouterr().out
+    shown = capsys.readouterr().out
+    assert "epsilon=0.0001" in shown
+    # each value's seed means come with the per-seed lowest and highest
+    seed = records[0]["per_seed"][0]
+    assert (f"forgetting {records[0]['forgetting']:.4f} "
+            f"(seeds {seed['forgetting']:.4f}-{seed['forgetting']:.4f})") in shown
+    assert f"(seeds {seed['new_acc']:.4f}-{seed['new_acc']:.4f})" in shown
 
 
 def test_ablate_rejects_bad_sweep(tmp_path, capsys):
@@ -247,3 +257,83 @@ def test_argparse_rejects_missing_config():
         cli.main(["train"])
     with pytest.raises(SystemExit):
         cli.main(["ablate", "--config", "x.json"])
+
+
+# -- train --resume -----------------------------------------------------------
+
+RESUME_TASKS = 4
+
+
+def _resume_config(tmp_path, paradigm):
+    doc = _base(**{"data.tasks": RESUME_TASKS, "model.num_classes": 2 * RESUME_TASKS})
+    doc["paradigm"] = paradigm
+    return _write(tmp_path, doc, name=f"resume_{paradigm}.json")
+
+
+def _archive_members(path) -> dict:
+    with zipfile.ZipFile(path) as zf:
+        return {name: zf.read(name) for name in zf.namelist()}
+
+
+@pytest.fixture(scope="module")
+def uninterrupted(tmp_path_factory):
+    """One full run per paradigm: its config path and output directory."""
+    runs = {}
+    for paradigm in ("lora", "prompt"):
+        root = tmp_path_factory.mktemp(f"full_{paradigm}")
+        path = _resume_config(root, paradigm)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EmptyBasisWarning)
+            assert cli.main(["train", "--config", path, "--out", str(root / "out")]) == 0
+        runs[paradigm] = (path, root / "out")
+    return runs
+
+
+@pytest.mark.filterwarnings("ignore::orthopet.projection.EmptyBasisWarning")
+@pytest.mark.parametrize("paradigm", ["lora", "prompt"])
+@pytest.mark.parametrize("k", range(RESUME_TASKS - 1))
+def test_resume_after_every_task_reproduces_the_run(uninterrupted, tmp_path, paradigm, k):
+    """Stop after task k, resume: the report and every later checkpoint
+    match the run that was never interrupted."""
+    path, full = uninterrupted[paradigm]
+    out = tmp_path / "out"
+    (out / "checkpoints").mkdir(parents=True)
+    for t in range(k + 1):
+        shutil.copy(full / "checkpoints" / f"task_{t}.npz", out / "checkpoints")
+    assert cli.main(["train", "--config", path, "--out", str(out), "--resume"]) == 0
+    assert (out / "report.jsonl").read_bytes() == (full / "report.jsonl").read_bytes()
+    for t in range(k + 1, RESUME_TASKS):
+        name = f"task_{t}.npz"
+        assert _archive_members(out / "checkpoints" / name) == _archive_members(full / "checkpoints" / name)
+
+
+def test_resume_refuses_another_config(uninterrupted, tmp_path, capsys):
+    path, full = uninterrupted["lora"]
+    out = tmp_path / "out"
+    (out / "checkpoints").mkdir(parents=True)
+    shutil.copy(full / "checkpoints" / "task_0.npz", out / "checkpoints")
+    rc = cli.main(["train", "--config", path, "--out", str(out), "--resume", "--seed", "5"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--resume:" in err and "task_0.npz was written by config" in err
+    assert not (out / "report.jsonl").exists()
+
+
+def test_resume_refuses_an_empty_directory(tmp_path, capsys):
+    path = _resume_config(tmp_path, "lora")
+    out = tmp_path / "out"
+    (out / "checkpoints").mkdir(parents=True)
+    # a version-3 checkpoint is not a candidate
+    (out / "checkpoints" / "task_0.json").write_text("{}")
+    assert cli.main(["train", "--config", path, "--out", str(out), "--resume"]) == 2
+    assert "--resume: no task_<t>.npz checkpoint under" in capsys.readouterr().err
+
+
+def test_resume_refuses_a_finished_run(uninterrupted, capsys):
+    path, full = uninterrupted["lora"]
+    before = (full / "report.jsonl").read_bytes()
+    assert cli.main(["train", "--config", path, "--out", str(full), "--resume"]) == 2
+    err = capsys.readouterr().err
+    assert f"task_{RESUME_TASKS - 1}.npz is the last of {RESUME_TASKS} tasks" in err
+    assert "every task is already done" in err
+    assert (full / "report.jsonl").read_bytes() == before

@@ -34,6 +34,48 @@ def lapack_null_projector(a, rel_eps):
     return v0 @ v0.T
 
 
+def reference_jacobi(b):
+    """The one-sided Jacobi loop as plain numpy, kept as the bit oracle for
+    `linalg._jacobi_orthogonalize`: same pair order, dots and rotations,
+    with numpy scalars, fresh temporaries and per-pair column slicing."""
+    n = b.shape[1]
+    v = np.eye(n)
+    for _ in range(linalg.SVD_MAX_SWEEPS):
+        sq = np.sum(b * b, axis=0)
+        rotated = False
+        for i in range(n - 1):
+            for j in range(i + 1, n):
+                alpha = sq[i]
+                beta = sq[j]
+                if alpha <= 0.0 or beta <= 0.0:
+                    continue
+                gamma = float(b[:, i] @ b[:, j])
+                if gamma == 0.0 or abs(gamma) <= linalg.SVD_SWEEP_TOL * np.sqrt(alpha * beta):
+                    continue
+                rotated = True
+                zeta = (beta - alpha) / (2.0 * gamma)
+                if zeta == 0.0:
+                    t = 1.0
+                elif abs(zeta) > 1e100:
+                    t = 0.5 / zeta
+                else:
+                    t = np.sign(zeta) / (abs(zeta) + np.sqrt(1.0 + zeta * zeta))
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = c * t
+                bi = b[:, i].copy()
+                b[:, i] = c * bi - s * b[:, j]
+                b[:, j] = s * bi + c * b[:, j]
+                vi = v[:, i].copy()
+                v[:, i] = c * vi - s * v[:, j]
+                v[:, j] = s * vi + c * v[:, j]
+                cs = c * s
+                sq[i] = max(c * c * alpha - 2.0 * cs * gamma + s * s * beta, 0.0)
+                sq[j] = max(s * s * alpha + 2.0 * cs * gamma + c * c * beta, 0.0)
+        if not rotated:
+            break
+    return v
+
+
 def random_matrix(rng, m, n, rank=None):
     if rank is None:
         return rng.normal(size=(m, n))
@@ -96,6 +138,44 @@ SHAPE_CLASSES = {
     "tall_rank_deficient": (12, 8, 4),
     "wide_rank_deficient": (8, 12, 5),
 }
+
+
+def _jacobi_inputs():
+    rng = np.random.default_rng(2024)
+    cases = {
+        "tall_640x32": rng.normal(size=(640, 32)),
+        "tall_200x24_scaled": rng.normal(size=(200, 24)) * np.logspace(-6, 6, 24),
+        "tall_50x10": rng.normal(size=(50, 10)),
+        "rank_deficient_640x32_r12": random_matrix(rng, 640, 32, rank=12),
+        "rank_deficient_40x16_r3": random_matrix(rng, 40, 16, rank=3),
+        "one_column": rng.normal(size=(7, 1)),
+        "square_16": rng.normal(size=(16, 16)),
+        "square_32_rank_5": random_matrix(rng, 32, 32, rank=5),
+    }
+    dup = rng.normal(size=(60, 12))
+    dup[:, 7] = dup[:, 2]
+    dup[:, 11] = -dup[:, 0]
+    cases["duplicated_columns"] = dup
+    zero = rng.normal(size=(60, 12))
+    zero[:, [0, 5, 11]] = 0.0
+    cases["zero_columns"] = zero
+    cases["all_zero"] = np.zeros((9, 4))
+    return cases
+
+
+JACOBI_INPUTS = _jacobi_inputs()
+
+
+@pytest.mark.parametrize("name", sorted(JACOBI_INPUTS))
+def test_jacobi_matches_reference_bit_for_bit(name):
+    """The rotated columns and the accumulated rotation equal the plain
+    numpy loop's, bit for bit (`np.array_equal`, no tolerance)."""
+    a = JACOBI_INPUTS[name]
+    b_ref, b_new = a.copy(), a.copy()
+    v_ref = reference_jacobi(b_ref)
+    v_new = linalg._jacobi_orthogonalize(b_new)
+    assert np.array_equal(b_new, b_ref)
+    assert np.array_equal(v_new, v_ref)
 
 
 @pytest.mark.parametrize("name", sorted(SHAPE_CLASSES))
