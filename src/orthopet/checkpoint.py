@@ -11,12 +11,14 @@ optimizer moments (`continual_run` starts a fresh optimizer for every
 task) and projection bases (`trainer.rebuild_bases` derives them bit for
 bit from the buffers and the paradigm tensors).
 
-A save replaces the file at its path atomically.  Only version 4 loads;
-versions 1-3 were one JSON document each and are rejected by version.
+A save replaces the file at its path atomically, and the same state
+always gives the same file bytes.  Only version 4 loads; versions 1-3
+were one JSON document each and are rejected by version.
 """
 
 import json
 import os
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -67,17 +69,28 @@ def save_checkpoint(path, *, config_hash, task_index, pet, head, buffers, matrix
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     # Write beside the target and rename over it, so an interrupted write
-    # leaves the previous checkpoint at `path` untouched.  Writing to an
-    # open handle keeps numpy from appending `.npz` to the temp name.
+    # leaves the previous checkpoint at `path` untouched.
     tmp = path.with_name(f".{path.name}.tmp")
     try:
-        with open(tmp, "wb") as fh:
-            np.savez(fh, **arrays)
+        _write_npz(tmp, arrays)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
     return path
+
+
+def _write_npz(path: Path, arrays: dict) -> None:
+    """An uncompressed `.npz` that `np.load` reads, with fixed member dates.
+
+    `np.savez` stamps every member header with the wall clock; a bare
+    `ZipInfo` carries 1980-01-01, so the same state always gives the same
+    file bytes.
+    """
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, arr in arrays.items():
+            with zf.open(zipfile.ZipInfo(name + ".npy"), "w", force_zip64=True) as out:
+                np.lib.format.write_array(out, np.asanyarray(arr), allow_pickle=False)
 
 
 def _legacy_version(path: Path):

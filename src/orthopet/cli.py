@@ -170,7 +170,7 @@ def _parse_sweep(text: str):
     return key, values
 
 
-def _resume_state(ckpt_dir: Path, config_hash: str, tasks: int) -> dict:
+def _resume_state(ckpt_dir: Path, config_hash: str, paradigm: str, tasks: int) -> dict:
     """The last checkpoint under `ckpt_dir`, checked against this run."""
     path = ck.last_task_path(ckpt_dir)
     if path is None:
@@ -181,8 +181,10 @@ def _resume_state(ckpt_dir: Path, config_hash: str, tasks: int) -> dict:
             f"--resume: {path} was written by config {state['config_hash'][:12]}, "
             f"not by this config {config_hash[:12]}"
         )
-    if state["task_index"] >= tasks - 1:
-        raise ConfigError(f"--resume: {path} is the last of {tasks} tasks; every task is already done")
+    try:
+        tr.resume_start(state, paradigm, tasks)
+    except ValueError as exc:
+        raise ConfigError(f"--resume: {path}: {exc}") from exc
     return state
 
 
@@ -190,7 +192,7 @@ def cmd_train(cfg: RunConfig, resume: bool = False) -> int:
     stream = cfg.stream()
     ckpt_dir = cfg.out / "checkpoints"
     config_hash = cfg.config_hash()
-    state = _resume_state(ckpt_dir, config_hash, len(stream)) if resume else None
+    state = _resume_state(ckpt_dir, config_hash, cfg.paradigm, len(stream)) if resume else None
     ckpt_dir.mkdir(parents=True, exist_ok=True)
     matrix, info = tr.continual_run(
         stream, cfg.model_cfg, cfg.paradigm, cfg.train_cfg,

@@ -282,6 +282,23 @@ def _seen_after(stream, t, scenario, num_classes) -> int:
     return seen
 
 
+def resume_start(state, paradigm, tasks: int) -> int:
+    """The task a `paradigm` run of `tasks` tasks resumes at from `state`.
+
+    Raises ValueError when the saved run is of another paradigm or
+    length, or when it has no task left to run.
+    """
+    saved = (state["pet"].paradigm, state["matrix"].tasks)
+    if saved != (paradigm, tasks):
+        raise ValueError(
+            f"it holds a {saved[0]} run of {saved[1]} tasks, not a {paradigm} run of {tasks} tasks"
+        )
+    start = state["task_index"] + 1
+    if start >= tasks:
+        raise ValueError(f"task {start - 1} is the last of {tasks} tasks; every task is already done")
+    return start
+
+
 def continual_run(stream, model_cfg, paradigm, cfg, out_dir=None, config_hash="", resume=None):
     """Run the full task sequence; returns (AccuracyMatrix, info dict).
 
@@ -315,13 +332,8 @@ def continual_run(stream, model_cfg, paradigm, cfg, out_dir=None, config_hash=""
         bases = None
         start = 0
     else:
+        start = resume_start(resume, paradigm, len(stream))
         pet, head, buffers, matrix = resume["pet"], resume["head"], resume["buffers"], resume["matrix"]
-        start = resume["task_index"] + 1
-        if pet.paradigm != paradigm or matrix.tasks != len(stream) or start >= len(stream):
-            raise ValueError(
-                f"cannot resume a {pet.paradigm} run of {matrix.tasks} tasks after task "
-                f"{start - 1} as a {paradigm} run of {len(stream)} tasks"
-            )
         for name, g in rngs.items():
             g.bit_generator.state = resume["rng_states"][name]
         bases = rebuild_bases(pet, buffers, cfg.proj, model_cfg)

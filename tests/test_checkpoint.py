@@ -1,7 +1,6 @@
 """Checkpoint round-trips must be lossless and version-gated."""
 
 import json
-import zipfile
 
 import numpy as np
 import pytest
@@ -54,12 +53,6 @@ def _save(path, *, config_hash="h", task_index=1, state=None):
                               head=head, buffers=buffers, matrix=matrix, rngs=rngs)
 
 
-def _members(path) -> dict:
-    """Every member of the archive as raw bytes (the zip headers carry a clock)."""
-    with zipfile.ZipFile(path) as zf:
-        return {name: zf.read(name) for name in zf.namelist()}
-
-
 def _rewrite_meta(path, **changes):
     with np.load(path, allow_pickle=False) as data:
         arrays = {key: data[key] for key in data.files}
@@ -107,7 +100,7 @@ def test_resave_is_byte_identical(tmp_path):
     ck.save_checkpoint(second, config_hash=got["config_hash"], task_index=got["task_index"],
                        pet=got["pet"], head=got["head"], buffers=got["buffers"],
                        matrix=got["matrix"], rngs=rngs)
-    assert _members(first) == _members(second)
+    assert first.read_bytes() == second.read_bytes()
 
 
 def test_checkpoint_holds_no_moments_or_bases(tmp_path):
@@ -201,11 +194,11 @@ def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
     path = _save(tmp_path / "task_0.npz", task_index=0)
     before = path.read_bytes()
 
-    def write_then_fail(fh, **arrays):
-        fh.write(b"PK\x03\x04" + bytes(96))
+    def write_then_fail(tmp, arrays):
+        tmp.write_bytes(b"PK\x03\x04" + bytes(96))
         raise OSError("disk full")
 
-    monkeypatch.setattr(ck.np, "savez", write_then_fail)
+    monkeypatch.setattr(ck, "_write_npz", write_then_fail)
     with pytest.raises(OSError, match="disk full"):
         _save(path, config_hash="other", task_index=1)
     assert path.read_bytes() == before
@@ -276,8 +269,13 @@ def test_resume_state_must_fit_the_run(tmp_path):
     cfg = tr.TrainConfig(epochs=1, batch_size=8, lr=0.05, optimizer="sgd",
                          scenario="cil", seed=0, backbone_seed=0)
     tr.continual_run(stream, MODEL, "lora", cfg, out_dir=tmp_path, config_hash="h")
-    for t, paradigm, tasks in ((0, "prompt", 2), (0, "lora", 1), (1, "lora", 2)):
+    other = "holds a lora run of 2 tasks, not a {} run of {} tasks"
+    for t, paradigm, tasks, match in (
+        (0, "prompt", 2, other.format("prompt", 2)),
+        (0, "lora", 1, other.format("lora", 1)),
+        (1, "lora", 2, "task 1 is the last of 2 tasks; every task is already done"),
+    ):
         state = ck.load_checkpoint(ck.task_path(tmp_path, t))
-        with pytest.raises(ValueError, match="cannot resume a lora run of 2 tasks"):
+        with pytest.raises(ValueError, match=match):
             tr.continual_run(stream[:tasks], MODEL, paradigm, cfg, resume=state)
     assert ck.last_task_path(tmp_path) == tmp_path / "task_1.npz"
