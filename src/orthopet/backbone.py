@@ -19,6 +19,20 @@ per-sample product stays its own matmul over the batch axis, and weight
 gradients are summed over that axis in sample order, which is the order a
 running per-sample sum adds them.  Folding the batch into the row axis or
 contracting it inside one product would reorder the additions.
+
+The last block computes its query side only for the rows the pool reads.
+Prompt rows still pass through its first layernorm and supply keys and
+values, but their queries, attention output, second layernorm, MLP and
+final layernorm are skipped, because no later block and not the pool reads
+them.  This keeps every bit of the all-rows pass: each of those ops works
+row by row, so a token row's values do not depend on which other rows are
+computed, and in backward the skipped rows would only have carried exact
+zeros.  Where such a zero entered a sum over query rows (dv, dk), it was
+added ahead of the first nonzero term and changed nothing; where it was
+added into a per-row term (dq @ W_q.T, the residual dz_mid), the term is
+now added into the token rows alone, with IEEE addition commutative.
+Every other block, and every block of a trace without prompt rows, runs
+all rows.
 """
 
 from dataclasses import dataclass, field
@@ -32,6 +46,9 @@ LN_EPS = 1e-8
 # whole test split holds every activation at once and raises peak memory,
 # while the results do not depend on the chunk size.
 CHUNK_ROWS = 16
+# Trace keys of a layer that hold only the rows its query side computed
+# (ActivationTrace.first_row).
+QUERY_SIDE = frozenset({"q", "attn", "m_in", "xhat2", "inv2", "u", "gelu_factor"})
 
 
 class StaleTraceError(RuntimeError):
@@ -140,6 +157,13 @@ class ActivationTrace:
     """Everything backward() and the feature buffers need from a forward.
 
     Every array keeps the leading batch axis, also for a single sample.
+    Each layer dict holds `query_from`, the first row its query side
+    computed: 0, except in the last block of a trace with prompt rows,
+    where it is `prompt_rows` (the pool reads only the token rows, see the
+    module docstring).  The arrays named in QUERY_SIDE cover rows
+    `query_from:` of the layer's sequence; every other array, and `a_in`,
+    `k` and `v` in particular, covers all rows.  `xhat_f` and `inv_f`
+    cover the token rows.
     """
 
     x_embed: np.ndarray
@@ -152,11 +176,21 @@ class ActivationTrace:
     pet_ref: object = None
     pet_version: int = -1
 
+    def first_row(self, layer: int, key: str) -> int:
+        """The first row of layer `layer`'s sequence that array `key` covers."""
+        return self.layers[layer]["query_from"] if key in QUERY_SIDE else 0
+
+
+def _rowmean(x):
+    """x.mean(axis=-1, keepdims=True), bit for bit, without the Python
+    wrapper `ndarray.mean` goes through on every call."""
+    return np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
+
 
 def _layernorm(x, g, b):
-    mu = x.mean(axis=-1, keepdims=True)
+    mu = _rowmean(x)
     xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = _rowmean(xc * xc)
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
     return xhat * g + b, xhat, inv
@@ -164,7 +198,7 @@ def _layernorm(x, g, b):
 
 def _layernorm_backward(dout, xhat, inv, g):
     dxhat = dout * g
-    return (dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)) * inv
+    return (dxhat - _rowmean(dxhat) - xhat * _rowmean(dxhat * xhat)) * inv
 
 
 def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
@@ -178,9 +212,9 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
 
 
 def _softmax_rows(s: np.ndarray) -> np.ndarray:
-    shifted = s - s.max(axis=-1, keepdims=True)
+    shifted = s - np.maximum.reduce(s, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def forward(w: FrozenWeights, pet: pet_mod.PetState, x: np.ndarray, head: np.ndarray | None = None, need_trace: bool = True):
@@ -213,9 +247,12 @@ def forward(w: FrozenWeights, pet: pet_mod.PetState, x: np.ndarray, head: np.nda
     if need_trace:
         trace = ActivationTrace(x_embed=x_embed, prompt_rows=prompt_rows, pet_ref=pet, pet_version=pet.version)
 
+    last = len(w.layers) - 1
     for li, lw in enumerate(w.layers):
+        query_from = prompt_rows if li == last else 0
         a_in, xhat1, inv1 = _layernorm(z, lw["ln1_g"], lw["ln1_b"])
-        q = a_in @ lw["w_q"]
+        a_q, z_q = (a_in[:, query_from:], z[:, query_from:]) if query_from else (a_in, z)
+        q = a_q @ lw["w_q"]
         k = a_in @ lw["w_k"]
         v = a_in @ lw["w_v"]
         y_q = y_v = None
@@ -231,7 +268,7 @@ def forward(w: FrozenWeights, pet: pet_mod.PetState, x: np.ndarray, head: np.nda
         attn = _softmax_rows(qh @ kh.swapaxes(-1, -2) / np.sqrt(cfg.head_dim))
         o = _merge_heads(attn @ vh)
         attn_out = o @ lw["w_o"]
-        z_mid = z + attn_out
+        z_mid = z_q + attn_out
 
         m_in, xhat2, inv2 = _layernorm(z_mid, lw["ln2_g"], lw["ln2_b"])
         u = m_in @ lw["w_1"]
@@ -261,12 +298,13 @@ def forward(w: FrozenWeights, pet: pet_mod.PetState, x: np.ndarray, head: np.nda
                     "y_v": y_v,
                     "y_a": y_a,
                     "adapter_factor": adapter_factor,
+                    "query_from": query_from,
                 }
             )
         z = z_out
 
     z_final, xhat_f, inv_f = _layernorm(z, w.lnf_g, w.lnf_b)
-    pooled = z_final[:, prompt_rows:].mean(axis=1)
+    pooled = np.add.reduce(z_final, axis=1) / z_final.shape[1]
     # One (1 x dim) @ (dim x classes) product per sample, the same kernel
     # for every batch size.
     logits = np.matmul(pooled[:, None, :], head)[:, 0]
@@ -306,15 +344,14 @@ def backward(trace: ActivationTrace, w: FrozenWeights, pet: pet_mod.PetState, dl
     head_grad = (trace.pooled[:, :, None] * dlogits[:, None, :]).sum(axis=0)
     dpooled = np.matmul(head, dlogits[:, :, None])[..., 0]
 
-    prompt_rows = trace.prompt_rows
-    batch, token_rows, _ = trace.x_embed.shape
-    dz_final = np.zeros((batch, prompt_rows + token_rows, cfg.dim))
-    dz_final[:, prompt_rows:] = dpooled[:, None, :] / token_rows
+    dz_final = np.empty_like(trace.xhat_f)
+    dz_final[:] = dpooled[:, None, :] / trace.xhat_f.shape[1]
     dz = _layernorm_backward(dz_final, trace.xhat_f, trace.inv_f, w.lnf_g)
 
     for li in reversed(range(cfg.depth)):
         lw = w.layers[li]
         t = trace.layers[li]
+        query_from = t["query_from"]
 
         # MLP sub-block: z_out = z_mid + mlp(m_in) [+ adapter bypass]
         dmlp = dz
@@ -341,7 +378,7 @@ def backward(trace: ActivationTrace, w: FrozenWeights, pet: pet_mod.PetState, dl
         vh = _split_heads(t["v"], cfg.heads)
         dattn = doh @ vh.swapaxes(-1, -2)
         dvh = attn.swapaxes(-1, -2) @ doh
-        dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
+        dscores = attn * (dattn - np.add.reduce(dattn * attn, axis=-1, keepdims=True))
         dscores /= np.sqrt(cfg.head_dim)
         dqh = dscores @ kh
         dkh = dscores.swapaxes(-1, -2) @ _split_heads(t["q"], cfg.heads)
@@ -356,7 +393,15 @@ def backward(trace: ActivationTrace, w: FrozenWeights, pet: pet_mod.PetState, dl
             dk = dk[:, n_pref:]
             dv = dv[:, n_pref:]
 
-        da_in = dq @ lw["w_q"].T + dk @ lw["w_k"].T + dv @ lw["w_v"].T
+        if query_from:
+            # dq and dz_mid cover rows query_from: only; on the other rows
+            # they were exact zeros, so adding them into the covered rows
+            # alone, in either operand order, gives the same bits.
+            da_in = dk @ lw["w_k"].T
+            da_in[:, query_from:] += dq @ lw["w_q"].T
+            da_in += dv @ lw["w_v"].T
+        else:
+            da_in = dq @ lw["w_q"].T + dk @ lw["w_k"].T + dv @ lw["w_v"].T
         if paradigm == "lora":
             for slot, dslot in (("q", dq), ("v", dv)):
                 w_dn = params[f"lora_{slot}_down.{li}"]
@@ -367,9 +412,13 @@ def backward(trace: ActivationTrace, w: FrozenWeights, pet: pet_mod.PetState, dl
                 grads[f"lora_{slot}_down.{li}"] = (t["a_in"].swapaxes(-1, -2) @ dy).sum(axis=0)
                 da_in += dy @ w_dn.T
 
-        dz = dz_mid + _layernorm_backward(da_in, t["xhat1"], t["inv1"], lw["ln1_g"])
+        if query_from:
+            dz = _layernorm_backward(da_in, t["xhat1"], t["inv1"], lw["ln1_g"])
+            dz[:, query_from:] += dz_mid
+        else:
+            dz = dz_mid + _layernorm_backward(da_in, t["xhat1"], t["inv1"], lw["ln1_g"])
 
     if paradigm == "prompt":
-        grads["prompt"] = dz[:, :prompt_rows].sum(axis=0)
+        grads["prompt"] = dz[:, :trace.prompt_rows].sum(axis=0)
 
     return {name: grads[name] for name in params}, head_grad

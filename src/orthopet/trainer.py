@@ -217,11 +217,12 @@ def train_task(w, pet, head, task, cfg, bases=None, *, opt=None, seen_classes=No
             idx = order[start:start + cfg.batch_size]
             logits, trace = bb.forward(w, pet, xs[idx], head=head)
             losses, dlogits = masked_cross_entropy(logits, mask, ys[idx])
-            for i, loss in zip(idx, losses.tolist()):
-                if not np.isfinite(loss):
-                    raise FloatingPointError(
-                        f"non-finite loss on task {task.task_id}, epoch {epoch}, sample {i}"
-                    )
+            finite = np.isfinite(losses)
+            if not finite.all():
+                raise FloatingPointError(
+                    f"non-finite loss on task {task.task_id}, epoch {epoch}, sample {idx[np.argmin(finite)]}"
+                )
+            for loss in losses.tolist():
                 total += loss
             grads, head_grad = bb.backward(trace, w, pet, dlogits, head=head)
             inv = 1.0 / idx.size

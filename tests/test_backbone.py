@@ -4,7 +4,9 @@ Two independent oracles: a deliberately naive reference forward written
 with per-head python loops and math.erf (no shared helpers with the
 implementation), and central finite differences for every trainable
 tensor of every paradigm.  The batch-equivalence section pins the
-batched hot path bit for bit to the same samples run one at a time.
+batched hot path bit for bit to the same samples run one at a time, and
+the bit-oracle section pins it bit for bit to the all-rows pass, in which
+the last block also computes the prompt rows the pool drops.
 """
 
 import math
@@ -465,3 +467,181 @@ def test_update_buffers_reads_every_site_from_one_forward(monkeypatch):
     assert calls == [(8, CFG.seq_len, CFG.dim)]
     for buf in buffers.values():
         assert buf.rows.shape[0] == 8 * CFG.seq_len
+
+
+# -- bit oracle: the all-rows pass ------------------------------------------
+#
+# The forward and backward pass as they were before the last block learned
+# to compute its query side only for the rows the pool reads: every block
+# runs every row, and the pool drops the prompt rows at the end.  Frozen
+# here, with its own layernorm and softmax on `ndarray.mean`/`sum`, as the
+# reference the trimmed pass must equal bit for bit.
+
+
+def _ar_layernorm(x, g, b):
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + bb.LN_EPS)
+    xhat = xc * inv
+    return xhat * g + b, xhat, inv
+
+
+def _ar_layernorm_backward(dout, xhat, inv, g):
+    dxhat = dout * g
+    return (dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)) * inv
+
+
+def _ar_split(x, heads):
+    b, rows, d = x.shape
+    return x.reshape(b, rows, heads, d // heads).transpose(0, 2, 1, 3)
+
+
+def _ar_merge(x):
+    b, h, rows, dh = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(b, rows, h * dh)
+
+
+def _ar_softmax(s):
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def all_rows_forward(w, pet, xs, head):
+    """Logits (batch, classes) and the per-layer cache all_rows_backward reads."""
+    cfg, params, paradigm = w.cfg, pet.params, pet.paradigm
+    x_embed = xs @ w.embed
+    if paradigm == "prompt":
+        z = pm.apply_prompt(params["prompt"], x_embed)
+        prompt_rows = params["prompt"].shape[0]
+    else:
+        z = x_embed.copy()
+        prompt_rows = 0
+    layers = []
+    for li, lw in enumerate(w.layers):
+        a_in, xhat1, inv1 = _ar_layernorm(z, lw["ln1_g"], lw["ln1_b"])
+        q = a_in @ lw["w_q"]
+        k = a_in @ lw["w_k"]
+        v = a_in @ lw["w_v"]
+        y_q = y_v = None
+        if paradigm == "lora":
+            q, y_q = pm.apply_lora(params[f"lora_q_down.{li}"], params[f"lora_q_up.{li}"], a_in, q)
+            v, y_v = pm.apply_lora(params[f"lora_v_down.{li}"], params[f"lora_v_up.{li}"], a_in, v)
+        if paradigm == "prefix":
+            k, v = pm.apply_prefix(params[f"prefix_k.{li}"], params[f"prefix_v.{li}"], k, v)
+        kh, vh = _ar_split(k, cfg.heads), _ar_split(v, cfg.heads)
+        attn = _ar_softmax(_ar_split(q, cfg.heads) @ kh.swapaxes(-1, -2) / np.sqrt(cfg.head_dim))
+        z_mid = z + _ar_merge(attn @ vh) @ lw["w_o"]
+        m_in, xhat2, inv2 = _ar_layernorm(z_mid, lw["ln2_g"], lw["ln2_b"])
+        u = m_in @ lw["w_1"]
+        factor = pm.gelu_factor(u)
+        mlp = pm.gelu(u, factor) @ lw["w_2"]
+        y_a = adapter_factor = None
+        if paradigm == "adapter":
+            mlp, y_a, adapter_factor = pm.apply_adapter(params[f"adapter_down.{li}"], params[f"adapter_up.{li}"], m_in, mlp)
+        layers.append(dict(a_in=a_in, xhat1=xhat1, inv1=inv1, attn=attn, q=q, k=k, v=v, m_in=m_in,
+                           xhat2=xhat2, inv2=inv2, u=u, factor=factor, y_q=y_q, y_v=y_v, y_a=y_a,
+                           adapter_factor=adapter_factor))
+        z = z_mid + mlp
+    z_final, xhat_f, inv_f = _ar_layernorm(z, w.lnf_g, w.lnf_b)
+    pooled = z_final[:, prompt_rows:].mean(axis=1)
+    logits = np.matmul(pooled[:, None, :], head)[:, 0]
+    cache = dict(layers=layers, prompt_rows=prompt_rows, token_rows=xs.shape[1],
+                 xhat_f=xhat_f, inv_f=inv_f, pooled=pooled)
+    return logits, cache
+
+
+def all_rows_backward(cache, w, pet, dlogits, head):
+    """(pet_grads, head_grad) of the all-rows pass, summed over the batch."""
+    cfg, params, paradigm = w.cfg, pet.params, pet.paradigm
+    grads = {}
+    head_grad = (cache["pooled"][:, :, None] * dlogits[:, None, :]).sum(axis=0)
+    dpooled = np.matmul(head, dlogits[:, :, None])[..., 0]
+    prompt_rows, token_rows = cache["prompt_rows"], cache["token_rows"]
+    dz_final = np.zeros((dlogits.shape[0], prompt_rows + token_rows, cfg.dim))
+    dz_final[:, prompt_rows:] = dpooled[:, None, :] / token_rows
+    dz = _ar_layernorm_backward(dz_final, cache["xhat_f"], cache["inv_f"], w.lnf_g)
+    for li in reversed(range(cfg.depth)):
+        lw, t = w.layers[li], cache["layers"][li]
+        dm_in = np.zeros_like(t["m_in"])
+        if paradigm == "adapter":
+            w_dn, w_up = params[f"adapter_down.{li}"], params[f"adapter_up.{li}"]
+            g = pm.gelu_grad(t["y_a"] @ w_up, t["adapter_factor"]) * dz
+            grads[f"adapter_up.{li}"] = (t["y_a"].swapaxes(-1, -2) @ g).sum(axis=0)
+            dy_a = g @ w_up.T
+            grads[f"adapter_down.{li}"] = (t["m_in"].swapaxes(-1, -2) @ dy_a).sum(axis=0)
+            dm_in += dy_a @ w_dn.T
+        du = (dz @ lw["w_2"].T) * pm.gelu_grad(t["u"], t["factor"])
+        dm_in += du @ lw["w_1"].T
+        dz_mid = dz + _ar_layernorm_backward(dm_in, t["xhat2"], t["inv2"], lw["ln2_g"])
+        doh = _ar_split(dz_mid @ lw["w_o"].T, cfg.heads)
+        attn = t["attn"]
+        dattn = doh @ _ar_split(t["v"], cfg.heads).swapaxes(-1, -2)
+        dvh = attn.swapaxes(-1, -2) @ doh
+        dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
+        dscores /= np.sqrt(cfg.head_dim)
+        dq = _ar_merge(dscores @ _ar_split(t["k"], cfg.heads))
+        dk = _ar_merge(dscores.swapaxes(-1, -2) @ _ar_split(t["q"], cfg.heads))
+        dv = _ar_merge(dvh)
+        if paradigm == "prefix":
+            n_pref = params[f"prefix_k.{li}"].shape[0]
+            grads[f"prefix_k.{li}"] = dk[:, :n_pref].sum(axis=0)
+            grads[f"prefix_v.{li}"] = dv[:, :n_pref].sum(axis=0)
+            dk, dv = dk[:, n_pref:], dv[:, n_pref:]
+        da_in = dq @ lw["w_q"].T + dk @ lw["w_k"].T + dv @ lw["w_v"].T
+        if paradigm == "lora":
+            for slot, dslot in (("q", dq), ("v", dv)):
+                w_dn, w_up = params[f"lora_{slot}_down.{li}"], params[f"lora_{slot}_up.{li}"]
+                grads[f"lora_{slot}_up.{li}"] = (t[f"y_{slot}"].swapaxes(-1, -2) @ dslot).sum(axis=0)
+                dy = dslot @ w_up.T
+                grads[f"lora_{slot}_down.{li}"] = (t["a_in"].swapaxes(-1, -2) @ dy).sum(axis=0)
+                da_in += dy @ w_dn.T
+        dz = dz_mid + _ar_layernorm_backward(da_in, t["xhat1"], t["inv1"], lw["ln1_g"])
+    if paradigm == "prompt":
+        grads["prompt"] = dz[:, :prompt_rows].sum(axis=0)
+    return grads, head_grad
+
+
+@pytest.mark.parametrize("batch", [1, 6])
+@pytest.mark.parametrize("prompt_len", [0, 1, 8])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("paradigm", pm.PARADIGMS)
+def test_pass_matches_all_rows_reference_bit_for_bit(paradigm, depth, prompt_len, batch):
+    """Logits, every pet gradient and the head gradient equal the all-rows
+    pass's (`np.array_equal`, no tolerance)."""
+    cfg = bb.TransformerConfig(depth=depth, dim=16, heads=4, seq_len=3, num_classes=3,
+                               prompt_len=prompt_len, prefix_len=2, rank=3)
+    seed = 100 * depth + 10 * prompt_len + batch
+    w = bb.init_backbone(cfg, seed)
+    pet = pm.init_pet(cfg, paradigm, seed + 1)
+    rng = np.random.default_rng(seed + 2)
+    for name in sorted(pet.params):
+        pet.params[name] = rng.normal(0.0, 0.3, size=pet.params[name].shape)
+    xs = rng.normal(0.0, 1.0, size=(batch, cfg.seq_len, cfg.dim))
+    head = rng.normal(0.0, 0.5, size=w.classifier.shape)
+    dlogits = rng.normal(0.0, 1.0, size=(batch, cfg.num_classes))
+
+    logits, trace = bb.forward(w, pet, xs, head=head)
+    grads, head_grad = bb.backward(trace, w, pet, dlogits, head=head)
+    ref_logits, cache = all_rows_forward(w, pet, xs, head)
+    ref_grads, ref_head_grad = all_rows_backward(cache, w, pet, dlogits, head)
+
+    assert np.array_equal(logits, ref_logits)
+    assert np.array_equal(head_grad, ref_head_grad)
+    assert sorted(grads) == sorted(ref_grads)
+    for name in grads:
+        assert np.array_equal(grads[name], ref_grads[name]), name
+    trimmed = prompt_len if paradigm == "prompt" else 0
+    assert [t["query_from"] for t in trace.layers] == [0] * (depth - 1) + [trimmed]
+    assert trace.layers[-1]["a_in"].shape[1] == cfg.seq_len + trimmed
+    assert trace.layers[-1]["m_in"].shape[1] == cfg.seq_len
+
+
+@pytest.mark.parametrize("width", [7, 12, 32, 64])
+def test_rowmean_is_ndarray_mean_bit_for_bit(width):
+    rng = np.random.default_rng(width)
+    for shape in [(width,), (5, width), (6, 12, width), (2, 4, 3, width)]:
+        x = rng.normal(0.0, 1.0, size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+        assert np.array_equal(bb._rowmean(x), x.mean(axis=-1, keepdims=True))
+        strided = np.concatenate([x, x], axis=-1)[..., ::2]
+        assert np.array_equal(bb._rowmean(strided), strided.mean(axis=-1, keepdims=True))

@@ -361,3 +361,29 @@ def test_sample_features_counts_and_widths():
     with pytest.raises(ValueError):
         pj.sample_features(w, adapter, samples, ["mlp_in.9"])
     assert pj.sample_features(w, adapter, [], ["mlp_in.0"])["mlp_in.0"].shape == (0, CFG.dim)
+
+
+def test_trimmed_site_rows_are_refused_by_name():
+    """The last block of a prompt trace computes its query side only for
+    the token rows, so its mlp_in site has fewer rows per sample than a
+    buffer expects: reading it raises, naming the site."""
+    w = bb.init_backbone(CFG, 40)
+    xs = np.random.default_rng(41).normal(size=(3, CFG.seq_len, CFG.dim))
+    last = CFG.depth - 1
+    _, trace = bb.forward(w, pm.init_pet(CFG, "prompt", 42), xs)
+    all_rows = CFG.prompt_len + CFG.seq_len
+    assert trace.first_row(last, "m_in") == CFG.prompt_len
+    assert trace.first_row(last, "a_in") == 0
+    assert trace.first_row(0, "m_in") == 0
+    assert pj._site_rows(trace, "embed").shape == (3, CFG.seq_len, CFG.dim)
+    assert pj._site_rows(trace, f"attn_in.{last}").shape == (3, all_rows, CFG.dim)
+    assert pj._site_rows(trace, "mlp_in.0").shape == (3, all_rows, CFG.dim)
+    with pytest.raises(ValueError, match=f"'mlp_in.{last}' covers only rows {CFG.prompt_len}:"):
+        pj._site_rows(trace, f"mlp_in.{last}")
+    with pytest.raises(ValueError, match=f"mlp_in.{last}"):
+        pj.sample_features(w, pm.init_pet(CFG, "prompt", 42), xs, ["embed", f"mlp_in.{last}"])
+
+    no_prompt = bb.TransformerConfig(depth=CFG.depth, dim=CFG.dim, heads=CFG.heads, seq_len=CFG.seq_len,
+                                     num_classes=CFG.num_classes, prompt_len=0)
+    _, trace = bb.forward(w, pm.init_pet(no_prompt, "prompt", 43), xs)
+    assert pj._site_rows(trace, f"mlp_in.{last}").shape == (3, CFG.seq_len, CFG.dim)

@@ -235,6 +235,47 @@ def test_train_rows_override_and_empty_rejection():
         tr.train_task(w, pet, head, task, cfg, seen_classes=2, train_rows=empty)
 
 
+@pytest.mark.parametrize("k", [0, 2])
+def test_non_finite_loss_names_its_sample(k, monkeypatch):
+    """The per-batch finite check names the sample at the first non-finite
+    batch position, idx[k]; a finite epoch's mean loss is the in-order
+    Python-float sum of the per-sample losses over n."""
+    task = _stream()[0]
+    rows = (task.train_x[:10], task.train_y[:10])
+    cfg = tr.TrainConfig(epochs=1, batch_size=4, lr=0.01, optimizer="sgd", scenario="cil", seed=0)
+    order = np.random.default_rng(5).permutation(10)
+    seen_losses = []
+    ce = tr.masked_cross_entropy
+
+    def recording(logits, mask, labels):
+        losses, grad = ce(logits, mask, labels)
+        seen_losses.extend(losses.tolist())
+        return losses, grad
+
+    monkeypatch.setattr(tr, "masked_cross_entropy", recording)
+    w, pet, head = _fresh("prompt")
+    curve = tr.train_task(w, pet, head, task, cfg, seen_classes=2, train_rows=rows,
+                          shuffle_rng=np.random.default_rng(5))
+    total = 0.0
+    for loss in seen_losses:
+        total += loss
+    assert len(seen_losses) == 10 and curve == [total / 10]
+
+    def poisoned(logits, mask, labels):
+        losses, grad = ce(logits, mask, labels)
+        if len(labels) == 4 and poisoned.batches == 1:
+            losses[k:] = np.nan
+        poisoned.batches += 1
+        return losses, grad
+
+    poisoned.batches = 0
+    monkeypatch.setattr(tr, "masked_cross_entropy", poisoned)
+    w, pet, head = _fresh("prompt")
+    with pytest.raises(FloatingPointError, match=rf"task 0, epoch 0, sample {order[4 + k]}$"):
+        tr.train_task(w, pet, head, task, cfg, seen_classes=2, train_rows=rows,
+                      shuffle_rng=np.random.default_rng(5))
+
+
 # -- continual runs ----------------------------------------------------------
 
 def test_continual_run_is_deterministic():
