@@ -609,7 +609,7 @@ def all_rows_backward(cache, w, pet, dlogits, head):
 def test_pass_matches_all_rows_reference_bit_for_bit(paradigm, depth, prompt_len, batch):
     """Logits, every pet gradient and the head gradient equal the all-rows
     pass's (`np.array_equal`, no tolerance)."""
-    cfg = bb.TransformerConfig(depth=depth, dim=16, heads=4, seq_len=3, num_classes=3,
+    cfg = bb.TransformerConfig(depth=depth, dim=12, heads=4, seq_len=3, num_classes=3,
                                prompt_len=prompt_len, prefix_len=2, rank=3)
     seed = 100 * depth + 10 * prompt_len + batch
     w = bb.init_backbone(cfg, seed)

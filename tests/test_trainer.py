@@ -263,7 +263,7 @@ def test_non_finite_loss_names_its_sample(k, monkeypatch):
 
     def poisoned(logits, mask, labels):
         losses, grad = ce(logits, mask, labels)
-        if len(labels) == 4 and poisoned.batches == 1:
+        if poisoned.batches == 1:
             losses[k:] = np.nan
         poisoned.batches += 1
         return losses, grad
