@@ -32,7 +32,7 @@ added ahead of the first nonzero term and changed nothing; where it was
 added into a per-row term (dq @ W_q.T, the residual dz_mid), the term is
 now added into the token rows alone, with IEEE addition commutative.
 Every other block, and every block of a trace without prompt rows, runs
-all rows.
+all rows through the same code with the slices starting at row 0.
 """
 
 from dataclasses import dataclass, field
@@ -46,9 +46,6 @@ LN_EPS = 1e-8
 # whole test split holds every activation at once and raises peak memory,
 # while the results do not depend on the chunk size.
 CHUNK_ROWS = 16
-# Trace keys of a layer that hold only the rows its query side computed
-# (ActivationTrace.first_row).
-QUERY_SIDE = frozenset({"q", "attn", "m_in", "xhat2", "inv2", "u", "gelu_factor"})
 
 
 class StaleTraceError(RuntimeError):
@@ -160,10 +157,11 @@ class ActivationTrace:
     Each layer dict holds `query_from`, the first row its query side
     computed: 0, except in the last block of a trace with prompt rows,
     where it is `prompt_rows` (the pool reads only the token rows, see the
-    module docstring).  The arrays named in QUERY_SIDE cover rows
-    `query_from:` of the layer's sequence; every other array, and `a_in`,
-    `k` and `v` in particular, covers all rows.  `xhat_f` and `inv_f`
-    cover the token rows.
+    module docstring).  The arrays computed from the query side (`q`,
+    `attn`, `m_in`, `xhat2`, `inv2`, `u`, `gelu_factor`, and in an adapter
+    layer `y_a` and `adapter_factor`) cover rows `query_from:` of the
+    layer's sequence; `a_in`, `xhat1`, `inv1`, `k` and `v` cover all rows.
+    `xhat_f` and `inv_f` cover the token rows.
     """
 
     x_embed: np.ndarray
@@ -175,10 +173,6 @@ class ActivationTrace:
     logits: np.ndarray | None = None
     pet_ref: object = None
     pet_version: int = -1
-
-    def first_row(self, layer: int, key: str) -> int:
-        """The first row of layer `layer`'s sequence that array `key` covers."""
-        return self.layers[layer]["query_from"] if key in QUERY_SIDE else 0
 
 
 def _rowmean(x):
@@ -251,8 +245,7 @@ def forward(w: FrozenWeights, pet: pet_mod.PetState, x: np.ndarray, head: np.nda
     for li, lw in enumerate(w.layers):
         query_from = prompt_rows if li == last else 0
         a_in, xhat1, inv1 = _layernorm(z, lw["ln1_g"], lw["ln1_b"])
-        a_q, z_q = (a_in[:, query_from:], z[:, query_from:]) if query_from else (a_in, z)
-        q = a_q @ lw["w_q"]
+        q = a_in[:, query_from:] @ lw["w_q"]
         k = a_in @ lw["w_k"]
         v = a_in @ lw["w_v"]
         y_q = y_v = None
@@ -268,7 +261,7 @@ def forward(w: FrozenWeights, pet: pet_mod.PetState, x: np.ndarray, head: np.nda
         attn = _softmax_rows(qh @ kh.swapaxes(-1, -2) / np.sqrt(cfg.head_dim))
         o = _merge_heads(attn @ vh)
         attn_out = o @ lw["w_o"]
-        z_mid = z_q + attn_out
+        z_mid = z[:, query_from:] + attn_out
 
         m_in, xhat2, inv2 = _layernorm(z_mid, lw["ln2_g"], lw["ln2_b"])
         u = m_in @ lw["w_1"]
@@ -393,15 +386,13 @@ def backward(trace: ActivationTrace, w: FrozenWeights, pet: pet_mod.PetState, dl
             dk = dk[:, n_pref:]
             dv = dv[:, n_pref:]
 
-        if query_from:
-            # dq and dz_mid cover rows query_from: only; on the other rows
-            # they were exact zeros, so adding them into the covered rows
-            # alone, in either operand order, gives the same bits.
-            da_in = dk @ lw["w_k"].T
-            da_in[:, query_from:] += dq @ lw["w_q"].T
-            da_in += dv @ lw["w_v"].T
-        else:
-            da_in = dq @ lw["w_q"].T + dk @ lw["w_k"].T + dv @ lw["w_v"].T
+        # dq and dz_mid cover rows query_from: only; on the other rows they
+        # would be exact zeros, so adding them into the covered rows alone,
+        # with IEEE addition commutative, gives the bits of
+        # dq @ W_q.T + dk @ W_k.T + dv @ W_v.T and dz_mid + ln1 backward.
+        da_in = dk @ lw["w_k"].T
+        da_in[:, query_from:] += dq @ lw["w_q"].T
+        da_in += dv @ lw["w_v"].T
         if paradigm == "lora":
             for slot, dslot in (("q", dq), ("v", dv)):
                 w_dn = params[f"lora_{slot}_down.{li}"]
@@ -412,11 +403,8 @@ def backward(trace: ActivationTrace, w: FrozenWeights, pet: pet_mod.PetState, dl
                 grads[f"lora_{slot}_down.{li}"] = (t["a_in"].swapaxes(-1, -2) @ dy).sum(axis=0)
                 da_in += dy @ w_dn.T
 
-        if query_from:
-            dz = _layernorm_backward(da_in, t["xhat1"], t["inv1"], lw["ln1_g"])
-            dz[:, query_from:] += dz_mid
-        else:
-            dz = dz_mid + _layernorm_backward(da_in, t["xhat1"], t["inv1"], lw["ln1_g"])
+        dz = _layernorm_backward(da_in, t["xhat1"], t["inv1"], lw["ln1_g"])
+        dz[:, query_from:] += dz_mid
 
     if paradigm == "prompt":
         grads["prompt"] = dz[:, :trace.prompt_rows].sum(axis=0)

@@ -197,11 +197,10 @@ def _site_rows(trace: bb.ActivationTrace, site: str) -> np.ndarray:
     rows = trace.layers[layer][spec.trace_key]
     if rows is None:
         raise ValueError(f"site {site!r} is not active for paradigm of this trace")
-    first = trace.first_row(layer, spec.trace_key)
-    if first:
+    if rows.shape[-2] != trace.layers[layer]["a_in"].shape[-2]:
         raise ValueError(
-            f"site {site!r} covers only rows {first}: in this trace; the last block "
-            "computes its query side for the pooled rows alone"
+            f"site {site!r} covers only rows {trace.layers[layer]['query_from']}: in this "
+            "trace; the last block computes its query side for the pooled rows alone"
         )
     return rows
 

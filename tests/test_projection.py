@@ -372,9 +372,8 @@ def test_trimmed_site_rows_are_refused_by_name():
     last = CFG.depth - 1
     _, trace = bb.forward(w, pm.init_pet(CFG, "prompt", 42), xs)
     all_rows = CFG.prompt_len + CFG.seq_len
-    assert trace.first_row(last, "m_in") == CFG.prompt_len
-    assert trace.first_row(last, "a_in") == 0
-    assert trace.first_row(0, "m_in") == 0
+    assert trace.layers[last]["query_from"] == CFG.prompt_len
+    assert trace.layers[0]["query_from"] == 0
     assert pj._site_rows(trace, "embed").shape == (3, CFG.seq_len, CFG.dim)
     assert pj._site_rows(trace, f"attn_in.{last}").shape == (3, all_rows, CFG.dim)
     assert pj._site_rows(trace, "mlp_in.0").shape == (3, all_rows, CFG.dim)
