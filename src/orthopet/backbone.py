@@ -158,8 +158,8 @@ class ActivationTrace:
     computed: 0, except in the last block of a trace with prompt rows,
     where it is `prompt_rows` (the pool reads only the token rows, see the
     module docstring).  The arrays computed from the query side (`q`,
-    `attn`, `m_in`, `xhat2`, `inv2`, `u`, `gelu_factor`, and in an adapter
-    layer `y_a` and `adapter_factor`) cover rows `query_from:` of the
+    `attn`, `m_in`, `xhat2`, `inv2`, `u`, `gelu_factor`, and `y_a` and
+    `adapter_factor` where set) cover rows `query_from:` of the
     layer's sequence; `a_in`, `xhat1`, `inv1`, `k` and `v` cover all rows.
     `xhat_f` and `inv_f` cover the token rows.
     """
