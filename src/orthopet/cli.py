@@ -167,6 +167,11 @@ def _parse_sweep(text: str):
         raise ConfigError(f"--sweep: {exc}") from exc
     if len(values) < 2:
         raise ConfigError("--sweep: needs at least two values")
+    for value in values:
+        try:
+            pj.ProjectionConfig(**{key: value})
+        except ValueError as exc:
+            raise ConfigError(f"--sweep: {exc}") from exc
     return key, values
 
 

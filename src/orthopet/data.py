@@ -43,10 +43,12 @@ class ScenarioSpec:
             raise ValueError("samples_per_class must be >= 5 for an 80/20 split")
         if self.feature_dim < 1:
             raise ValueError("feature_dim must be >= 1")
-        if self.noise < 0.0:
-            raise ValueError("noise must be >= 0")
-        if self.separation <= 0.0:
-            raise ValueError("separation must be > 0")
+        if self.noise < 0.0 or not math.isfinite(self.noise):
+            raise ValueError(f"noise must be finite and >= 0, got {self.noise}")
+        if self.separation <= 0.0 or not math.isfinite(self.separation):
+            raise ValueError(f"separation must be finite and > 0, got {self.separation}")
+        if not math.isfinite(self.shift):
+            raise ValueError(f"shift must be finite, got {self.shift}")
 
     @property
     def total_classes(self) -> int:

@@ -5,8 +5,14 @@ same output bits, which is what makes run-level reproducibility checks
 byte-stable.  The SVD is a one-sided Jacobi, chosen over bidiagonalization
 schemes because at this scale it is simple, accurate, and has no
 implementation-defined branching.  Its pair loop keeps the arithmetic of
-the plain per-pair numpy loop and trims only interpreter work, so the
-bits match that loop, which `tests/test_linalg.py` keeps as the oracle.
+the plain per-pair numpy loop, which `tests/test_linalg.py` keeps as the
+bit oracle, and changes only where the numbers live: each column of b and
+of the accumulated rotation sits in one contiguous row of a column-blocked
+store, interleaved with padding, so a rotation streams through memory
+instead of touching one cache line per element.  The pair dot then reads
+its column at stride 2, and BLAS `ddot` sums every non-unit stride in the
+same order, so it returns the bits of a dot down a column of an (m, n)
+C-ordered matrix.
 """
 
 import math
@@ -71,33 +77,46 @@ def _jacobi_orthogonalize(b: np.ndarray) -> np.ndarray:
     Convergence: every pair satisfies |<bi,bj>| <= tol * |bi| * |bj|, or the
     sweep cap is hit.  Pair order is fixed, so the result is deterministic.
 
-    b and v are rotated as one stacked matrix [b; v], so each rotation is
-    six in-place ufunc calls on a column pair through two scratch vectors;
-    every element is still `c*x - s*y` and `s*x + c*y`.  The dot product
-    runs on the b rows of the stacked columns, which have b's own strides,
-    and the scalar work runs on Python floats (`math.sqrt` and
-    `math.copysign` are correctly rounded, like their numpy forms).  So
-    the output bits are those of the plain per-pair numpy loop.  Folding
-    the update into a 2x2 matmul, or dotting unit-stride rows, changes them.
+    b and v live in one store of shape (n, m + n, 2): column k of the
+    stacked matrix [b; v] is `store[k, :, 0]`, and the odd slots are
+    padding.  Each rotation is six in-place ufunc calls on the contiguous
+    padded rows `store.reshape(n, 2 * (m + n))[k]` through two scratch
+    vectors; every element is still `c*x - s*y` and `s*x + c*y`, and the
+    padding only ever holds signed zeros.  The pair dot runs on
+    `store[k, :m, 0]`, a stride-2 view.  OpenBLAS's strided `ddot` adds
+    the products in groups of four into two partial sums whatever the
+    stride; only its unit-stride kernel sums in another order.  So the
+    stride-2 dot gives the bits of the plain loop's stride-n column dot
+    (n >= 2 whenever a pair exists).  The scalar work
+    runs on Python floats (`math.sqrt` and `math.copysign` are correctly
+    rounded, like their numpy forms), and the squared norms are still
+    reduced along axis 0 of a C-ordered (m, n) product.  So the output
+    bits are those of the plain per-pair numpy loop.  Folding the update
+    into a 2x2 matmul, or dotting unit-stride rows, changes them.
     """
     m, n = b.shape
-    bv = np.vstack([b, np.eye(n)])
-    cols = [bv[:, k] for k in range(n)]
-    b_cols = [bv[:m, k] for k in range(n)]
-    sx = np.empty(m + n)
-    sy = np.empty(m + n)
+    store = np.zeros((n, m + n, 2))
+    b_t = store[:, :m, 0].T
+    b_t[...] = b
+    store[:, m:, 0] = np.eye(n)
+    cols = list(store.reshape(n, 2 * (m + n)))
+    b_cols = [store[k, :m, 0] for k in range(n)]
+    prod = np.empty((m, n))
+    sx = np.empty(2 * (m + n))
+    sy = np.empty(2 * (m + n))
     for _ in range(SVD_MAX_SWEEPS):
         # Re-sync cached squared norms each sweep to bound drift.
-        sq = np.sum(bv[:m] * bv[:m], axis=0).tolist()
+        sq = np.sum(np.multiply(b_t, b_t, out=prod), axis=0).tolist()
         rotated = False
         for i in range(n - 1):
             x = cols[i]
+            bi = b_cols[i]
             for j in range(i + 1, n):
                 alpha = sq[i]
                 beta = sq[j]
                 if alpha <= 0.0 or beta <= 0.0:
                     continue
-                gamma = float(b_cols[i] @ b_cols[j])
+                gamma = float(bi.dot(b_cols[j]))
                 if gamma == 0.0 or abs(gamma) <= SVD_SWEEP_TOL * math.sqrt(alpha * beta):
                     continue
                 rotated = True
@@ -124,8 +143,8 @@ def _jacobi_orthogonalize(b: np.ndarray) -> np.ndarray:
                 sq[j] = max(s * s * alpha + 2.0 * cs * gamma + c * c * beta, 0.0)
         if not rotated:
             break
-    b[...] = bv[:m]
-    return bv[m:].copy()
+    b[...] = b_t
+    return np.ascontiguousarray(store[:, m:, 0].T)
 
 
 def _complete_orthonormal(cols: np.ndarray, need: int) -> np.ndarray:

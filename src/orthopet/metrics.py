@@ -12,6 +12,7 @@ sits next to the machine file for humans.
 """
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,8 +41,7 @@ class AccuracyMatrix:
         self.values[model_row, task_col] = acc
 
     def is_complete(self) -> bool:
-        lower = np.tril_indices(self.tasks)
-        return bool(np.all(np.isfinite(self.values[lower])))
+        return all(math.isfinite(x) for j, row in enumerate(self.values.tolist()) for x in row[: j + 1])
 
     def to_lists(self) -> list[list[float]]:
         return [[float(self.values[j, i]) for i in range(j + 1)] for j in range(self.tasks)]

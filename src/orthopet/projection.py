@@ -42,8 +42,8 @@ class ProjectionConfig:
     sample_count: int = 32
 
     def __post_init__(self):
-        if self.epsilon < 0.0:
-            raise ValueError("epsilon must be >= 0")
+        if self.epsilon < 0.0 or not np.isfinite(self.epsilon):
+            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError("beta must lie in [0, 1]")
         if self.sample_count < 1:
