@@ -87,12 +87,12 @@ def _jacobi_orthogonalize(b: np.ndarray) -> np.ndarray:
     the products in groups of four into two partial sums whatever the
     stride; only its unit-stride kernel sums in another order.  So the
     stride-2 dot gives the bits of the plain loop's stride-n column dot
-    (n >= 2 whenever a pair exists).  The scalar work
-    runs on Python floats (`math.sqrt` and `math.copysign` are correctly
-    rounded, like their numpy forms), and the squared norms are still
-    reduced along axis 0 of a C-ordered (m, n) product.  So the output
-    bits are those of the plain per-pair numpy loop.  Folding the update
-    into a 2x2 matmul, or dotting unit-stride rows, changes them.
+    (n >= 2 whenever a pair exists).  The scalar work runs on Python
+    floats (`math.sqrt` and `math.copysign` are correctly rounded, like
+    their numpy forms), and the squared norms are still reduced along
+    axis 0 of a C-ordered (m, n) product.  So the output bits are those of
+    the plain per-pair numpy loop.  Folding the update into a 2x2 matmul,
+    dotting unit-stride rows or summing an F-ordered product changes them.
     """
     m, n = b.shape
     store = np.zeros((n, m + n, 2))
