@@ -111,6 +111,23 @@ def test_section_value_errors_become_config_errors(tmp_path):
         cli.load_config(_write(tmp_path, {**BASE, "paradigm": "soft"}))
 
 
+@pytest.mark.parametrize("key,value", [
+    ("data.noise", float("nan")),
+    ("data.separation", float("nan")),
+    ("data.shift", float("nan")),
+    ("projection.epsilon", float("nan")),
+    ("projection.epsilon", float("inf")),
+    ("train.lr", float("nan")),
+])
+def test_non_finite_float_values_exit_2(tmp_path, capsys, key, value):
+    """Python's json reads the NaN and Infinity literals; a config that
+    uses them is refused by name instead of running on a poisoned value."""
+    path = _write(tmp_path, _base(**{key: value}))
+    assert re.search(r"\b(NaN|Infinity)\b", Path(path).read_text())
+    assert cli.main(["train", "--config", path]) == 2
+    assert f"config error: {key.split('.')[1]} must be finite" in capsys.readouterr().err
+
+
 def test_top_level_seed_fields_are_validated(tmp_path):
     with pytest.raises(cli.ConfigError, match="data_seed"):
         cli.load_config(_write(tmp_path, {**BASE, "data_seed": -1}))
@@ -151,7 +168,8 @@ def test_config_hash_tracks_semantics_not_location(tmp_path):
 def test_parse_sweep():
     assert cli._parse_sweep("epsilon=0.1,0.2") == ("epsilon", [0.1, 0.2])
     assert cli._parse_sweep("beta=0.5,0.7,0.9") == ("beta", [0.5, 0.7, 0.9])
-    for bad in ("gamma=1,2", "epsilon=0.1", "epsilon=a,b", "epsilon", "=1,2"):
+    for bad in ("gamma=1,2", "epsilon=0.1", "epsilon=a,b", "epsilon", "=1,2",
+                "epsilon=nan,0.1", "epsilon=0.1,inf", "epsilon=-1,0.1", "beta=nan,0.5"):
         with pytest.raises(cli.ConfigError):
             cli._parse_sweep(bad)
 
@@ -205,6 +223,8 @@ def test_ablate_rejects_bad_sweep(tmp_path, capsys):
     path = _write(tmp_path, BASE)
     assert cli.main(["ablate", "--config", path, "--sweep", "gamma=1,2"]) == 2
     assert "config error" in capsys.readouterr().err
+    assert cli.main(["ablate", "--config", path, "--sweep", "epsilon=nan,0.1"]) == 2
+    assert "config error: --sweep: epsilon must be finite" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore::orthopet.projection.EmptyBasisWarning")
@@ -231,9 +251,19 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
         assert f"config error: {key}: unknown key" in capsys.readouterr().err
 
 
+# Reports and checkpoints carry these; validation must not move them.
+SHIPPED_CONFIG_HASHES = {
+    "ablation_lora.json": "4e5d429e06d7d923792c6e45ef427be7d85e2591901893290f6b6d209e6c1393",
+    "cil_prompt.json": "f3fcdbefcd0dad169cad0b9638adaed6f0a0722ca9d0ebcef4f9856238a382b8",
+    "oil_lora.json": "fcd5167f75e88421b5073c981288079b8958809404b00899d85caebf7de5b2a8",
+}
+
+
 @pytest.mark.parametrize("config", sorted(p.name for p in CONFIGS.glob("*.json")))
 def test_shipped_configs_load(config):
-    assert isinstance(cli.load_config(CONFIGS / config), cli.RunConfig)
+    cfg = cli.load_config(CONFIGS / config)
+    assert isinstance(cfg, cli.RunConfig)
+    assert cfg.config_hash() == SHIPPED_CONFIG_HASHES[config]
 
 
 def test_verify_exit_codes(monkeypatch, capsys):

@@ -1,10 +1,19 @@
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from orthopet import linalg
+from orthopet import checkpoint as ck
+from orthopet import cli, linalg
+from orthopet import projection as pj
+from orthopet import trainer as tr
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 # ---------------------------------------------------------------- oracles
@@ -160,22 +169,77 @@ def _jacobi_inputs():
     zero[:, [0, 5, 11]] = 0.0
     cases["zero_columns"] = zero
     cases["all_zero"] = np.zeros((9, 4))
+    # The strided `ddot` kernel takes four products a step and finishes the
+    # rest one by one: cover every row count mod 4, and fewer than four rows.
+    for m, n in ((2, 2), (3, 3), (5, 4), (6, 5), (11, 8), (13, 8), (17, 16)):
+        cases[f"rows_{m}x{n}"] = rng.normal(size=(m, n))
+    # Exact rank 8 of 16: it takes twelve sweeps, and in the last six
+    # nearly every rotation is between near-null columns, as in the rows a
+    # LoRA mid site collects.
+    cases["rank_deficient_128x16_r8"] = random_matrix(rng, 128, 16, rank=8)
     return cases
 
 
 JACOBI_INPUTS = _jacobi_inputs()
+REAL_INPUT = "oil_lora_attn_in.0_2_tasks"
 
 
-@pytest.mark.parametrize("name", sorted(JACOBI_INPUTS))
+def _oil_lora_rows(site, tasks):
+    """The feature rows `site` holds after `tasks` tasks of configs/oil_lora.json."""
+    cfg = cli.load_config(CONFIGS / "oil_lora.json")
+    cfg.spec = replace(cfg.spec, tasks=tasks)
+    with tempfile.TemporaryDirectory() as out:
+        tr.continual_run(cfg.stream(), cfg.model_cfg, cfg.paradigm, cfg.train_cfg, out_dir=out)
+        return ck.load_checkpoint(ck.task_path(out, tasks - 1))["buffers"][site].rows
+
+
+def _jacobi_input(name):
+    if name == REAL_INPUT:
+        return _oil_lora_rows("attn_in.0", 2)
+    return JACOBI_INPUTS[name]
+
+
+@pytest.mark.parametrize("name", [*sorted(JACOBI_INPUTS), REAL_INPUT])
 def test_jacobi_matches_reference_bit_for_bit(name):
     """The rotated columns and the accumulated rotation equal the plain
-    numpy loop's, bit for bit (`np.array_equal`, no tolerance)."""
-    a = JACOBI_INPUTS[name]
+    numpy loop's, bit for bit (`np.array_equal`, no tolerance); b is
+    rotated in the caller's array and v comes back C-ordered."""
+    a = _jacobi_input(name)
     b_ref, b_new = a.copy(), a.copy()
     v_ref = reference_jacobi(b_ref)
     v_new = linalg._jacobi_orthogonalize(b_new)
     assert np.array_equal(b_new, b_ref)
     assert np.array_equal(v_new, v_ref)
+    assert v_new.flags.c_contiguous
+
+
+def test_jacobi_rotates_the_callers_array():
+    """b is written back into the array passed in, whatever its layout."""
+    a = JACOBI_INPUTS["tall_50x10"]
+    b_ref = a.copy()
+    reference_jacobi(b_ref)
+    for b in (a.copy(order="C"), a.copy(order="F"), np.hstack([a, a])[:, :10]):
+        flags = (b.flags.c_contiguous, b.flags.f_contiguous)
+        linalg._jacobi_orthogonalize(b)
+        assert np.array_equal(b, b_ref)
+        assert (b.flags.c_contiguous, b.flags.f_contiguous) == flags
+
+
+def test_factor_layouts_are_pinned():
+    """Memory layout alone moves later last bits (the criterion-7 FOUND line
+    in CHANGES.md), so the layouts the SVD hands on are fixed here."""
+    rng = np.random.default_rng(9)
+    for a in (rng.normal(size=(40, 8)), rng.normal(size=(8, 40))):
+        res = linalg.svd(a)
+        assert res.u.flags.c_contiguous and res.vt.flags.c_contiguous
+    tall = random_matrix(rng, 40, 8, rank=5)
+    basis = pj.build_basis(tall, 1e-10, "probe").b
+    assert basis.shape == (8, 3)
+    assert basis.flags.f_contiguous and not basis.flags.c_contiguous
+    wide = rng.normal(size=(3, 8))
+    basis = pj.build_basis(wide, 1e-10, "probe").b
+    assert basis.shape == (8, 5)
+    assert basis.flags.c_contiguous and not basis.flags.f_contiguous
 
 
 @pytest.mark.parametrize("name", sorted(SHAPE_CLASSES))

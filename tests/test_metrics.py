@@ -93,6 +93,21 @@ def test_matrix_validation():
     assert not m.is_complete()
 
 
+def test_is_complete_reads_only_the_lower_triangle():
+    m = mt.AccuracyMatrix(tasks=3)
+    for j in range(3):
+        for i in range(j + 1):
+            m.set(j, i, 0.5)
+    assert m.is_complete()
+    for bad in (np.nan, np.inf):
+        m.values[2, 1] = bad
+        assert not m.is_complete()
+    m.values[2, 1] = 0.5
+    m.values[0, 2] = np.nan
+    m.values[1, 2] = np.inf
+    assert m.is_complete()
+
+
 def test_matrix_list_round_trip():
     rng = np.random.default_rng(1)
     m = random_matrix(rng, 4)
