@@ -1,12 +1,15 @@
 """Command-line front end: train, ablate, verify, report.
 
 Configs are JSON with explicit keys; unknown keys are hard errors so a
-typo cannot silently fall back to a default mid-experiment.  Every
+typo cannot silently fall back to a default mid-experiment, and each
+value must have the JSON type of its dataclass field.  Every
 artifact records the sha256 hash of the effective config (after flag
 overrides, output path excluded), and report files contain no
 timestamps or absolute paths, so the same config and seed reproduce a
 report byte for byte.  `train --resume` continues a stopped run from its
-last checkpoint and gives the same report bytes.
+last checkpoint and gives the same report bytes.  `ablate --sweep`
+takes a key of `eval.SWEEP_KEYS`: `epsilon` or `beta` with numbers, or
+`projection=on,off` to compare the two arms.
 
 Exit codes: 0 success, 1 runtime failure, 2 invalid config or usage.
 """
@@ -15,7 +18,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import data as dm
@@ -76,14 +79,25 @@ class RunConfig:
         return hashlib.sha256(canon.encode()).hexdigest()
 
 
+# A value must have exactly its field's type, so a bool is no int; float
+# fields also take ints, kept as ints so that config hashes do not move.
+_JSON_NAMES = {bool: "true or false", int: "an integer", float: "a number",
+               str: "a string", type(None): "null"}
+
+
 def _section(raw: dict, name: str, cls):
     body = raw.get(name, {})
     if not isinstance(body, dict):
         raise ConfigError(f"{name}: must be an object")
-    allowed = {f.name for f in fields(cls)} - (_TRAIN_SKIP if name == "train" else set())
-    for key in body:
-        if key not in allowed:
+    skip = _TRAIN_SKIP if name == "train" else set()
+    field_types = {f.name: f.type for f in fields(cls) if f.name not in skip}
+    for key, value in body.items():
+        if key not in field_types:
             raise ConfigError(f"{name}.{key}: unknown key")
+        wanted = getattr(field_types[key], "__args__", (field_types[key],))
+        if type(value) not in wanted + ((int,) if float in wanted else ()):
+            names = " or ".join(_JSON_NAMES[t] for t in wanted)
+            raise ConfigError(f"{name}.{key}: must be {names}, got {json.dumps(value)}")
     return dict(body)
 
 
@@ -142,16 +156,18 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
                 raise ConfigError(f"model.{size}: {paradigm} paradigm needs {size} >= 1")
 
     data_seed = raw.get("data_seed", 0)
-    if not isinstance(data_seed, int) or data_seed < 0:
+    if type(data_seed) is not int or data_seed < 0:
         raise ConfigError(f"data_seed: must be a non-negative integer, got {data_seed!r}")
     sweep_seeds = raw.get("sweep_seeds", [train_cfg.seed])
     if (
         not isinstance(sweep_seeds, list)
         or not sweep_seeds
-        or not all(isinstance(s, int) and s >= 0 for s in sweep_seeds)
+        or not all(type(s) is int and s >= 0 for s in sweep_seeds)
     ):
         raise ConfigError("sweep_seeds: must be a non-empty list of non-negative integers")
     out = overrides.get("out", raw.get("out", "runs/run"))
+    if type(out) is not str:
+        raise ConfigError(f"out: must be a string, got {json.dumps(out)}")
     return RunConfig(paradigm, model_cfg, spec, train_cfg, out, data_seed, sweep_seeds)
 
 
@@ -159,14 +175,19 @@ def _parse_sweep(text: str):
     key, sep, rest = text.partition("=")
     if not sep or not rest:
         raise ConfigError(f"--sweep: expected key=v1,v2,..., got {text!r}")
-    if key not in ("epsilon", "beta"):
-        raise ConfigError(f"--sweep: key must be 'epsilon' or 'beta', got {key!r}")
+    if key not in ev.SWEEP_KEYS:
+        raise ConfigError(f"--sweep: key must be one of {', '.join(ev.SWEEP_KEYS)}, got {key!r}")
+    items = rest.split(",")
+    if len(items) < 2:
+        raise ConfigError("--sweep: needs at least two values")
+    if key == "projection":
+        if not set(items) <= {"on", "off"}:
+            raise ConfigError(f"--sweep: projection values must be on or off, got {rest!r}")
+        return key, [item == "on" for item in items]
     try:
-        values = [float(v) for v in rest.split(",")]
+        values = [float(v) for v in items]
     except ValueError as exc:
         raise ConfigError(f"--sweep: {exc}") from exc
-    if len(values) < 2:
-        raise ConfigError("--sweep: needs at least two values")
     for value in values:
         try:
             pj.ProjectionConfig(**{key: value})
@@ -221,32 +242,24 @@ def cmd_train(cfg: RunConfig, resume: bool = False) -> int:
     return 0
 
 
-def cmd_ablate(cfg: RunConfig, sweep_key: str, sweep_values: list[float]) -> int:
+def cmd_ablate(cfg: RunConfig, sweep_key: str, sweep_values: list) -> int:
     config_hash = cfg.config_hash()
     rows = ev.ablation_sweep(
-        cfg.model_cfg, cfg.spec, cfg.paradigm, cfg.train_cfg,
-        sweep_key, sweep_values, cfg.sweep_seeds, data_seed=cfg.data_seed,
+        cfg.stream(), cfg.model_cfg, cfg.paradigm, cfg.train_cfg,
+        sweep_key, sweep_values, cfg.sweep_seeds,
     )
-    records = []
-    for row in rows:
-        records.append({
-            "config_hash": config_hash,
-            "paradigm": cfg.paradigm,
-            "scenario": cfg.spec.scenario,
-            "sweep": sweep_key,
-            "value": row[sweep_key],
-            "avg_acc": row["avg_acc"],
-            "forgetting": row["forgetting"],
-            "new_acc": row["new_acc"],
-            "basis_columns": row["basis_columns"],
-            "per_seed": row["per_seed"],
-        })
+    # A record is its sweep row, with the swept value under "value".
+    records = [{"config_hash": config_hash, "paradigm": cfg.paradigm,
+                "scenario": cfg.spec.scenario, "sweep": sweep_key,
+                "value": row.pop(sweep_key), **row} for row in rows]
     report = mt.emit_report(records, cfg.out / "ablation.jsonl")
     for rec in records:
+        value = rec["value"]
+        label = ("on" if value else "off") if isinstance(value, bool) else f"{value:g}"
         fgt_lo, fgt_hi = ev.seed_range(rec, "forgetting")
         new_lo, new_hi = ev.seed_range(rec, "new_acc")
         print(
-            f"{sweep_key}={rec['value']:g}: columns {rec['basis_columns']:.1f}, "
+            f"{sweep_key}={label}: columns {rec['basis_columns']:.1f}, "
             f"avg_acc {rec['avg_acc']:.4f}, "
             f"forgetting {rec['forgetting']:.4f} (seeds {fgt_lo:.4f}-{fgt_hi:.4f}), "
             f"new_acc {rec['new_acc']:.4f} (seeds {new_lo:.4f}-{new_hi:.4f})"
@@ -292,9 +305,10 @@ def _build_parser() -> argparse.ArgumentParser:
     add_run_flags(train)
     train.add_argument("--resume", action="store_true",
                        help="continue from the last checkpoint under <out>/checkpoints")
-    ablate = sub.add_parser("ablate", help="sweep a projection knob over seeds")
+    ablate = sub.add_parser("ablate", help="sweep a projection setting over seeds")
     add_run_flags(ablate)
-    ablate.add_argument("--sweep", required=True, help="epsilon=v1,v2,... or beta=v1,v2,...")
+    ablate.add_argument("--sweep", required=True,
+                        help="epsilon=v1,v2,..., beta=v1,v2,... or projection=on,off")
     sub.add_parser("verify", help="run the named property checks")
     report = sub.add_parser("report", help="print the summary of a report file")
     report.add_argument("path", help="report file written by train or ablate")
@@ -327,6 +341,9 @@ def main(argv=None) -> int:
         if args.command == "train":
             return cmd_train(cfg, args.resume)
         sweep_key, sweep_values = _parse_sweep(args.sweep)
+        if sweep_key == "projection" and args.projection is not None:
+            # The flag would be overridden, yet still move the config hash.
+            raise ConfigError("--projection: --sweep projection=... sets the arm of every run")
         return cmd_ablate(cfg, sweep_key, sweep_values)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1,8 +1,9 @@
 """Ablation sweeps and the runtime property-check suite.
 
-The sweep runner measures the stability-plasticity trade-off: one knob of
-the projection config is varied while the benchmark geometry stays fixed,
-so metric movement is attributable to the knob alone.
+`ablation_sweep`, the one seed grid of `orthopet ablate` and the
+acceptance gate, varies one setting (`SWEEP_KEYS`: epsilon, beta or the
+projection arm) over run seeds on a fixed stream, so metric movement is
+attributable to that setting alone.
 
 The property checks re-verify, on a built package at runtime, the
 invariants the test suite pins at development time: SVD reconstruction
@@ -34,28 +35,32 @@ def site_basis_total(basis_sizes_entry: dict) -> int:
     return sum(v for k, v in basis_sizes_entry.items() if k != "prompt")
 
 
-def ablation_sweep(model_cfg, spec, paradigm, base_cfg, key, values, seeds,
-                   data_seed=0) -> list[dict]:
-    """Sweep one projection knob over seeds; one summary row per value.
+SWEEP_KEYS = ("epsilon", "beta", "projection")
 
-    The tokenizer and task stream are fixed by ``data_seed`` so all runs
-    see the same benchmark; per-run seeds vary only initialization and
-    batch order.  Rows report seed-mean avg_acc / forgetting / new_acc
-    and the seed-mean raw basis column count after the final rebuild.
+
+def ablation_sweep(stream, model_cfg, paradigm, base_cfg, key, values, seeds) -> list[dict]:
+    """Sweep one setting over seeds on `stream`; one summary row per value.
+
+    `key` is one of `SWEEP_KEYS`: `epsilon` and `beta` replace that field
+    of `base_cfg.proj`, `projection` (True/False) replaces the arm.  Per-run
+    seeds vary only initialization and batch order.  Rows report seed-mean
+    avg_acc / forgetting / new_acc and the seed-mean raw basis column
+    count after the final rebuild, with the per-seed values under `per_seed`.
     """
-    if key not in ("epsilon", "beta"):
-        raise ValueError(f"sweep key must be 'epsilon' or 'beta', got {key!r}")
+    if key not in SWEEP_KEYS:
+        raise ValueError(f"sweep key must be one of {SWEEP_KEYS}, got {key!r}")
     if len(values) < 2:
         raise ValueError("sweep needs at least two values")
     if len(seeds) < 1:
         raise ValueError("sweep needs at least one seed")
-    tok = dm.make_tokenizer(spec.feature_dim, model_cfg.seq_len, model_cfg.dim, data_seed)
-    stream = dm.gen_stream(spec, tok, data_seed)
     rows = []
     for value in values:
         per_seed = []
         for seed in seeds:
-            cfg = replace(base_cfg, seed=seed, proj=replace(base_cfg.proj, **{key: value}))
+            if key == "projection":
+                cfg = replace(base_cfg, seed=seed, projection=value)
+            else:
+                cfg = replace(base_cfg, seed=seed, proj=replace(base_cfg.proj, **{key: value}))
             matrix, info = tr.continual_run(stream, model_cfg, paradigm, cfg)
             summary = mt.summarize(matrix)
             per_seed.append({

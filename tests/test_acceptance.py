@@ -17,17 +17,13 @@ same step.  Every paradigm's unprojected ratio must sit in 1.6-2.4.
 
 import json
 import time
-from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import orthopet.cli as cli
 import orthopet.eval as ev
-import orthopet.metrics as mt
 import orthopet.pet as pm
-import orthopet.trainer as tr
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::orthopet.projection.EmptyBasisWarning")
@@ -47,24 +43,21 @@ def _verdict(num, name, ok, detail) -> bool:
     return ok
 
 
-def _grid(run):
-    """ON/OFF seed grids on one config's benchmark; returns summaries and times."""
-    stream = run.stream()
-    summaries, times = {}, []
-    for arm in (True, False):
-        rows = []
-        for seed in SEEDS:
-            cfg = replace(run.train_cfg, seed=seed, projection=arm)
-            t0 = time.perf_counter()
-            matrix, _ = tr.continual_run(stream, run.model_cfg, run.paradigm, cfg)
-            times.append(time.perf_counter() - t0)
-            rows.append(mt.summarize(matrix))
-        summaries[arm] = rows
-    return summaries, max(times)
+def _sweep(run, key, values):
+    """`ev.ablation_sweep` over SEEDS on one config's benchmark."""
+    return ev.ablation_sweep(run.stream(), run.model_cfg, run.paradigm, run.train_cfg,
+                             key, values, SEEDS)
 
 
-def _mean(rows, key) -> float:
-    return float(np.mean([r[key] for r in rows]))
+def _seed_ranges(rows, key, sep) -> str:
+    """Each row's per-seed lowest-highest `key`, joined by `sep`."""
+    return sep.join("{:.4f}-{:.4f}".format(*ev.seed_range(r, key)) for r in rows)
+
+
+def _on_off(rows, key) -> str:
+    """Seed means of `key`, projection on vs off, with each arm's seed range."""
+    on, off = rows
+    return f"{on[key]:.4f} vs {off[key]:.4f} (seeds {_seed_ranges(rows, key, ' vs ')})"
 
 
 def test_criterion_1_svd_suite():
@@ -120,36 +113,32 @@ def test_criterion_4_step_size_scaling():
 
 
 def test_criterion_5_cil_forgetting_reduction():
-    summaries, max_run = _grid(_config("cil_prompt.json"))
-    fgt_on = _mean(summaries[True], "forgetting")
-    fgt_off = _mean(summaries[False], "forgetting")
-    acc_on = _mean(summaries[True], "avg_acc")
-    acc_off = _mean(summaries[False], "avg_acc")
-    reduction = 1.0 - fgt_on / fgt_off
-    ok = reduction >= 0.30 and acc_on >= acc_off - 0.01 and max_run < 600.0
+    t0 = time.perf_counter()
+    rows = _sweep(_config("cil_prompt.json"), "projection", [True, False])
+    elapsed = time.perf_counter() - t0
+    on, off = rows
+    reduction = 1.0 - on["forgetting"] / off["forgetting"]
+    ok = reduction >= 0.30 and on["avg_acc"] >= off["avg_acc"] - 0.01 and elapsed < 600.0
     assert _verdict(5, "cil forgetting reduction", ok, (
-        f"forgetting {fgt_on:.4f} vs {fgt_off:.4f} ({reduction:+.1%}), "
-        f"avg_acc {acc_on:.4f} vs {acc_off:.4f}, max run {max_run:.0f}s (budget 600s)"
+        f"forgetting {_on_off(rows, 'forgetting')}, reduction {reduction:+.1%}, "
+        f"avg_acc {_on_off(rows, 'avg_acc')}, grid {elapsed:.0f}s (budget 600s)"
     ))
 
 
 def test_criterion_6_oil_single_epoch():
     details, ok = [], True
     for paradigm in ("adapter", "lora"):
-        summaries, _ = _grid(_config("oil_lora.json", paradigm=paradigm))
-        fgt_on = _mean(summaries[True], "forgetting")
-        fgt_off = _mean(summaries[False], "forgetting")
-        ok = ok and fgt_on < fgt_off
-        details.append(f"{paradigm} {fgt_on:.4f} vs {fgt_off:.4f}")
+        rows = _sweep(_config("oil_lora.json", paradigm=paradigm), "projection", [True, False])
+        on, off = rows
+        ok = ok and on["forgetting"] < off["forgetting"]
+        details.append(f"{paradigm} forgetting {_on_off(rows, 'forgetting')}, "
+                       f"avg_acc {_on_off(rows, 'avg_acc')}")
     assert _verdict(6, "oil forgetting", ok,
-                    ", ".join(details) + " (projection on vs off, seed means)")
+                    "; ".join(details) + " (projection on vs off, seed means)")
 
 
 def test_criterion_7_basis_size_sweep():
-    run = _config("ablation_lora.json")
-    rows = ev.ablation_sweep(run.model_cfg, run.spec, run.paradigm, run.train_cfg,
-                             "epsilon", [0.6, 0.15, 1e-4], SEEDS,
-                             data_seed=run.data_seed)
+    rows = _sweep(_config("ablation_lora.json"), "epsilon", [0.6, 0.15, 1e-4])
     cols = [r["basis_columns"] for r in rows]
     fgt = [r["forgetting"] for r in rows]
     new = [r["new_acc"] for r in rows]
@@ -159,16 +148,12 @@ def test_criterion_7_basis_size_sweep():
     ties = sum(a == b for a, b in zip(fgt, fgt[1:]))
     ties += sum(a == b for a, b in zip(new, new[1:]))
     ok = shrinking and fgt_ok and new_ok and ties <= 1
-
-    def seed_ranges(key):
-        return "/".join("{:.4f}-{:.4f}".format(*ev.seed_range(r, key)) for r in rows)
-
     assert _verdict(7, "basis-size sweep", ok, (
         f"columns {cols[0]:.1f}/{cols[1]:.1f}/{cols[2]:.1f}, "
         f"forgetting {fgt[0]:.4f}/{fgt[1]:.4f}/{fgt[2]:.4f} "
-        f"(seeds {seed_ranges('forgetting')}), "
+        f"(seeds {_seed_ranges(rows, 'forgetting', '/')}), "
         f"new_acc {new[0]:.4f}/{new[1]:.4f}/{new[2]:.4f} "
-        f"(seeds {seed_ranges('new_acc')}), {ties} ties"
+        f"(seeds {_seed_ranges(rows, 'new_acc', '/')}), {ties} ties"
     ))
 
 

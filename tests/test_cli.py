@@ -2,6 +2,7 @@
 
 import json
 import re
+import shlex
 import shutil
 import warnings
 from dataclasses import fields
@@ -12,7 +13,8 @@ import pytest
 import orthopet.cli as cli
 from orthopet.projection import EmptyBasisWarning
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
 
 BASE = {
     "paradigm": "adapter",
@@ -48,7 +50,7 @@ def _base(**changes):
 
 def test_readme_config_block_names_every_enforced_key():
     """The README's config block lists exactly the keys load_config accepts."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     block = readme.split("### Config format", 1)[1].split("```", 2)[1]
     for section, cls in cli._SECTIONS.items():
         listed = re.search(rf'"{section}":\s*\{{([^}}]*)\}}', block)
@@ -128,14 +130,51 @@ def test_non_finite_float_values_exit_2(tmp_path, capsys, key, value):
     assert f"config error: {key.split('.')[1]} must be finite" in capsys.readouterr().err
 
 
+WRONG_TYPES = [
+    ("train.projection", "off", 'train.projection: must be true or false, got "off"'),
+    ("train.batch_size", True, "train.batch_size: must be an integer, got true"),
+    ("model.mlp_ratio", float("inf"), "mlp_ratio must be finite"),
+    ("model.dim", 32.0, "model.dim: must be an integer, got 32.0"),
+    ("projection.sample_count", 2.5, "projection.sample_count: must be an integer, got 2.5"),
+    ("train.seed", 0.5, "train.seed: must be an integer, got 0.5"),
+    ("data.tasks", "2", 'data.tasks: must be an integer, got "2"'),
+]
+
+
+@pytest.mark.parametrize("key,value,message", WRONG_TYPES, ids=[k for k, _, _ in WRONG_TYPES])
+def test_values_of_the_wrong_json_type_exit_2(tmp_path, capsys, key, value, message):
+    """Each value must have the JSON type of its dataclass field; none is
+    coerced, so a string "off" cannot run a projected stream."""
+    path = _write(tmp_path, _base(**{key: value}))
+    assert cli.main(["train", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_type_check_keeps_json_numbers_and_null(tmp_path):
+    """Float fields take JSON integers unconverted, so the config hash
+    sees the file's own value; backbone_seed may be null."""
+    cfg = cli.load_config(_write(tmp_path, _base(**{"model.mlp_ratio": 2, "data.noise": 0,
+                                                    "train.backbone_seed": None})))
+    assert type(cfg.model_cfg.mlp_ratio) is int and type(cfg.spec.noise) is int
+    assert cfg.train_cfg.backbone_seed is None
+    assert cfg.effective()["model"]["mlp_ratio"] == 2
+
+
 def test_top_level_seed_fields_are_validated(tmp_path):
-    with pytest.raises(cli.ConfigError, match="data_seed"):
-        cli.load_config(_write(tmp_path, {**BASE, "data_seed": -1}))
-    with pytest.raises(cli.ConfigError, match="data_seed"):
-        cli.load_config(_write(tmp_path, {**BASE, "data_seed": "zero"}))
-    for bad in ([], [0, -1], "0,1"):
+    for bad in (-1, "zero", True, 0.0):
+        with pytest.raises(cli.ConfigError, match="data_seed"):
+            cli.load_config(_write(tmp_path, {**BASE, "data_seed": bad}))
+    for bad in ([], [0, -1], "0,1", [0, True], [False], [1.0]):
         with pytest.raises(cli.ConfigError, match="sweep_seeds"):
             cli.load_config(_write(tmp_path, {**BASE, "sweep_seeds": bad}))
+
+
+def test_out_must_be_a_string(tmp_path, capsys):
+    for bad in (5, None, ["runs"]):
+        path = _write(tmp_path, {**BASE, "out": bad})
+        assert cli.main(["train", "--config", path]) == 2
+        assert "config error: out: must be a string" in capsys.readouterr().err
 
 
 def test_flag_overrides(tmp_path):
@@ -168,10 +207,14 @@ def test_config_hash_tracks_semantics_not_location(tmp_path):
 def test_parse_sweep():
     assert cli._parse_sweep("epsilon=0.1,0.2") == ("epsilon", [0.1, 0.2])
     assert cli._parse_sweep("beta=0.5,0.7,0.9") == ("beta", [0.5, 0.7, 0.9])
+    assert cli._parse_sweep("projection=on,off") == ("projection", [True, False])
     for bad in ("gamma=1,2", "epsilon=0.1", "epsilon=a,b", "epsilon", "=1,2",
-                "epsilon=nan,0.1", "epsilon=0.1,inf", "epsilon=-1,0.1", "beta=nan,0.5"):
+                "epsilon=nan,0.1", "epsilon=0.1,inf", "epsilon=-1,0.1", "beta=nan,0.5",
+                "projection=on,maybe", "projection=on", "projection=1,0"):
         with pytest.raises(cli.ConfigError):
             cli._parse_sweep(bad)
+    with pytest.raises(cli.ConfigError, match="epsilon, beta, projection"):
+        cli._parse_sweep("gamma=1,2")
 
 
 # -- commands end to end ------------------------------------------------------
@@ -219,10 +262,31 @@ def test_ablate_writes_one_record_per_value(tmp_path, capsys):
     assert f"(seeds {seed['new_acc']:.4f}-{seed['new_acc']:.4f})" in shown
 
 
+@pytest.mark.filterwarnings("ignore::orthopet.projection.EmptyBasisWarning")
+def test_ablate_sweeps_the_projection_arm(tmp_path, capsys):
+    path = _write(tmp_path, _base(**{"data.scenario": "oil"}))
+    out = tmp_path / "out"
+    rc = cli.main(["ablate", "--config", path, "--out", str(out),
+                   "--sweep", "projection=on,off"])
+    assert rc == 0
+    text = (out / "ablation.jsonl").read_text()
+    records = [json.loads(line) for line in text.splitlines()]
+    assert [r["record"] for r in records] == ["run", "run", "summary"]
+    assert [r["value"] for r in records[:2]] == [True, False]
+    assert all(r["sweep"] == "projection" for r in records[:2])
+    assert '"value": true' in text and '"value": false' in text
+    shown = capsys.readouterr().out
+    assert "projection=on: columns" in shown and "projection=off: columns" in shown
+
+
 def test_ablate_rejects_bad_sweep(tmp_path, capsys):
     path = _write(tmp_path, BASE)
-    assert cli.main(["ablate", "--config", path, "--sweep", "gamma=1,2"]) == 2
-    assert "config error" in capsys.readouterr().err
+    for bad in ("gamma=1,2", "projection=on,maybe", "projection=on", "projection=1,0"):
+        assert cli.main(["ablate", "--config", path, "--sweep", bad]) == 2
+        assert "config error: --sweep" in capsys.readouterr().err
+    assert cli.main(["ablate", "--config", path, "--projection", "off",
+                     "--sweep", "projection=on,off"]) == 2
+    assert "config error: --projection" in capsys.readouterr().err
     assert cli.main(["ablate", "--config", path, "--sweep", "epsilon=nan,0.1"]) == 2
     assert "config error: --sweep: epsilon must be finite" in capsys.readouterr().err
 
@@ -279,6 +343,22 @@ def test_verify_exit_codes(monkeypatch, capsys):
     shown = capsys.readouterr().out
     assert "FAIL metrics: off by 1" in shown
     assert "1 properties failed: metrics" in shown
+
+
+def test_readme_commands_parse():
+    """Every `orthopet ...` line in a README code block parses, its
+    `--sweep` is valid and the configs it names exist."""
+    readme = (ROOT / "README.md").read_text()
+    blocks = readme.split("```")[1::2]
+    lines = [line.strip() for block in blocks for line in block.splitlines()
+             if line.strip().startswith("orthopet ")]
+    assert any("--sweep projection=on,off" in line for line in lines)
+    for line in lines:
+        args = cli._build_parser().parse_args(shlex.split(line)[1:])
+        if getattr(args, "sweep", None) is not None:
+            cli._parse_sweep(args.sweep)
+        for name in re.findall(r"configs/\S+\.json", line):
+            assert (ROOT / name).is_file(), line
 
 
 def test_argparse_rejects_missing_config():

@@ -1,11 +1,15 @@
 """Sweep runner contract and the runtime property-check suite."""
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import orthopet.backbone as bb
 import orthopet.data as dm
 import orthopet.eval as ev
+import orthopet.metrics as mt
 import orthopet.pet as pm
 import orthopet.projection as pj
 import orthopet.trainer as tr
@@ -18,22 +22,23 @@ DATA = dm.ScenarioSpec(scenario="oil", tasks=2, classes_per_task=2,
 CFG = tr.TrainConfig(epochs=1, batch_size=8, lr=0.05, optimizer="adam",
                      scenario="oil", seed=0, backbone_seed=0,
                      proj=pj.ProjectionConfig(sample_count=8))
+STREAM = dm.gen_stream(DATA, dm.make_tokenizer(DATA.feature_dim, MODEL.seq_len, MODEL.dim, 0), 0)
 
 
 # -- ablation sweeps ---------------------------------------------------------
 
 def test_sweep_rejects_bad_arguments():
-    with pytest.raises(ValueError, match="sweep key"):
-        ev.ablation_sweep(MODEL, DATA, "adapter", CFG, "gamma", [0.1, 0.2], [0])
+    with pytest.raises(ValueError, match=re.escape(f"one of {ev.SWEEP_KEYS}")):
+        ev.ablation_sweep(STREAM, MODEL, "adapter", CFG, "gamma", [0.1, 0.2], [0])
     with pytest.raises(ValueError, match="two values"):
-        ev.ablation_sweep(MODEL, DATA, "adapter", CFG, "epsilon", [0.1], [0])
+        ev.ablation_sweep(STREAM, MODEL, "adapter", CFG, "epsilon", [0.1], [0])
     with pytest.raises(ValueError, match="one seed"):
-        ev.ablation_sweep(MODEL, DATA, "adapter", CFG, "epsilon", [0.1, 0.2], [])
+        ev.ablation_sweep(STREAM, MODEL, "adapter", CFG, "epsilon", [0.1, 0.2], [])
 
 
 @pytest.mark.filterwarnings("ignore::orthopet.projection.EmptyBasisWarning")
 def test_sweep_identical_values_give_identical_rows():
-    rows = ev.ablation_sweep(MODEL, DATA, "adapter", CFG, "epsilon",
+    rows = ev.ablation_sweep(STREAM, MODEL, "adapter", CFG, "epsilon",
                              [0.25, 0.25], [0, 1])
     a, b = rows
     assert a == b
@@ -41,7 +46,7 @@ def test_sweep_identical_values_give_identical_rows():
 
 @pytest.mark.filterwarnings("ignore::orthopet.projection.EmptyBasisWarning")
 def test_sweep_epsilon_widens_basis():
-    rows = ev.ablation_sweep(MODEL, DATA, "adapter", CFG, "epsilon",
+    rows = ev.ablation_sweep(STREAM, MODEL, "adapter", CFG, "epsilon",
                              [1e-4, 0.9], [0])
     assert rows[0]["epsilon"] == 1e-4 and rows[1]["epsilon"] == 0.9
     assert rows[0]["basis_columns"] <= rows[1]["basis_columns"]
@@ -53,9 +58,27 @@ def test_sweep_epsilon_widens_basis():
 
 @pytest.mark.filterwarnings("ignore::orthopet.projection.EmptyBasisWarning")
 def test_sweep_is_deterministic():
-    first = ev.ablation_sweep(MODEL, DATA, "lora", CFG, "beta", [0.3, 0.9], [0])
-    second = ev.ablation_sweep(MODEL, DATA, "lora", CFG, "beta", [0.3, 0.9], [0])
+    first = ev.ablation_sweep(STREAM, MODEL, "lora", CFG, "beta", [0.3, 0.9], [0])
+    second = ev.ablation_sweep(STREAM, MODEL, "lora", CFG, "beta", [0.3, 0.9], [0])
     assert first == second
+
+
+@pytest.mark.filterwarnings("ignore::orthopet.projection.EmptyBasisWarning")
+def test_projection_sweep_equals_direct_runs():
+    """Each arm's per-seed summaries are those of direct continual runs."""
+    rows = ev.ablation_sweep(STREAM, MODEL, "adapter", CFG, "projection", [True, False], [0, 1])
+    assert [row["projection"] for row in rows] == [True, False]
+    for row in rows:
+        direct = []
+        for seed in (0, 1):
+            cfg = replace(CFG, seed=seed, projection=row["projection"])
+            matrix, info = tr.continual_run(STREAM, MODEL, "adapter", cfg)
+            summary = mt.summarize(matrix)
+            direct.append({"seed": seed, "avg_acc": summary["avg_acc"],
+                           "forgetting": summary["forgetting"], "new_acc": summary["new_acc"],
+                           "basis_columns": ev.site_basis_total(info["basis_sizes"][-1])})
+        assert row["per_seed"] == direct
+    assert rows[0]["per_seed"] != rows[1]["per_seed"]
 
 
 def test_site_basis_total_excludes_merged_prompt_key():
