@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from orthopet import backbone as bb
 from orthopet import data as dm
@@ -474,8 +475,11 @@ def test_update_buffers_reads_every_site_from_one_forward(monkeypatch):
 # The forward and backward pass as they were before the last block learned
 # to compute its query side only for the rows the pool reads: every block
 # runs every row, and the pool drops the prompt rows at the end.  Frozen
-# here, with its own layernorm and softmax on `ndarray.mean`/`sum`, as the
-# reference the trimmed pass must equal bit for bit.
+# here, with its own layernorm and softmax on `ndarray.mean`/`sum`, its own
+# GELU and its own prepend and bypass arithmetic, as the reference the
+# trimmed pass must equal bit for bit.  Nothing in it calls into `pet`
+# beyond the parameter dict, so it does not move when the code under test
+# does.
 
 
 def _ar_layernorm(x, g, b):
@@ -507,16 +511,46 @@ def _ar_softmax(s):
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _ar_gelu_factor(x):
+    return 1.0 + erf(x / np.sqrt(2.0))
+
+
+def _ar_gelu_grad(x, factor):
+    return 0.5 * factor + x * np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+
+
+def _ar_prepend(p, x):
+    return np.concatenate([np.broadcast_to(p, x.shape[:-2] + p.shape), x], axis=-2)
+
+
+def _ar_bypass(w_dn, w_up, x, base, gelu):
+    """base + [gelu](x @ w_dn @ w_up), y = x @ w_dn and the GELU factor."""
+    y = x @ w_dn
+    pre = y @ w_up
+    if not gelu:
+        return base + pre, y, None
+    factor = _ar_gelu_factor(pre)
+    return base + 0.5 * pre * factor, y, factor
+
+
+def _ar_bypass_backward(w_dn, w_up, x, y, d, factor):
+    """(down gradient, up gradient, gradient into x) of one bypass."""
+    if factor is not None:
+        d = _ar_gelu_grad(y @ w_up, factor) * d
+    g_up = (y.swapaxes(-1, -2) @ d).sum(axis=0)
+    dy = d @ w_up.T
+    return (x.swapaxes(-1, -2) @ dy).sum(axis=0), g_up, dy @ w_dn.T
+
+
 def all_rows_forward(w, pet, xs, head):
     """Logits (batch, classes) and the per-layer cache all_rows_backward reads."""
     cfg, params, paradigm = w.cfg, pet.params, pet.paradigm
     x_embed = xs @ w.embed
+    z = x_embed
+    prompt_rows = 0
     if paradigm == "prompt":
-        z = pm.apply_prompt(params["prompt"], x_embed)
+        z = _ar_prepend(params["prompt"], x_embed)
         prompt_rows = params["prompt"].shape[0]
-    else:
-        z = x_embed.copy()
-        prompt_rows = 0
     layers = []
     for li, lw in enumerate(w.layers):
         a_in, xhat1, inv1 = _ar_layernorm(z, lw["ln1_g"], lw["ln1_b"])
@@ -525,20 +559,21 @@ def all_rows_forward(w, pet, xs, head):
         v = a_in @ lw["w_v"]
         y_q = y_v = None
         if paradigm == "lora":
-            q, y_q = pm.apply_lora(params[f"lora_q_down.{li}"], params[f"lora_q_up.{li}"], a_in, q)
-            v, y_v = pm.apply_lora(params[f"lora_v_down.{li}"], params[f"lora_v_up.{li}"], a_in, v)
+            q, y_q, _ = _ar_bypass(params[f"lora_q_down.{li}"], params[f"lora_q_up.{li}"], a_in, q, False)
+            v, y_v, _ = _ar_bypass(params[f"lora_v_down.{li}"], params[f"lora_v_up.{li}"], a_in, v, False)
         if paradigm == "prefix":
-            k, v = pm.apply_prefix(params[f"prefix_k.{li}"], params[f"prefix_v.{li}"], k, v)
+            k = _ar_prepend(params[f"prefix_k.{li}"], k)
+            v = _ar_prepend(params[f"prefix_v.{li}"], v)
         kh, vh = _ar_split(k, cfg.heads), _ar_split(v, cfg.heads)
         attn = _ar_softmax(_ar_split(q, cfg.heads) @ kh.swapaxes(-1, -2) / np.sqrt(cfg.head_dim))
         z_mid = z + _ar_merge(attn @ vh) @ lw["w_o"]
         m_in, xhat2, inv2 = _ar_layernorm(z_mid, lw["ln2_g"], lw["ln2_b"])
         u = m_in @ lw["w_1"]
-        factor = pm.gelu_factor(u)
-        mlp = pm.gelu(u, factor) @ lw["w_2"]
+        factor = _ar_gelu_factor(u)
+        mlp = (0.5 * u * factor) @ lw["w_2"]
         y_a = adapter_factor = None
         if paradigm == "adapter":
-            mlp, y_a, adapter_factor = pm.apply_adapter(params[f"adapter_down.{li}"], params[f"adapter_up.{li}"], m_in, mlp)
+            mlp, y_a, adapter_factor = _ar_bypass(params[f"adapter_down.{li}"], params[f"adapter_up.{li}"], m_in, mlp, True)
         layers.append(dict(a_in=a_in, xhat1=xhat1, inv1=inv1, attn=attn, q=q, k=k, v=v, m_in=m_in,
                            xhat2=xhat2, inv2=inv2, u=u, factor=factor, y_q=y_q, y_v=y_v, y_a=y_a,
                            adapter_factor=adapter_factor))
@@ -565,13 +600,11 @@ def all_rows_backward(cache, w, pet, dlogits, head):
         lw, t = w.layers[li], cache["layers"][li]
         dm_in = np.zeros_like(t["m_in"])
         if paradigm == "adapter":
-            w_dn, w_up = params[f"adapter_down.{li}"], params[f"adapter_up.{li}"]
-            g = pm.gelu_grad(t["y_a"] @ w_up, t["adapter_factor"]) * dz
-            grads[f"adapter_up.{li}"] = (t["y_a"].swapaxes(-1, -2) @ g).sum(axis=0)
-            dy_a = g @ w_up.T
-            grads[f"adapter_down.{li}"] = (t["m_in"].swapaxes(-1, -2) @ dy_a).sum(axis=0)
-            dm_in += dy_a @ w_dn.T
-        du = (dz @ lw["w_2"].T) * pm.gelu_grad(t["u"], t["factor"])
+            dn, up = f"adapter_down.{li}", f"adapter_up.{li}"
+            grads[dn], grads[up], dx = _ar_bypass_backward(params[dn], params[up], t["m_in"], t["y_a"], dz,
+                                                           t["adapter_factor"])
+            dm_in += dx
+        du = (dz @ lw["w_2"].T) * _ar_gelu_grad(t["u"], t["factor"])
         dm_in += du @ lw["w_1"].T
         dz_mid = dz + _ar_layernorm_backward(dm_in, t["xhat2"], t["inv2"], lw["ln2_g"])
         doh = _ar_split(dz_mid @ lw["w_o"].T, cfg.heads)
@@ -591,11 +624,10 @@ def all_rows_backward(cache, w, pet, dlogits, head):
         da_in = dq @ lw["w_q"].T + dk @ lw["w_k"].T + dv @ lw["w_v"].T
         if paradigm == "lora":
             for slot, dslot in (("q", dq), ("v", dv)):
-                w_dn, w_up = params[f"lora_{slot}_down.{li}"], params[f"lora_{slot}_up.{li}"]
-                grads[f"lora_{slot}_up.{li}"] = (t[f"y_{slot}"].swapaxes(-1, -2) @ dslot).sum(axis=0)
-                dy = dslot @ w_up.T
-                grads[f"lora_{slot}_down.{li}"] = (t["a_in"].swapaxes(-1, -2) @ dy).sum(axis=0)
-                da_in += dy @ w_dn.T
+                dn, up = f"lora_{slot}_down.{li}", f"lora_{slot}_up.{li}"
+                grads[dn], grads[up], dx = _ar_bypass_backward(params[dn], params[up], t["a_in"], t[f"y_{slot}"],
+                                                               dslot, None)
+                da_in += dx
         dz = dz_mid + _ar_layernorm_backward(da_in, t["xhat1"], t["inv1"], lw["ln1_g"])
     if paradigm == "prompt":
         grads["prompt"] = dz[:, :prompt_rows].sum(axis=0)
