@@ -2,9 +2,10 @@
 
 The backbone never trains: every weight draw is seeded and the arrays are
 marked read-only.  Only the paradigm tensors (see `pet`) and the classifier
-head receive gradients.  The forward pass records an ActivationTrace with
-every insertion-site input, both for backprop and for the projection
-module's feature buffers.
+head receive gradients, through `pet`'s hooks at five points: the token
+input and each block's Q, K, V and MLP output.  The forward pass records
+an ActivationTrace with every insertion-site input, both for backprop and
+for the projection module's feature buffers.
 
 Layout conventions: tokens are rows and samples stack on a leading batch
 axis, so x is (batch, seq_len, dim) and all linear maps multiply on the
@@ -35,7 +36,7 @@ Every other block, and every block of a trace without prompt rows, runs
 all rows through the same code with the slices starting at row 0.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -158,23 +159,24 @@ class ActivationTrace:
     Every array keeps the leading batch axis, also for a single sample.
     Each layer dict holds `query_from`, the first row its query side
     computed: 0, except in the last block of a trace with prompt rows,
-    where it is `prompt_rows` (the pool reads only the token rows, see the
-    module docstring).  The arrays computed from the query side (`q`,
-    `attn`, `m_in`, `xhat2`, `inv2`, `u`, `gelu_factor`, and `y_a` and
-    `adapter_factor` where set) cover rows `query_from:` of the
-    layer's sequence; `a_in`, `xhat1`, `inv1`, `k` and `v` cover all rows.
-    `xhat_f` and `inv_f` cover the token rows.
+    where it is the number of prompt rows (the pool reads only the token
+    rows, see the module docstring).  A bypass adds its entries under the
+    keys its `pet.Insertion` names (y, and the GELU factor of a GELU
+    bypass).  The arrays computed from the query side (`q`, `attn`, `m_in`, `xhat2`,
+    `inv2`, `u`, `gelu_factor`, and the entries of a bypass at `q` or
+    `mlp`) cover rows `query_from:` of the layer's sequence; `a_in`,
+    `xhat1`, `inv1`, `k`, `v` and the entries of a bypass at `v` cover all
+    rows.  `xhat_f` and `inv_f` cover the token rows.
     """
 
     x_embed: np.ndarray
-    prompt_rows: int
-    layers: list[dict] = field(default_factory=list)
-    xhat_f: np.ndarray | None = None
-    inv_f: np.ndarray | None = None
-    pooled: np.ndarray | None = None
-    logits: np.ndarray | None = None
-    pet_ref: object = None
-    pet_version: int = -1
+    layers: list[dict]
+    xhat_f: np.ndarray
+    inv_f: np.ndarray
+    pooled: np.ndarray
+    logits: np.ndarray
+    pet_ref: object
+    pet_version: int
 
 
 def _rowmean(x):
@@ -227,76 +229,35 @@ def forward(w: FrozenWeights, pet: pet_mod.PetState, x: np.ndarray, head: np.nda
     single = x.ndim == 2
     if single:
         x = x[None]
-    paradigm = pet.paradigm
-    params = pet.params
     head = w.classifier if head is None else head
 
     x_embed = x @ w.embed
-    if paradigm == "prompt":
-        z = pet_mod.apply_prompt(params["prompt"], x_embed)
-        prompt_rows = params["prompt"].shape[0]
-    else:
-        z = x_embed.copy()
-        prompt_rows = 0
+    z = pet_mod.insert(pet, "tokens", None, x_embed)
+    prompt_rows = z.shape[1] - x_embed.shape[1]
 
-    trace = None
-    if need_trace:
-        trace = ActivationTrace(x_embed=x_embed, prompt_rows=prompt_rows, pet_ref=pet, pet_version=pet.version)
-
+    layers = []
     last = len(w.layers) - 1
     for li, lw in enumerate(w.layers):
+        rec = {} if need_trace else None
         query_from = prompt_rows if li == last else 0
         a_in, xhat1, inv1 = _layernorm(z, lw["ln1_g"], lw["ln1_b"])
-        q = a_in[:, query_from:] @ lw["w_q"]
-        k = a_in @ lw["w_k"]
-        v = a_in @ lw["w_v"]
-        y_q = y_v = None
-        if paradigm == "lora":
-            q, y_q = pet_mod.apply_lora(params[f"lora_q_down.{li}"], params[f"lora_q_up.{li}"], a_in, q)
-            v, y_v = pet_mod.apply_lora(params[f"lora_v_down.{li}"], params[f"lora_v_up.{li}"], a_in, v)
-        if paradigm == "prefix":
-            k, v = pet_mod.apply_prefix(params[f"prefix_k.{li}"], params[f"prefix_v.{li}"], k, v)
+        a_q = a_in[:, query_from:]
+        q = pet_mod.insert(pet, "q", li, a_q @ lw["w_q"], a_q, rec)
+        k = pet_mod.insert(pet, "k", li, a_in @ lw["w_k"], a_in, rec)
+        v = pet_mod.insert(pet, "v", li, a_in @ lw["w_v"], a_in, rec)
 
-        qh = _split_heads(q, cfg.heads)
         kh = _split_heads(k, cfg.heads)
-        vh = _split_heads(v, cfg.heads)
-        attn = _softmax_rows(qh @ kh.swapaxes(-1, -2) / np.sqrt(cfg.head_dim))
-        o = _merge_heads(attn @ vh)
-        attn_out = o @ lw["w_o"]
-        z_mid = z[:, query_from:] + attn_out
+        attn = _softmax_rows(_split_heads(q, cfg.heads) @ kh.swapaxes(-1, -2) / np.sqrt(cfg.head_dim))
+        z_mid = z[:, query_from:] + _merge_heads(attn @ _split_heads(v, cfg.heads)) @ lw["w_o"]
 
         m_in, xhat2, inv2 = _layernorm(z_mid, lw["ln2_g"], lw["ln2_b"])
         u = m_in @ lw["w_1"]
         gelu_factor = pet_mod.gelu_factor(u)
-        mlp = pet_mod.gelu(u, gelu_factor) @ lw["w_2"]
-        y_a = adapter_factor = None
-        if paradigm == "adapter":
-            mlp, y_a, adapter_factor = pet_mod.apply_adapter(params[f"adapter_down.{li}"], params[f"adapter_up.{li}"], m_in, mlp)
-        z_out = z_mid + mlp
-
-        if trace is not None:
-            trace.layers.append(
-                {
-                    "a_in": a_in,
-                    "xhat1": xhat1,
-                    "inv1": inv1,
-                    "attn": attn,
-                    "k": k,
-                    "v": v,
-                    "q": q,
-                    "m_in": m_in,
-                    "xhat2": xhat2,
-                    "inv2": inv2,
-                    "u": u,
-                    "gelu_factor": gelu_factor,
-                    "y_q": y_q,
-                    "y_v": y_v,
-                    "y_a": y_a,
-                    "adapter_factor": adapter_factor,
-                    "query_from": query_from,
-                }
-            )
-        z = z_out
+        z = z_mid + pet_mod.insert(pet, "mlp", li, pet_mod.gelu(u, gelu_factor) @ lw["w_2"], m_in, rec)
+        if need_trace:
+            rec.update(a_in=a_in, xhat1=xhat1, inv1=inv1, attn=attn, k=k, v=v, q=q, m_in=m_in, xhat2=xhat2,
+                       inv2=inv2, u=u, gelu_factor=gelu_factor, query_from=query_from)
+            layers.append(rec)
 
     z_final, xhat_f, inv_f = _layernorm(z, w.lnf_g, w.lnf_b)
     pooled = np.add.reduce(z_final, axis=1) / z_final.shape[1]
@@ -305,11 +266,9 @@ def forward(w: FrozenWeights, pet: pet_mod.PetState, x: np.ndarray, head: np.nda
     logits = np.matmul(pooled[:, None, :], head)[:, 0]
     if not np.all(np.isfinite(logits)):
         raise FloatingPointError("non-finite logits in forward pass")
-    if trace is not None:
-        trace.xhat_f = xhat_f
-        trace.inv_f = inv_f
-        trace.pooled = pooled
-        trace.logits = logits
+    trace = None
+    if need_trace:
+        trace = ActivationTrace(x_embed, layers, xhat_f, inv_f, pooled, logits, pet, pet.version)
     return (logits[0] if single else logits), trace
 
 
@@ -323,11 +282,9 @@ def backward(trace: ActivationTrace, w: FrozenWeights, pet: pet_mod.PetState, dl
     """
     if trace.pet_ref is not pet or trace.pet_version != pet.version:
         raise StaleTraceError("activation trace is stale for this PetState")
-    if trace.pooled is None or trace.xhat_f is None or len(trace.layers) != len(w.layers):
+    if len(trace.layers) != len(w.layers):
         raise ValueError("incomplete activation trace")
     cfg = w.cfg
-    paradigm = pet.paradigm
-    params = pet.params
     head = w.classifier if head is None else head
     dlogits = np.asarray(dlogits, dtype=np.float64)
     if dlogits.ndim == 1:
@@ -348,26 +305,14 @@ def backward(trace: ActivationTrace, w: FrozenWeights, pet: pet_mod.PetState, dl
         t = trace.layers[li]
         query_from = t["query_from"]
 
-        # MLP sub-block: z_out = z_mid + mlp(m_in) [+ adapter bypass]
-        dmlp = dz
-        dm_in = np.zeros_like(t["m_in"])
-        if paradigm == "adapter":
-            w_dn = params[f"adapter_down.{li}"]
-            w_up = params[f"adapter_up.{li}"]
-            pre = t["y_a"] @ w_up
-            g = pet_mod.gelu_grad(pre, t["adapter_factor"]) * dmlp
-            grads[f"adapter_up.{li}"] = (t["y_a"].swapaxes(-1, -2) @ g).sum(axis=0)
-            dy_a = g @ w_up.T
-            grads[f"adapter_down.{li}"] = (t["m_in"].swapaxes(-1, -2) @ dy_a).sum(axis=0)
-            dm_in += dy_a @ w_dn.T
-        dact = dmlp @ lw["w_2"].T
-        du = dact * pet_mod.gelu_grad(t["u"], t["gelu_factor"])
-        dm_in += du @ lw["w_1"].T
+        # MLP sub-block: z_out = z_mid + mlp(m_in) [+ bypass(m_in)]
+        du = (dz @ lw["w_2"].T) * pet_mod.gelu_grad(t["u"], t["gelu_factor"])
+        dm_in = du @ lw["w_1"].T
+        pet_mod.bypass_grads(pet, "mlp", li, t, t["m_in"], dz, grads, dm_in)
         dz_mid = dz + _layernorm_backward(dm_in, t["xhat2"], t["inv2"], lw["ln2_g"])
 
         # attention sub-block: z_mid = z_in + o @ w_o
-        do = dz_mid @ lw["w_o"].T
-        doh = _split_heads(do, cfg.heads)
+        doh = _split_heads(dz_mid @ lw["w_o"].T, cfg.heads)
         attn = t["attn"]
         kh = _split_heads(t["k"], cfg.heads)
         vh = _split_heads(t["v"], cfg.heads)
@@ -375,40 +320,25 @@ def backward(trace: ActivationTrace, w: FrozenWeights, pet: pet_mod.PetState, dl
         dvh = attn.swapaxes(-1, -2) @ doh
         dscores = attn * (dattn - np.add.reduce(dattn * attn, axis=-1, keepdims=True))
         dscores /= np.sqrt(cfg.head_dim)
-        dqh = dscores @ kh
+        dq = _merge_heads(dscores @ kh)
         dkh = dscores.swapaxes(-1, -2) @ _split_heads(t["q"], cfg.heads)
-        dq = _merge_heads(dqh)
-        dk = _merge_heads(dkh)
-        dv = _merge_heads(dvh)
-
-        if paradigm == "prefix":
-            n_pref = params[f"prefix_k.{li}"].shape[0]
-            grads[f"prefix_k.{li}"] = dk[:, :n_pref].sum(axis=0)
-            grads[f"prefix_v.{li}"] = dv[:, :n_pref].sum(axis=0)
-            dk = dk[:, n_pref:]
-            dv = dv[:, n_pref:]
+        dk = pet_mod.rows_grads(pet, "k", li, _merge_heads(dkh), grads)
+        dv = pet_mod.rows_grads(pet, "v", li, _merge_heads(dvh), grads)
 
         # dq and dz_mid cover rows query_from: only; on the other rows they
         # would be exact zeros, so adding them into the covered rows alone,
         # with IEEE addition commutative, gives the bits of
         # dq @ W_q.T + dk @ W_k.T + dv @ W_v.T and dz_mid + ln1 backward.
+        # The bypass input gradients follow the frozen terms, q then v.
         da_in = dk @ lw["w_k"].T
-        da_in[:, query_from:] += dq @ lw["w_q"].T
+        da_q = da_in[:, query_from:]
+        da_q += dq @ lw["w_q"].T
         da_in += dv @ lw["w_v"].T
-        if paradigm == "lora":
-            for slot, dslot in (("q", dq), ("v", dv)):
-                w_dn = params[f"lora_{slot}_down.{li}"]
-                w_up = params[f"lora_{slot}_up.{li}"]
-                y = t[f"y_{slot}"]
-                grads[f"lora_{slot}_up.{li}"] = (y.swapaxes(-1, -2) @ dslot).sum(axis=0)
-                dy = dslot @ w_up.T
-                grads[f"lora_{slot}_down.{li}"] = (t["a_in"].swapaxes(-1, -2) @ dy).sum(axis=0)
-                da_in += dy @ w_dn.T
+        pet_mod.bypass_grads(pet, "q", li, t, t["a_in"][:, query_from:], dq, grads, da_q)
+        pet_mod.bypass_grads(pet, "v", li, t, t["a_in"], dv, grads, da_in)
 
         dz = _layernorm_backward(da_in, t["xhat1"], t["inv1"], lw["ln1_g"])
         dz[:, query_from:] += dz_mid
 
-    if paradigm == "prompt":
-        grads["prompt"] = dz[:, :trace.prompt_rows].sum(axis=0)
-
-    return {name: grads[name] for name in params}, head_grad
+    pet_mod.rows_grads(pet, "tokens", None, dz, grads)
+    return {name: grads[name] for name in pet.params}, head_grad

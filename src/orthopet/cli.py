@@ -236,7 +236,7 @@ def cmd_train(cfg: RunConfig, resume: bool = False) -> int:
     }
     report = mt.emit_report([record], cfg.out / "report.jsonl")
     print(f"run {config_hash[:12]}: " + ", ".join(
-        f"{k}={record[k]:.4f}" for k in ("avg_acc", "forgetting", "new_acc")
+        f"{k}={record[k]:.4f}" for k in mt.METRICS
     ))
     print(f"report: {report}")
     return 0
@@ -254,12 +254,10 @@ def cmd_ablate(cfg: RunConfig, sweep_key: str, sweep_values: list) -> int:
                 "value": row.pop(sweep_key), **row} for row in rows]
     report = mt.emit_report(records, cfg.out / "ablation.jsonl")
     for rec in records:
-        value = rec["value"]
-        label = ("on" if value else "off") if isinstance(value, bool) else f"{value:g}"
         fgt_lo, fgt_hi = ev.seed_range(rec, "forgetting")
         new_lo, new_hi = ev.seed_range(rec, "new_acc")
         print(
-            f"{sweep_key}={label}: columns {rec['basis_columns']:.1f}, "
+            f"{sweep_key}={mt.sweep_label(rec['value'])}: columns {rec['basis_columns']:.1f}, "
             f"avg_acc {rec['avg_acc']:.4f}, "
             f"forgetting {rec['forgetting']:.4f} (seeds {fgt_lo:.4f}-{fgt_hi:.4f}), "
             f"new_acc {rec['new_acc']:.4f} (seeds {new_lo:.4f}-{new_hi:.4f})"

@@ -63,21 +63,10 @@ def ablation_sweep(stream, model_cfg, paradigm, base_cfg, key, values, seeds) ->
                 cfg = replace(base_cfg, seed=seed, proj=replace(base_cfg.proj, **{key: value}))
             matrix, info = tr.continual_run(stream, model_cfg, paradigm, cfg)
             summary = mt.summarize(matrix)
-            per_seed.append({
-                "seed": seed,
-                "avg_acc": summary["avg_acc"],
-                "forgetting": summary["forgetting"],
-                "new_acc": summary["new_acc"],
-                "basis_columns": site_basis_total(info["basis_sizes"][-1]),
-            })
-        rows.append({
-            key: value,
-            "avg_acc": float(np.mean([r["avg_acc"] for r in per_seed])),
-            "forgetting": float(np.mean([r["forgetting"] for r in per_seed])),
-            "new_acc": float(np.mean([r["new_acc"] for r in per_seed])),
-            "basis_columns": float(np.mean([r["basis_columns"] for r in per_seed])),
-            "per_seed": per_seed,
-        })
+            per_seed.append({"seed": seed, **{k: summary[k] for k in mt.METRICS},
+                             "basis_columns": site_basis_total(info["basis_sizes"][-1])})
+        means = {k: float(np.mean([r[k] for r in per_seed])) for k in (*mt.METRICS, "basis_columns")}
+        rows.append({key: value, **means, "per_seed": per_seed})
     return rows
 
 
@@ -380,8 +369,11 @@ def eta_scaling_probe(paradigm: str) -> dict:
     }
 
 
-# Paradigms whose projected step removes the first-order probe drift.
-SECOND_ORDER_PARADIGMS = ("adapter", "lora")
+# Paradigms whose projected step removes the first-order probe drift: those
+# whose tensors are all bypass factors, with no prepended rows.
+SECOND_ORDER_PARADIGMS = tuple(
+    p for p, specs in pm.PARADIGM_TENSORS.items() if all(s.init != "rows" for s in specs)
+)
 
 
 def eta_scaling_guarantee(paradigm: str) -> str:

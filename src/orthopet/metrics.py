@@ -78,6 +78,9 @@ def new_task_accuracy(matrix: AccuracyMatrix) -> float:
     return float(np.diagonal(matrix.values).mean())
 
 
+METRICS = ("avg_acc", "forgetting", "new_acc")
+
+
 def summarize(matrix: AccuracyMatrix) -> dict:
     """The three metrics plus the T=1 forgetting flag, ready for a report."""
     defined = matrix.tasks >= 2
@@ -97,7 +100,7 @@ def emit_report(records: list[dict], path) -> Path:
     for r in runs:
         r["record"] = "run"
     summary = {"record": "summary", "runs": len(runs)}
-    for key in ("avg_acc", "forgetting", "new_acc"):
+    for key in METRICS:
         vals = [r[key] for r in runs if key in r]
         if vals:
             summary[f"mean_{key}"] = float(np.mean(vals))
@@ -112,15 +115,22 @@ def emit_report(records: list[dict], path) -> Path:
     return path
 
 
+def sweep_label(value) -> str:
+    """A swept value as `ablate` prints it: on/off for the projection arm."""
+    return ("on" if value else "off") if isinstance(value, bool) else f"{value:g}"
+
+
 def render_report(runs: list[dict], summary: dict) -> str:
+    """One line per record; a sweep row shows `<sweep>=<value>` for the seed."""
     lines = [f"runs: {summary['runs']}"]
     for r in runs:
-        bits = [str(r.get(k, "-")) for k in ("paradigm", "scenario", "seed")]
+        bits = [str(r.get(k, "-")) for k in ("paradigm", "scenario")]
+        bits.append(f"{r['sweep']}={sweep_label(r['value'])}" if "sweep" in r else str(r.get("seed", "-")))
         metrics = ", ".join(
-            f"{k}={r[k]:.4f}" for k in ("avg_acc", "forgetting", "new_acc") if k in r
+            f"{k}={r[k]:.4f}" for k in METRICS if k in r
         )
         lines.append(f"  [{'/'.join(bits)}] {metrics}")
-    for key in ("mean_avg_acc", "mean_forgetting", "mean_new_acc"):
+    for key in (f"mean_{k}" for k in METRICS):
         if key in summary:
             lines.append(f"{key}: {summary[key]:.6f}")
     return "\n".join(lines) + "\n"

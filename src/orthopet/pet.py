@@ -1,22 +1,24 @@
 """The four parameter-efficient tuning paradigms.
 
 This module is the single place that knows which tensors each paradigm
-trains and how they touch the transformer: prompt rows concatenated ahead
-of the token embeddings, per-layer key/value prefixes, a GELU bottleneck
-bypass around each MLP block, and low-rank bypasses on the query/value
-projections.  `PARADIGM_TENSORS` describes each paradigm once: every
-tensor's shape, its init, the feature site that constrains it and the
-gradient axis its projector acts on.  `SITES` says where a site's rows sit
-in an activation trace and how wide they are.  Initialization, the site
-list, feature sampling and gradient projection are all read from these two
-tables.  The backbone calls into these `apply_*` functions with a
-leading batch axis on the activations, (batch, rows, width); a single
-(rows, width) sample works the same way.  The paradigm tensors carry no
-batch axis and are shared by every sample.  The functions are pure and
-never mutate their arguments.
+trains and how they touch the transformer.  `PARADIGM_TENSORS` describes
+each paradigm once: every tensor's shape, its init, the block point it
+changes, the feature site that constrains it and the gradient axis its
+projector acts on.  `SITES` says where a site's rows sit in an activation
+trace and how wide they are.  Initialization, the site list, feature
+sampling, gradient projection and both passes are read from these tables.
+
+A paradigm enters a block in one of two ways: rows prepended to the
+tokens, K or V (prompt, prefix), or a down/up bypass added to Q, V or the
+MLP output (LoRA; the adapter, with GELU).  The backbone calls `insert`
+at the five points forward and `rows_grads`/`bypass_grads` backward, and
+never names a paradigm.  Activations carry a leading batch axis, (batch,
+rows, width), or are one (rows, width) sample; the paradigm tensors are
+shared by every sample.  The functions never mutate their inputs.
 """
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -37,9 +39,9 @@ def gelu_factor(x: np.ndarray) -> np.ndarray:
 
 
 def gelu(x: np.ndarray, factor: np.ndarray | None = None) -> np.ndarray:
-    """Exact (erf-based) GELU; gelu(0) = 0, which is what makes zero-init
-    adapter and LoRA bypasses exact identities.  Pass `gelu_factor(x)` to
-    reuse it; the result is the same either way."""
+    """Exact (erf-based) GELU; gelu(0) = 0, which is what makes a zero-init
+    adapter bypass an exact identity.  Pass `gelu_factor(x)` to reuse it;
+    the result is the same either way."""
     if factor is None:
         factor = gelu_factor(x)
     return 0.5 * x * factor
@@ -99,40 +101,45 @@ class TensorSpec:
 
     `shape` names the two TransformerConfig fields that size it.  `init` is
     "rows" (Gaussian, std PROMPT_INIT_STD), "down" (Gaussian, std
-    1/sqrt(dim)) or "up" (zeros).  `site` is the SITES kind whose feature
-    rows the tensor consumes; their null-space basis constrains its
-    gradient on `axis`: axis 1 projects as (g @ B) @ B.T (token rows live in
-    feature space), axis 0 as B @ (B.T @ g) (factors consume features on
-    their input dimension).  With `merge` set, the site basis is merged
-    with the null basis of the tensor's own rows before it projects, and
-    the merged basis is keyed by the tensor's name.
+    1/sqrt(dim)) or "up" (zeros).  Rows are prepended to the block value
+    at `point` ("tokens", "q", "k", "v" or "mlp"); a down and an up factor
+    at the same point form a bypass added to it, wrapped in GELU when the
+    up factor sets `gelu`.  `site` is the SITES kind whose feature rows the
+    tensor consumes; their null-space basis constrains its gradient on
+    `axis`: axis 1 projects as (g @ B) @ B.T (token rows live in feature
+    space), axis 0 as B @ (B.T @ g) (factors consume features on their
+    input dimension).  With `merge` set, the site basis is merged with the
+    null basis of the tensor's own rows before it projects, and the merged
+    basis is keyed by the tensor's name.
     """
 
     name: str
     shape: tuple[str, str]
     init: str
+    point: str
     site: str
     axis: int
     merge: bool = False
+    gelu: bool = False
 
 
 PARADIGM_TENSORS = {
     "prompt": (
-        TensorSpec("prompt", ("prompt_len", "dim"), "rows", "embed", 1, merge=True),
+        TensorSpec("prompt", ("prompt_len", "dim"), "rows", "tokens", "embed", 1, merge=True),
     ),
     "prefix": (
-        TensorSpec("prefix_k", ("prefix_len", "dim"), "rows", "attn_in", 1),
-        TensorSpec("prefix_v", ("prefix_len", "dim"), "rows", "attn_in", 1),
+        TensorSpec("prefix_k", ("prefix_len", "dim"), "rows", "k", "attn_in", 1),
+        TensorSpec("prefix_v", ("prefix_len", "dim"), "rows", "v", "attn_in", 1),
     ),
     "adapter": (
-        TensorSpec("adapter_down", ("dim", "rank"), "down", "mlp_in", 0),
-        TensorSpec("adapter_up", ("rank", "dim"), "up", "adapter_mid", 0),
+        TensorSpec("adapter_down", ("dim", "rank"), "down", "mlp", "mlp_in", 0),
+        TensorSpec("adapter_up", ("rank", "dim"), "up", "mlp", "adapter_mid", 0, gelu=True),
     ),
     "lora": (
-        TensorSpec("lora_q_down", ("dim", "rank"), "down", "attn_in", 0),
-        TensorSpec("lora_q_up", ("rank", "dim"), "up", "lora_q_mid", 0),
-        TensorSpec("lora_v_down", ("dim", "rank"), "down", "attn_in", 0),
-        TensorSpec("lora_v_up", ("rank", "dim"), "up", "lora_v_mid", 0),
+        TensorSpec("lora_q_down", ("dim", "rank"), "down", "q", "attn_in", 0),
+        TensorSpec("lora_q_up", ("rank", "dim"), "up", "q", "lora_q_mid", 0),
+        TensorSpec("lora_v_down", ("dim", "rank"), "down", "v", "attn_in", 0),
+        TensorSpec("lora_v_up", ("rank", "dim"), "up", "v", "lora_v_mid", 0),
     ),
 }
 PARADIGMS = tuple(PARADIGM_TENSORS)
@@ -189,73 +196,132 @@ def init_pet(cfg, paradigm: str, seed) -> PetState:
     return PetState(paradigm=paradigm, params=params)
 
 
-def _check_params(what: str, *params: np.ndarray) -> None:
-    if any(p.ndim != 2 for p in params):
-        raise ValueError(f"{what}: expected 2-D parameter arrays")
+def _check(what: str, x: np.ndarray, *params: np.ndarray) -> None:
+    if any(p.ndim != 2 for p in params) or x.ndim < 2:
+        raise ValueError(f"{what}: expected 2-D parameters and ([batch,] rows, width) inputs")
 
 
-def _check_rows(what: str, *xs: np.ndarray) -> None:
-    if any(x.ndim < 2 for x in xs):
-        raise ValueError(f"{what}: expected ([batch,] rows, width) arrays")
-
-
-def _prepend(p: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _prepend(what: str, p: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Concatenate the rows of p ahead of the rows of every sample in x."""
+    _check(what, x, p)
+    if p.shape[1] != x.shape[-1]:
+        raise ValueError(f"{what} width {p.shape[1]} != row width {x.shape[-1]}")
     return np.concatenate([np.broadcast_to(p, x.shape[:-2] + p.shape), x], axis=-2)
 
 
 def apply_prompt(p: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Prepend prompt rows to the token embeddings of every sample."""
-    _check_params("apply_prompt", p)
-    _check_rows("apply_prompt", x)
-    if p.shape[0] == 0:
-        return x.copy()
-    if p.shape[1] != x.shape[-1]:
-        raise ValueError(f"prompt width {p.shape[1]} != token width {x.shape[-1]}")
-    return _prepend(p, x)
+    return _prepend("prompt", p, x)
 
 
-def apply_prefix(p_k: np.ndarray, p_v: np.ndarray, k: np.ndarray, v: np.ndarray):
-    """Prepend key/value prefix rows to every sample's attention K and V."""
-    _check_params("apply_prefix", p_k, p_v)
-    _check_rows("apply_prefix", k, v)
-    if p_k.shape != p_v.shape:
-        raise ValueError(f"prefix shapes differ: {p_k.shape} vs {p_v.shape}")
-    if k.shape != v.shape:
-        raise ValueError(f"K/V shapes differ: {k.shape} vs {v.shape}")
-    if p_k.shape[1] != k.shape[-1]:
-        raise ValueError(f"prefix width {p_k.shape[1]} != K width {k.shape[-1]}")
-    return _prepend(p_k, k), _prepend(p_v, v)
+def apply_prefix(p: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Prepend prefix rows to every sample's attention K or V."""
+    return _prepend("prefix", p, x)
 
 
-def _check_bypass(what: str, w_down: np.ndarray, w_up: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
-    _check_params(what, w_down, w_up)
-    _check_rows(what, x)
+def _bypass(what: str, w_down: np.ndarray, w_up: np.ndarray, x: np.ndarray, base: np.ndarray, act: bool):
+    """(base + [gelu](y @ w_up), y = x @ w_down for the buffers, and the
+    `gelu_factor` of y @ w_up for backward if `act` else None)."""
+    _check(what, x, w_down, w_up)
     if x.shape[-1] != w_down.shape[0] or w_down.shape[1] != w_up.shape[0]:
         raise ValueError(f"{what} shape mismatch: x {x.shape}, down {w_down.shape}, up {w_up.shape}")
-    if out.shape != x.shape[:-1] + (w_up.shape[1],):
-        raise ValueError(f"{what}: output shape {out.shape} does not match bypass")
+    if base.shape != x.shape[:-1] + (w_up.shape[1],):
+        raise ValueError(f"{what}: output shape {base.shape} does not match bypass")
+    y = x @ w_down
+    pre = y @ w_up
+    if not act:
+        return base + pre, y, None
+    factor = gelu_factor(pre)
+    return base + gelu(pre, factor), y, factor
 
 
 def apply_adapter(w_down: np.ndarray, w_up: np.ndarray, x: np.ndarray, backbone_out: np.ndarray):
-    """Bottleneck bypass: backbone_out + gelu(x @ w_down @ w_up).
-
-    The activation sits outside both factors.  Returns the combined output,
-    y = x @ w_down (the intermediate the projection buffers need) and the
-    `gelu_factor` of y @ w_up, which the backward pass reuses.
-    """
-    _check_bypass("adapter", w_down, w_up, x, backbone_out)
-    y = x @ w_down
-    pre = y @ w_up
-    factor = gelu_factor(pre)
-    return backbone_out + gelu(pre, factor), y, factor
+    """Bottleneck bypass: backbone_out + gelu(x @ w_down @ w_up), with y and the GELU factor."""
+    return _bypass("adapter", w_down, w_up, x, backbone_out, True)
 
 
 def apply_lora(w_down: np.ndarray, w_up: np.ndarray, x: np.ndarray, base_out: np.ndarray):
-    """Low-rank bypass: base_out + x @ w_down @ w_up.
+    """Low-rank bypass: base_out + x @ w_down @ w_up, with y and no factor."""
+    return _bypass("lora", w_down, w_up, x, base_out, False)
 
-    Returns the combined output and y = x @ w_down for the buffers.
+
+class Insertion(NamedTuple):
+    """A paradigm's entry at one block point of one layer: the name of the
+    `apply_*` function that runs it (looked up per call, so a rebound module
+    attribute is honoured), its parameter keys (rows, or a down and an up
+    factor) and, for a bypass alone, the trace key of y = x @ down and
+    whether GELU wraps its output, whose factor goes under `factor_key`.
     """
-    _check_bypass("lora", w_down, w_up, x, base_out)
-    y = x @ w_down
-    return base_out + y @ w_up, y
+
+    apply: str
+    names: tuple[str, ...]
+    trace_key: str | None = None
+    gelu: bool = False
+
+    @property
+    def factor_key(self) -> str:
+        return f"{self.trace_key}_factor"
+
+
+@cache
+def insertion(paradigm: str, point: str, layer: int | None) -> Insertion | None:
+    """The Insertion of a paradigm at a block point (layer None for
+    `tokens`), or None where the paradigm does not enter."""
+    specs = [s for s in PARADIGM_TENSORS[check_paradigm(paradigm)] if s.point == point]
+    if not specs:
+        return None
+    names = tuple(s.name if layer is None else f"{s.name}.{layer}" for s in specs)
+    if specs[0].init == "rows":
+        return Insertion(f"apply_{paradigm}", names)
+    up = specs[1]
+    return Insertion(f"apply_{paradigm}", names, SITES[up.site].trace_key, up.gelu)
+
+
+def insert(pet: PetState, point: str, layer: int | None, base: np.ndarray, x=None, rec=None) -> np.ndarray:
+    """Forward of `pet` at one block point: `base` with rows prepended, or
+    plus the bypass of the rows `x`; `base` itself where the paradigm does
+    not enter.  A bypass writes its trace entries into `rec` when given."""
+    ins = insertion(pet.paradigm, point, layer)
+    if ins is None:
+        return base
+    apply, p = globals()[ins.apply], pet.params
+    if ins.trace_key is None:
+        return apply(p[ins.names[0]], base)
+    down, up = ins.names
+    out, y, factor = apply(p[down], p[up], x, base)
+    if rec is not None:
+        rec[ins.trace_key] = y
+        if ins.gelu:
+            rec[ins.factor_key] = factor
+    return out
+
+
+def rows_grads(pet: PetState, point: str, layer: int | None, d: np.ndarray, grads: dict) -> np.ndarray:
+    """Backward of prepended rows: their gradient, summed over the batch,
+    goes into `grads`; returns `d` without those rows."""
+    ins = insertion(pet.paradigm, point, layer)
+    if ins is None or ins.trace_key is not None:
+        return d
+    (name,) = ins.names
+    n = pet.params[name].shape[0]
+    grads[name] = d[:, :n].sum(axis=0)
+    return d[:, n:]
+
+
+def bypass_grads(pet: PetState, point: str, layer: int | None, trace: dict, x: np.ndarray,
+                 d: np.ndarray, grads: dict, dx: np.ndarray) -> None:
+    """Backward of a bypass fed by rows `x` with output gradient `d`: the
+    factor gradients, summed over the batch, go into `grads`, and the
+    gradient into `x` is added to `dx` in place."""
+    ins = insertion(pet.paradigm, point, layer)
+    if ins is None or ins.trace_key is None:
+        return
+    down, up = ins.names
+    w_up = pet.params[up]
+    y = trace[ins.trace_key]
+    if ins.gelu:
+        d = gelu_grad(y @ w_up, trace[ins.factor_key]) * d
+    grads[up] = (y.swapaxes(-1, -2) @ d).sum(axis=0)
+    dy = d @ w_up.T
+    grads[down] = (x.swapaxes(-1, -2) @ dy).sum(axis=0)
+    dx += dy @ pet.params[down].T

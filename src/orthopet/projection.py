@@ -194,7 +194,7 @@ def _site_rows(trace: bb.ActivationTrace, site: str) -> np.ndarray:
         return getattr(trace, spec.trace_key)
     if layer >= len(trace.layers):
         raise ValueError(f"site {site!r} exceeds traced depth {len(trace.layers)}")
-    rows = trace.layers[layer][spec.trace_key]
+    rows = trace.layers[layer].get(spec.trace_key)
     if rows is None:
         raise ValueError(f"site {site!r} is not active for paradigm of this trace")
     if rows.shape[-2] != trace.layers[layer]["a_in"].shape[-2]:

@@ -348,12 +348,14 @@ def test_batched_pass_equals_per_sample_loop(paradigm, monkeypatch):
     assert factor_calls == []
     assert logits.shape == (BATCH, CFG.num_classes)
     if paradigm == "adapter":
-        # without the kept factor, gelu_grad recomputes it from y_a @ w_up,
+        # without the kept factor, gelu_grad recomputes it from y @ w_up,
         # the expression backward used before; not a bit may move
         for li, t in enumerate(trace.layers):
-            pre = t["y_a"] @ pet.params[f"adapter_up.{li}"]
-            assert np.array_equal(t["adapter_factor"], pm.gelu_factor(pre))
-            t["adapter_factor"] = None
+            ins = pm.insertion(paradigm, "mlp", li)
+            assert ins.gelu
+            pre = t[ins.trace_key] @ pet.params[ins.names[1]]
+            assert np.array_equal(t[ins.factor_key], pm.gelu_factor(pre))
+            t[ins.factor_key] = None
         recomputed, _ = bb.backward(trace, w, pet, dlogits, head=head)
         for name in grads:
             assert np.array_equal(grads[name], recomputed[name]), name
@@ -372,6 +374,35 @@ def test_batched_pass_equals_per_sample_loop(paradigm, monkeypatch):
     for name in gsum:
         assert np.array_equal(grads[name], gsum[name]), name
     assert np.array_equal(head_grad, hsum)
+
+
+# apply_* calls of one traced forward plus backward: once per insertion
+# point per block, the prompt once per pass
+INSERT_CALLS = {"prompt": 1, "prefix": 2 * CFG.depth, "adapter": CFG.depth, "lora": 2 * CFG.depth}
+
+
+@pytest.mark.parametrize("paradigm", pm.PARADIGMS)
+def test_passes_call_the_module_attributes(paradigm, monkeypatch):
+    """The passes look `pet.apply_*`, `gelu` and `gelu_grad` up when they
+    call them, so wrappers rebound over those names (as perfbench's span
+    tracer does) see every insertion and every GELU."""
+    calls = {}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("apply_prompt", "apply_prefix", "apply_adapter", "apply_lora", "gelu", "gelu_grad"):
+        monkeypatch.setattr(pm, name, counting(name, getattr(pm, name)))
+    w, pet, head, xs, _ = make_batch(paradigm)
+    logits, trace = bb.forward(w, pet, xs, head=head)
+    bb.backward(trace, w, pet, np.ones_like(logits), head=head)
+    # the MLP runs gelu forward and gelu_grad backward in every block; the
+    # adapter's bypass runs each once more
+    gelus = 2 * CFG.depth if paradigm == "adapter" else CFG.depth
+    assert calls == {f"apply_{paradigm}": INSERT_CALLS[paradigm], "gelu": gelus, "gelu_grad": gelus}
 
 
 @pytest.mark.parametrize("paradigm", pm.PARADIGMS)
@@ -439,13 +470,12 @@ def test_evaluate_task_chunks_keep_row_order():
 def test_sample_features_chunks_keep_row_order():
     w, pet, head, xs, _ = make_batch("lora", n=ODD_ROWS)
     sites = pj.paradigm_sites("lora", CFG.depth)
-    keys = {"attn_in": "a_in", "lora_q_mid": "y_q", "lora_v_mid": "y_v"}
     expected = {site: [] for site in sites}
     for x in xs:
         _, trace = bb.forward(w, pet, x)
         for site in sites:
             kind, layer = site.split(".")
-            expected[site].append(trace.layers[int(layer)][keys[kind]][0])
+            expected[site].append(trace.layers[int(layer)][pm.SITES[kind].trace_key][0])
     rows = pj.sample_features(w, pet, xs, sites)
     assert sorted(rows) == sorted(sites)
     for site in sites:

@@ -128,6 +128,11 @@ def test_eta_verdicts_fail_for_token_rows_without_projection(monkeypatch):
         assert not ev.eta_scaling_ok(paradigm, res)
 
 
+def test_second_order_paradigms_are_the_bypass_ones():
+    """Derived from the paradigm table: the paradigms that prepend no rows."""
+    assert ev.SECOND_ORDER_PARADIGMS == ("adapter", "lora")
+
+
 def test_eta_scaling_ok_rejects_nan_and_unknown_paradigm():
     nan = {"proj_ratio": float("nan"), "unproj_ratio": 2.0,
            "proj_drift": float("nan"), "unproj_drift_matched": 1.0}

@@ -136,6 +136,29 @@ def test_report_round_trip(tmp_path):
     assert (tmp_path / "report.txt").exists()
 
 
+def test_render_report_shows_the_swept_value():
+    """A run line shows paradigm/scenario/seed; an ablation row shows its
+    sweep=value in the seed's place, so the rows of a sweep differ."""
+    metrics = {"avg_acc": 0.5, "forgetting": 0.25, "new_acc": 1.0}
+    runs = [
+        {"paradigm": "prompt", "scenario": "cil", "seed": 0, "projection": True, **metrics},
+        {"paradigm": "lora", "scenario": "oil", "sweep": "epsilon", "value": 0.6, **metrics},
+        {"paradigm": "lora", "scenario": "oil", "sweep": "epsilon", "value": 0.0001, **metrics},
+        {"paradigm": "adapter", "scenario": "oil", "sweep": "projection", "value": False, **metrics},
+        {"paradigm": "adapter", "scenario": "oil", "sweep": "projection", "value": True, **metrics},
+    ]
+    text = mt.render_report(runs, {"runs": len(runs)})
+    tail = "avg_acc=0.5000, forgetting=0.2500, new_acc=1.0000"
+    assert text.splitlines() == [
+        "runs: 5",
+        f"  [prompt/cil/0] {tail}",
+        f"  [lora/oil/epsilon=0.6] {tail}",
+        f"  [lora/oil/epsilon=0.0001] {tail}",
+        f"  [adapter/oil/projection=off] {tail}",
+        f"  [adapter/oil/projection=on] {tail}",
+    ]
+
+
 def test_report_byte_identical_and_empty(tmp_path):
     records = [{"seed": 3, "avg_acc": 1 / 3, "forgetting": 0.0, "new_acc": 2 / 3}]
     a = mt.emit_report(records, tmp_path / "a.jsonl")

@@ -192,21 +192,52 @@ def test_apply_prompt_width_mismatch():
 
 def test_apply_prefix_prepends_to_k_and_v():
     rng = np.random.default_rng(2)
-    pk, pv = rng.normal(size=(2, 4)), rng.normal(size=(2, 4))
-    k, v = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
-    k2, v2 = pm.apply_prefix(pk, pv, k, v)
-    assert np.array_equal(k2[:2], pk) and np.array_equal(k2[2:], k)
-    assert np.array_equal(v2[:2], pv) and np.array_equal(v2[2:], v)
+    pet = pm.init_pet(CFG, "prefix", 2)
+    k, v = rng.normal(size=(2, 3, CFG.dim)), rng.normal(size=(2, 3, CFG.dim))
+    for layer in range(CFG.depth):
+        pk, pv = pet.params[f"prefix_k.{layer}"], pet.params[f"prefix_v.{layer}"]
+        k2 = pm.insert(pet, "k", layer, k)
+        v2 = pm.insert(pet, "v", layer, v)
+        assert np.array_equal(k2, pm.apply_prefix(pk, k))
+        assert np.array_equal(v2, pm.apply_prefix(pv, v))
+        for i in range(2):
+            assert np.array_equal(k2[i, :2], pk) and np.array_equal(k2[i, 2:], k[i])
+            assert np.array_equal(v2[i, :2], pv) and np.array_equal(v2[i, 2:], v[i])
 
 
 def test_apply_prefix_shape_errors():
-    ok = np.zeros((2, 4))
-    with pytest.raises(ValueError):
-        pm.apply_prefix(ok, np.zeros((1, 4)), np.zeros((3, 4)), np.zeros((3, 4)))
-    with pytest.raises(ValueError):
-        pm.apply_prefix(ok, ok, np.zeros((3, 4)), np.zeros((2, 4)))
-    with pytest.raises(ValueError):
-        pm.apply_prefix(np.zeros((2, 5)), np.zeros((2, 5)), np.zeros((3, 4)), np.zeros((3, 4)))
+    for apply in (pm.apply_prefix, pm.apply_prompt):
+        with pytest.raises(ValueError, match="width"):
+            apply(np.zeros((2, 5)), np.zeros((3, 4)))
+        with pytest.raises(ValueError, match="2-D parameters"):
+            apply(np.zeros(4), np.zeros((3, 4)))
+        with pytest.raises(ValueError, match="rows, width"):
+            apply(np.zeros((2, 4)), np.zeros(4))
+
+
+@pytest.mark.parametrize("paradigm", pm.PARADIGMS)
+def test_insertion_table_covers_every_tensor_once(paradigm):
+    names = []
+    for point in ("tokens", "q", "k", "v", "mlp"):
+        for layer in [None] if point == "tokens" else range(CFG.depth):
+            ins = pm.insertion(paradigm, point, layer)
+            if ins is not None:
+                names += ins.names
+                assert ins.apply == f"apply_{paradigm}"
+                assert ins.gelu == (paradigm == "adapter")
+    assert sorted(names) == sorted(r.name for r in pm.routes(paradigm, CFG.depth))
+
+
+def test_insert_returns_base_where_the_paradigm_does_not_enter():
+    base = np.zeros((2, 3, CFG.dim))
+    for paradigm, point, layer in (("lora", "tokens", None), ("lora", "k", 0), ("prompt", "mlp", 1),
+                                   ("adapter", "q", 0), ("prefix", "mlp", 0)):
+        assert pm.insert(pm.init_pet(CFG, paradigm, 0), point, layer, base) is base
+    # a bypass point has no rows to take off, a prepend point no bypass
+    grads = {}
+    assert pm.rows_grads(pm.init_pet(CFG, "lora", 0), "v", 0, base, grads) is base
+    pm.bypass_grads(pm.init_pet(CFG, "prefix", 0), "v", 0, {}, base, base, grads, base)
+    assert grads == {} and not base.any()
 
 
 def test_apply_adapter_hand_case():
@@ -241,10 +272,10 @@ def test_apply_lora_adds_the_unscaled_product():
     base = rng.normal(size=(3, 4))
     w_down = rng.normal(size=(4, 2))
     w_up = rng.normal(size=(2, 4))
-    out0, y = pm.apply_lora(w_down, w_up * 0.0, x, base)
+    out0, y, _ = pm.apply_lora(w_down, w_up * 0.0, x, base)
     assert np.array_equal(out0, base)
     assert np.allclose(y, x @ w_down, atol=1e-15)
-    out, _ = pm.apply_lora(w_down, w_up, x, base)
+    out, _, _ = pm.apply_lora(w_down, w_up, x, base)
     assert np.array_equal(out, base + (x @ w_down) @ w_up)
 
 
@@ -253,6 +284,7 @@ def test_apply_ops_leave_inputs_unchanged():
     x = rng.normal(size=(3, 4))
     snap = x.copy()
     pm.apply_prompt(rng.normal(size=(2, 4)), x)
+    pm.apply_prefix(rng.normal(size=(2, 4)), x)
     pm.apply_adapter(rng.normal(size=(4, 2)), rng.normal(size=(2, 4)), x, x.copy())
     pm.apply_lora(rng.normal(size=(4, 2)), rng.normal(size=(2, 4)), x, x.copy())
     assert np.array_equal(x, snap)
