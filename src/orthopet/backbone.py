@@ -36,6 +36,7 @@ Every other block, and every block of a trace without prompt rows, runs
 all rows through the same code with the slices starting at row 0.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -222,6 +223,11 @@ def forward(w: FrozenWeights, pet: pet_mod.PetState, x: np.ndarray, head: np.nda
     back without the batch axis, its trace keeps it.  Returns (logits,
     trace); trace is None when need_trace is False.  The head defaults to
     the frozen seeded classifier; the trainer passes its own mutable copy.
+
+    The head, and any paradigm tensor, may instead be per-sample: a
+    (batch, dim, classes) head or a (batch, ...) tensor gives each sample
+    its own copy, and each sample's logits are the bits of a
+    single-sample forward with that copy.  `backward` refuses such a trace.
     """
     cfg = w.cfg
     if x.ndim not in (2, 3) or x.shape[-1] != cfg.dim:
@@ -230,6 +236,9 @@ def forward(w: FrozenWeights, pet: pet_mod.PetState, x: np.ndarray, head: np.nda
     if single:
         x = x[None]
     head = w.classifier if head is None else head
+    if head.ndim != 2 and (head.ndim != 3 or head.shape[0] != x.shape[0]):
+        raise ValueError(f"head must be (dim, classes) or ({x.shape[0]}, dim, classes), got {head.shape}")
+    scale = math.sqrt(cfg.head_dim)
 
     x_embed = x @ w.embed
     z = pet_mod.insert(pet, "tokens", None, x_embed)
@@ -247,7 +256,7 @@ def forward(w: FrozenWeights, pet: pet_mod.PetState, x: np.ndarray, head: np.nda
         v = pet_mod.insert(pet, "v", li, a_in @ lw["w_v"], a_in, rec)
 
         kh = _split_heads(k, cfg.heads)
-        attn = _softmax_rows(_split_heads(q, cfg.heads) @ kh.swapaxes(-1, -2) / np.sqrt(cfg.head_dim))
+        attn = _softmax_rows(_split_heads(q, cfg.heads) @ kh.swapaxes(-1, -2) / scale)
         z_mid = z[:, query_from:] + _merge_heads(attn @ _split_heads(v, cfg.heads)) @ lw["w_o"]
 
         m_in, xhat2, inv2 = _layernorm(z_mid, lw["ln2_g"], lw["ln2_b"])
@@ -286,6 +295,12 @@ def backward(trace: ActivationTrace, w: FrozenWeights, pet: pet_mod.PetState, dl
         raise ValueError("incomplete activation trace")
     cfg = w.cfg
     head = w.classifier if head is None else head
+    # Gradients are summed over the batch and factors enter transposed, so
+    # a per-sample tensor would give wrong gradients without an error.
+    for name, arr in [*pet.params.items(), ("head", head)]:
+        if arr.ndim != 2:
+            raise ValueError(f"backward needs shared 2-D tensors; {name} has shape {arr.shape}")
+    scale = math.sqrt(cfg.head_dim)
     dlogits = np.asarray(dlogits, dtype=np.float64)
     if dlogits.ndim == 1:
         dlogits = dlogits[None]
@@ -319,7 +334,7 @@ def backward(trace: ActivationTrace, w: FrozenWeights, pet: pet_mod.PetState, dl
         dattn = doh @ vh.swapaxes(-1, -2)
         dvh = attn.swapaxes(-1, -2) @ doh
         dscores = attn * (dattn - np.add.reduce(dattn * attn, axis=-1, keepdims=True))
-        dscores /= np.sqrt(cfg.head_dim)
+        dscores /= scale
         dq = _merge_heads(dscores @ kh)
         dkh = dscores.swapaxes(-1, -2) @ _split_heads(t["q"], cfg.heads)
         dk = pet_mod.rows_grads(pet, "k", li, _merge_heads(dkh), grads)

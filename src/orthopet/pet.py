@@ -13,10 +13,15 @@ tokens, K or V (prompt, prefix), or a down/up bypass added to Q, V or the
 MLP output (LoRA; the adapter, with GELU).  The backbone calls `insert`
 at the five points forward and `rows_grads`/`bypass_grads` backward, and
 never names a paradigm.  Activations carry a leading batch axis, (batch,
-rows, width), or are one (rows, width) sample; the paradigm tensors are
-shared by every sample.  The functions never mutate their inputs.
+rows, width), or are one (rows, width) sample.  In the forward pass a
+paradigm tensor is either shared by every sample or per-sample, with a
+leading axis of the batch size and one copy per sample; a batch computes
+the same bits as its samples run one at a time with their own copies.
+The backward pass takes shared tensors only.  The functions never mutate
+their inputs.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import cache
 from typing import NamedTuple
@@ -25,6 +30,8 @@ import numpy as np
 from scipy.special import erf
 
 PROMPT_INIT_STD = 0.02
+_SQRT_2 = math.sqrt(2.0)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def check_paradigm(name: str) -> str:
@@ -35,7 +42,7 @@ def check_paradigm(name: str) -> str:
 
 def gelu_factor(x: np.ndarray) -> np.ndarray:
     """1 + erf(x / sqrt 2), the factor GELU and its derivative share."""
-    return 1.0 + erf(x / np.sqrt(2.0))
+    return 1.0 + erf(x / _SQRT_2)
 
 
 def gelu(x: np.ndarray, factor: np.ndarray | None = None) -> np.ndarray:
@@ -50,7 +57,7 @@ def gelu(x: np.ndarray, factor: np.ndarray | None = None) -> np.ndarray:
 def gelu_grad(x: np.ndarray, factor: np.ndarray | None = None) -> np.ndarray:
     if factor is None:
         factor = gelu_factor(x)
-    return 0.5 * factor + x * np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+    return 0.5 * factor + x * np.exp(-0.5 * x * x) / _SQRT_2PI
 
 
 @dataclass
@@ -197,16 +204,21 @@ def init_pet(cfg, paradigm: str, seed) -> PetState:
 
 
 def _check(what: str, x: np.ndarray, *params: np.ndarray) -> None:
-    if any(p.ndim != 2 for p in params) or x.ndim < 2:
-        raise ValueError(f"{what}: expected 2-D parameters and ([batch,] rows, width) inputs")
+    """A parameter is 2-D and shared, or 3-D with one copy per sample of
+    a (batch, rows, width) input."""
+    if x.ndim < 2 or any(p.ndim != 2 and (p.ndim != 3 or x.ndim != 3 or p.shape[0] != x.shape[0])
+                         for p in params):
+        raise ValueError(f"{what}: expected ([batch,] rows, width) inputs and 2-D parameters, "
+                         f"or 3-D ones with the batch axis; got x {x.shape}, "
+                         f"parameters {[p.shape for p in params]}")
 
 
 def _prepend(what: str, p: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Concatenate the rows of p ahead of the rows of every sample in x."""
     _check(what, x, p)
-    if p.shape[1] != x.shape[-1]:
-        raise ValueError(f"{what} width {p.shape[1]} != row width {x.shape[-1]}")
-    return np.concatenate([np.broadcast_to(p, x.shape[:-2] + p.shape), x], axis=-2)
+    if p.shape[-1] != x.shape[-1]:
+        raise ValueError(f"{what} width {p.shape[-1]} != row width {x.shape[-1]}")
+    return np.concatenate([np.broadcast_to(p, x.shape[:-2] + p.shape[-2:]), x], axis=-2)
 
 
 def apply_prompt(p: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -223,9 +235,9 @@ def _bypass(what: str, w_down: np.ndarray, w_up: np.ndarray, x: np.ndarray, base
     """(base + [gelu](y @ w_up), y = x @ w_down for the buffers, and the
     `gelu_factor` of y @ w_up for backward if `act` else None)."""
     _check(what, x, w_down, w_up)
-    if x.shape[-1] != w_down.shape[0] or w_down.shape[1] != w_up.shape[0]:
+    if x.shape[-1] != w_down.shape[-2] or w_down.shape[-1] != w_up.shape[-2]:
         raise ValueError(f"{what} shape mismatch: x {x.shape}, down {w_down.shape}, up {w_up.shape}")
-    if base.shape != x.shape[:-1] + (w_up.shape[1],):
+    if base.shape != x.shape[:-1] + (w_up.shape[-1],):
         raise ValueError(f"{what}: output shape {base.shape} does not match bypass")
     y = x @ w_down
     pre = y @ w_up

@@ -10,6 +10,7 @@ the last block also computes the prompt rows the pool drops.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -418,6 +419,74 @@ def test_single_sample_is_a_batch_of_one(paradigm):
     assert np.array_equal(head_grad, batch_head_grad)
     for name in grads:
         assert np.array_equal(grads[name], batch_grads[name])
+
+
+def _per_sample(arr, n, rng):
+    """n copies of arr, each moved by its own small draw."""
+    return arr + rng.normal(0.0, 0.01, size=(n,) + arr.shape)
+
+
+@pytest.mark.parametrize("paradigm", pm.PARADIGMS)
+def test_per_sample_tensors_equal_single_sample_forwards(paradigm):
+    """A forward in which every paradigm tensor and the head, or any one of
+    them, carries one copy per sample gives each sample the bits of a
+    single-sample forward with its own copies."""
+    w, pet, head, xs, _ = make_batch(paradigm)
+    rng = np.random.default_rng(11)
+    copies = {name: _per_sample(arr, BATCH, rng) for name, arr in pet.params.items()}
+    heads = _per_sample(head, BATCH, rng)
+    cases = [(copies, heads), ({}, heads)] + [({name: c}, head) for name, c in copies.items()]
+    for tensors, case_head in cases:
+        batch_pet = pm.PetState(paradigm, {**pet.params, **tensors})
+        logits, trace = bb.forward(w, batch_pet, xs, head=case_head)
+        assert trace is not None
+        for i in range(BATCH):
+            one_pet = pm.PetState(paradigm, {name: arr[i] if name in tensors else arr
+                                             for name, arr in batch_pet.params.items()})
+            one, _ = bb.forward(w, one_pet, xs[i], head=case_head[i] if case_head.ndim == 3 else head,
+                                need_trace=False)
+            assert np.array_equal(logits[i], one), (sorted(tensors), i)
+
+
+@pytest.mark.parametrize("lead", [1, BATCH - 1])
+@pytest.mark.parametrize("paradigm", pm.PARADIGMS)
+def test_per_sample_tensor_of_another_batch_size_raises(paradigm, lead):
+    """B = 1 included: a per-sample tensor or head never broadcasts."""
+    w, pet, head, xs, _ = make_batch(paradigm)
+    rng = np.random.default_rng(12)
+    for name, arr in pet.params.items():
+        bad = pm.PetState(paradigm, {**pet.params, name: _per_sample(arr, lead, rng)})
+        with pytest.raises(ValueError, match="batch axis"):
+            bb.forward(w, bad, xs, head=head, need_trace=False)
+    with pytest.raises(ValueError, match="head"):
+        bb.forward(w, pet, xs, head=_per_sample(head, lead, rng), need_trace=False)
+    # a single sample is a batch of one, so only a leading axis of 1 fits it
+    fits = lead == 1
+    for name, arr in pet.params.items():
+        one = pm.PetState(paradigm, {**pet.params, name: _per_sample(arr, lead, rng)})
+        if fits:
+            bb.forward(w, one, xs[0], head=head, need_trace=False)
+        else:
+            with pytest.raises(ValueError, match="batch axis"):
+                bb.forward(w, one, xs[0], head=head, need_trace=False)
+
+
+@pytest.mark.parametrize("paradigm", pm.PARADIGMS)
+def test_backward_refuses_per_sample_tensors(paradigm):
+    """Backward sums over the batch and transposes factors, so a trace of
+    per-sample tensors would give wrong gradients; it raises and names the
+    tensor instead."""
+    w, pet, head, xs, _ = make_batch(paradigm)
+    rng = np.random.default_rng(13)
+    for name, arr in pet.params.items():
+        per_sample = pm.PetState(paradigm, {**pet.params, name: _per_sample(arr, BATCH, rng)})
+        logits, trace = bb.forward(w, per_sample, xs, head=head)
+        with pytest.raises(ValueError, match=re.escape(name)):
+            bb.backward(trace, w, per_sample, np.ones_like(logits), head=head)
+    heads = _per_sample(head, BATCH, rng)
+    logits, trace = bb.forward(w, pet, xs, head=heads)
+    with pytest.raises(ValueError, match="head"):
+        bb.backward(trace, w, pet, np.ones_like(logits), head=heads)
 
 
 def test_backward_rejects_dlogits_of_another_batch():

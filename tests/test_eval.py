@@ -12,6 +12,7 @@ import orthopet.eval as ev
 import orthopet.metrics as mt
 import orthopet.pet as pm
 import orthopet.projection as pj
+import orthopet.rng as rng_mod
 import orthopet.trainer as tr
 
 MODEL = bb.TransformerConfig(dim=16, depth=2, heads=2, mlp_ratio=2.0, seq_len=4,
@@ -102,6 +103,67 @@ def test_orthonormalize_suite_tolerance():
 @pytest.mark.parametrize("paradigm", pm.PARADIGMS)
 def test_gradient_check_beats_budget(paradigm):
     assert ev.gradient_check(paradigm) <= 1e-4
+
+
+def loop_gradient_check(paradigm, h=1e-5):
+    """Oracle: the per-coordinate loop `gradient_check` batches, one
+    single-sample forward per coordinate and sign, moving the model's own
+    tensor in place."""
+    cfg = ev.GRADCHECK_MODEL
+    w = bb.init_backbone(cfg, rng_mod.sub_seed(3, "backbone"))
+    pet = pm.init_pet(cfg, paradigm, rng_mod.sub_seed(3, "pet"))
+    head = w.classifier.copy()
+    x = np.random.default_rng(3).normal(0.0, 1.0, size=(cfg.seq_len, cfg.dim))
+    mask = np.ones(cfg.num_classes, dtype=bool)
+    label = 1
+
+    def loss_at():
+        logits, _ = bb.forward(w, pet, x, head=head, need_trace=False)
+        return tr.masked_cross_entropy(logits, mask, label)[0]
+
+    logits, trace = bb.forward(w, pet, x, head=head)
+    _, dlogits = tr.masked_cross_entropy(logits, mask, label)
+    grads, head_grad = bb.backward(trace, w, pet, dlogits, head=head)
+    tensors = [(pet.params[name], grads[name]) for name in sorted(grads)] + [(head, head_grad)]
+    worst = 0.0
+    for arr, analytic in tensors:
+        flat = arr.reshape(-1)
+        for i in range(flat.size):
+            keep = flat[i]
+            flat[i] = keep + h
+            pet.bump()
+            up = loss_at()
+            flat[i] = keep - h
+            pet.bump()
+            down = loss_at()
+            flat[i] = keep
+            pet.bump()
+            fd = (up - down) / (2.0 * h)
+            an = float(analytic.reshape(-1)[i])
+            worst = max(worst, abs(fd - an) / max(abs(fd), abs(an), 1e-8))
+    return worst
+
+
+@pytest.mark.parametrize("paradigm", pm.PARADIGMS)
+def test_gradient_check_equals_the_per_coordinate_loop(paradigm):
+    got = ev.gradient_check(paradigm)
+    assert type(got) is float
+    assert got == loop_gradient_check(paradigm)
+
+
+def test_gradient_check_runs_two_forwards_per_tensor(monkeypatch):
+    """One traced forward per paradigm, then one forward per tensor (the
+    head included) and sign: 46 over the four paradigms, not one per
+    coordinate."""
+    calls = []
+    forward = bb.forward
+    monkeypatch.setattr(bb, "forward", lambda *a, **kw: calls.append(1) or forward(*a, **kw))
+    depth = ev.GRADCHECK_MODEL.depth
+    expected = 0
+    for paradigm in pm.PARADIGMS:
+        ev.gradient_check(paradigm)
+        expected += 1 + 2 * (len(pm.routes(paradigm, depth)) + 1)
+    assert len(calls) == expected == 46
 
 
 @pytest.mark.parametrize("paradigm", pm.PARADIGMS)

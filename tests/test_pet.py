@@ -290,6 +290,61 @@ def test_apply_ops_leave_inputs_unchanged():
     assert np.array_equal(x, snap)
 
 
+# -- per-sample tensors ------------------------------------------------------
+
+PER_SAMPLE = 3
+
+
+@pytest.mark.parametrize("apply", [pm.apply_prompt, pm.apply_prefix])
+def test_per_sample_rows_equal_stacked_shared_calls(apply):
+    rng = np.random.default_rng(6)
+    p = rng.normal(size=(PER_SAMPLE, 2, 4))
+    x = rng.normal(size=(PER_SAMPLE, 3, 4))
+    stacked = np.stack([apply(p[i], x[i]) for i in range(PER_SAMPLE)])
+    assert np.array_equal(apply(p, x), stacked)
+
+
+@pytest.mark.parametrize("per_sample", [("down",), ("up",), ("down", "up")])
+@pytest.mark.parametrize("apply", [pm.apply_adapter, pm.apply_lora])
+def test_per_sample_factors_equal_stacked_shared_calls(apply, per_sample):
+    """Either factor or both may carry one copy per sample; every output
+    (sum, y and the GELU factor) is the shared call's, sample by sample."""
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(PER_SAMPLE, 3, 4))
+    base = rng.normal(size=(PER_SAMPLE, 3, 4))
+    w_down = rng.normal(size=(PER_SAMPLE, 4, 2) if "down" in per_sample else (4, 2))
+    w_up = rng.normal(size=(PER_SAMPLE, 2, 4) if "up" in per_sample else (2, 4))
+    got = apply(w_down, w_up, x, base)
+    for i in range(PER_SAMPLE):
+        one = apply(w_down[i] if w_down.ndim == 3 else w_down, w_up[i] if w_up.ndim == 3 else w_up,
+                    x[i], base[i])
+        for a, b in zip(got, one):
+            assert (a is None and b is None) or np.array_equal(a[i], b)
+
+
+@pytest.mark.parametrize("lead", [1, PER_SAMPLE + 1])
+def test_per_sample_tensor_must_match_the_batch(lead):
+    """A leading axis other than the batch size raises, also 1: it must
+    not broadcast over the batch.  A single (rows, width) sample takes no
+    per-sample tensor at all."""
+    x = np.zeros((PER_SAMPLE, 3, 4))
+    rows, down, up = np.zeros((lead, 2, 4)), np.zeros((lead, 4, 2)), np.zeros((lead, 2, 4))
+    for apply in (pm.apply_prompt, pm.apply_prefix):
+        with pytest.raises(ValueError, match="batch axis"):
+            apply(rows, x)
+        with pytest.raises(ValueError, match="batch axis"):
+            apply(np.zeros((PER_SAMPLE, 2, 4)), x[0])
+    for apply in (pm.apply_adapter, pm.apply_lora):
+        with pytest.raises(ValueError, match="batch axis"):
+            apply(down, up[0], x, x)
+        with pytest.raises(ValueError, match="batch axis"):
+            apply(down[0], up, x, x)
+        with pytest.raises(ValueError, match="batch axis"):
+            apply(np.zeros((PER_SAMPLE, 4, 2)), up[0], x[0], x[0])
+    with pytest.raises(ValueError, match="batch axis"):
+        pm.apply_prompt(np.zeros((PER_SAMPLE, 1, 2, 4)), x[None])
+
+
 def test_version_bump():
     pet = pm.init_pet(CFG, "prompt", 6)
     assert pet.version == 0

@@ -2,6 +2,7 @@
 
 import copy
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orthopet.backbone as bb
+import orthopet.checkpoint as ck
 import orthopet.data as dm
 import orthopet.metrics as mt
 import orthopet.pet as pm
@@ -367,3 +369,35 @@ def test_projection_with_buffered_probes_freezes_first_task_accuracy():
     assert np.array_equal(pet.params["prompt"], prompt_before)
     a_21 = tr.evaluate_task(w, pet, head, stream[0], "til", seen_classes=4)
     assert abs(a_21 - a_11) <= 0.02
+
+
+# -- domain- and task-incremental streams -----------------------------------
+
+@pytest.mark.filterwarnings("ignore::orthopet.projection.EmptyBasisWarning")
+@pytest.mark.parametrize("scenario,paradigm", [("dil", "adapter"), ("til", "prompt")])
+def test_three_task_stream_runs_resumes_and_repeats(scenario, paradigm, tmp_path):
+    """A 3-task dil or til stream through `continual_run` fills the whole
+    accuracy matrix with accuracies, gives the same bytes on a second run,
+    and gives them again when resumed from any task's checkpoint."""
+    spec = dm.ScenarioSpec(scenario=scenario, tasks=3, classes_per_task=2,
+                           samples_per_class=20, feature_dim=64, noise=0.5,
+                           separation=2.0)
+    model = replace(MODEL, num_classes=spec.total_classes)
+    stream = dm.gen_stream(spec, dm.make_tokenizer(64, model.seq_len, model.dim, 0), 0)
+    cfg = tr.TrainConfig(epochs=1, batch_size=8, lr=0.05, optimizer="adam",
+                         scenario=scenario, seed=0, backbone_seed=0,
+                         proj=pj.ProjectionConfig(sample_count=8))
+    matrix, _ = tr.continual_run(stream, model, paradigm, cfg, out_dir=tmp_path)
+    assert matrix.is_complete()
+    lower = matrix.values[np.tril_indices(spec.tasks)]
+    assert np.all((lower >= 0.0) & (lower <= 1.0))
+    # a hard enough stream that the byte comparisons below are not of a
+    # matrix of ones
+    assert len(set(lower.tolist())) > 1
+
+    again, _ = tr.continual_run(stream, model, paradigm, cfg)
+    assert again.values.tobytes() == matrix.values.tobytes()
+    for t in range(spec.tasks - 1):
+        state = ck.load_checkpoint(ck.task_path(tmp_path, t))
+        resumed, _ = tr.continual_run(stream, model, paradigm, cfg, resume=state)
+        assert resumed.values.tobytes() == matrix.values.tobytes(), t
