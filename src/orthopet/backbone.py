@@ -8,8 +8,8 @@ an ActivationTrace with every insertion-site input, both for backprop and
 for the projection module's feature buffers.
 
 Layout conventions: tokens are rows and samples stack on a leading batch
-axis, so x is (batch, seq_len, dim) and all linear maps multiply on the
-right.  Attention splits columns into heads, runs as (batch, heads, rows,
+axis, so x is (batch, seq_len, dim), a single sample is a batch of one,
+and all linear maps multiply on the right.  Attention splits columns into heads, runs as (batch, heads, rows,
 rows) batched matmuls, and scores are scaled by 1/sqrt(dim/heads).  The
 classifier reads the mean of the final token rows; prompt rows are
 excluded from the pool so prompt length never changes what the pooled
@@ -157,9 +157,8 @@ def init_backbone(cfg: TransformerConfig, seed) -> FrozenWeights:
 class ActivationTrace:
     """Everything backward() and the feature buffers need from a forward.
 
-    Every array keeps the leading batch axis, also for a single sample.
-    Each layer dict holds `query_from`, the first row its query side
-    computed: 0, except in the last block of a trace with prompt rows,
+    Every array has the leading batch axis.  Each layer dict holds
+    `query_from`, the first row its query side computed: 0, except in the last block of a trace with prompt rows,
     where it is the number of prompt rows (the pool reads only the token
     rows, see the module docstring).  A bypass adds its entries under the
     keys its `pet.Insertion` names (y, and the GELU factor of a GELU
@@ -216,13 +215,12 @@ def _softmax_rows(s: np.ndarray) -> np.ndarray:
     return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
-def forward(w: FrozenWeights, pet: pet_mod.PetState, x: np.ndarray, head: np.ndarray | None = None, need_trace: bool = True):
+def forward(w: FrozenWeights, pet: pet_mod.PetState, x: np.ndarray, head: np.ndarray, need_trace: bool = True):
     """Run a batch of tokenized samples (batch x seq_len x dim) through the network.
 
-    A single (seq_len x dim) sample is a batch of one; its logits come
-    back without the batch axis, its trace keeps it.  Returns (logits,
-    trace); trace is None when need_trace is False.  The head defaults to
-    the frozen seeded classifier; the trainer passes its own mutable copy.
+    Returns ((batch, classes) logits, trace); trace is None when
+    need_trace is False.  `head` is a (dim, classes) classifier: the
+    trainer's mutable copy, or `w.classifier` where no head trains.
 
     The head, and any paradigm tensor, may instead be per-sample: a
     (batch, dim, classes) head or a (batch, ...) tensor gives each sample
@@ -230,12 +228,8 @@ def forward(w: FrozenWeights, pet: pet_mod.PetState, x: np.ndarray, head: np.nda
     single-sample forward with that copy.  `backward` refuses such a trace.
     """
     cfg = w.cfg
-    if x.ndim not in (2, 3) or x.shape[-1] != cfg.dim:
-        raise ValueError(f"token matrix must be ([batch,] seq_len, {cfg.dim}), got {x.shape}")
-    single = x.ndim == 2
-    if single:
-        x = x[None]
-    head = w.classifier if head is None else head
+    if x.ndim != 3 or x.shape[-1] != cfg.dim:
+        raise ValueError(f"token batch must be (batch, seq_len, {cfg.dim}), got {x.shape}")
     if head.ndim != 2 and (head.ndim != 3 or head.shape[0] != x.shape[0]):
         raise ValueError(f"head must be (dim, classes) or ({x.shape[0]}, dim, classes), got {head.shape}")
     scale = math.sqrt(cfg.head_dim)
@@ -278,32 +272,29 @@ def forward(w: FrozenWeights, pet: pet_mod.PetState, x: np.ndarray, head: np.nda
     trace = None
     if need_trace:
         trace = ActivationTrace(x_embed, layers, xhat_f, inv_f, pooled, logits, pet, pet.version)
-    return (logits[0] if single else logits), trace
+    return logits, trace
 
 
-def backward(trace: ActivationTrace, w: FrozenWeights, pet: pet_mod.PetState, dlogits: np.ndarray, head: np.ndarray | None = None):
+def backward(trace: ActivationTrace, w: FrozenWeights, pet: pet_mod.PetState, dlogits: np.ndarray, head: np.ndarray):
     """Backpropagate d(loss)/d(logits) to the pet tensors and the head.
 
-    ``dlogits`` is (batch, classes), or (classes,) for a batch of one.
-    Returns (pet_grads, head_grad), each summed over the batch in sample
-    order.  Raises StaleTraceError when the trace was recorded for a
-    different PetState object or version.
+    ``dlogits`` is (batch, classes), the shape of the traced logits, and
+    ``head`` is the head the trace was recorded with.  Returns (pet_grads,
+    head_grad), each summed over the batch in sample order.  Raises
+    StaleTraceError when the trace was recorded for a different PetState
+    object or version.
     """
     if trace.pet_ref is not pet or trace.pet_version != pet.version:
         raise StaleTraceError("activation trace is stale for this PetState")
     if len(trace.layers) != len(w.layers):
         raise ValueError("incomplete activation trace")
     cfg = w.cfg
-    head = w.classifier if head is None else head
     # Gradients are summed over the batch and factors enter transposed, so
     # a per-sample tensor would give wrong gradients without an error.
     for name, arr in [*pet.params.items(), ("head", head)]:
         if arr.ndim != 2:
             raise ValueError(f"backward needs shared 2-D tensors; {name} has shape {arr.shape}")
     scale = math.sqrt(cfg.head_dim)
-    dlogits = np.asarray(dlogits, dtype=np.float64)
-    if dlogits.ndim == 1:
-        dlogits = dlogits[None]
     if dlogits.shape != trace.logits.shape:
         raise ValueError(f"dlogits shape {dlogits.shape} does not match traced logits {trace.logits.shape}")
 

@@ -2,11 +2,11 @@
 
 Samples are Gaussian clusters around unit-norm class means scaled by a
 separation factor, drawn in a raw feature space and mapped to token grids
-by one frozen linear tokenizer per run.  Split-class streams give each
-task its own disjoint label block; domain-shift streams keep one label
-set and rotate the raw feature space a little further each task.  Every
-stream is generated from the `data` section of a run config; there is no
-file input.
+by one frozen linear tokenizer per run.  `gen_stream` generates every
+stream, from the `data` section of a run config; there is no file input.
+In the cil, til and oil scenarios each task gets its own disjoint label
+block; a dil stream keeps one label set and rotates the raw feature space
+a little further each task.
 """
 
 import math
@@ -182,43 +182,17 @@ def _assemble_task(spec, tokenizer, task_id, classes, means, gen, rotate=None):
     )
 
 
-def gen_split_classes(spec: ScenarioSpec, tokenizer: Tokenizer, seed) -> list[TaskDataset]:
-    """Disjoint-label task stream for the cil/til/oil scenarios."""
-    if spec.scenario == "dil":
-        raise ValueError("use gen_domain_shift for the dil scenario")
-    if tokenizer.feature_dim != spec.feature_dim:
-        raise ValueError("tokenizer feature_dim does not match spec")
-    gen = rng_mod.generator(seed, "data")
-    means = _class_means(spec, gen)
-    return [
-        _assemble_task(spec, tokenizer, t, spec.task_classes(t), means, gen)
-        for t in range(spec.tasks)
-    ]
-
-
-def gen_domain_shift(spec: ScenarioSpec, tokenizer: Tokenizer, seed) -> list[TaskDataset]:
-    """Shared-label task stream: task t sees the raw space rotated by t*shift."""
-    if spec.scenario != "dil":
-        raise ValueError("gen_domain_shift is only defined for the dil scenario")
+def gen_stream(spec: ScenarioSpec, tokenizer: Tokenizer, seed) -> list[TaskDataset]:
+    """The task stream of `spec`: disjoint label blocks, or for dil one
+    label set with task t's raw space rotated by t * shift."""
     if tokenizer.feature_dim != spec.feature_dim:
         raise ValueError("tokenizer feature_dim does not match spec")
     gen = rng_mod.generator(seed, "data")
     means = _class_means(spec, gen)
     return [
         _assemble_task(
-            spec,
-            tokenizer,
-            t,
-            spec.task_classes(t),
-            means,
-            gen,
-            rotate=rotation_matrix(spec.feature_dim, spec.shift * t),
+            spec, tokenizer, t, spec.task_classes(t), means, gen,
+            rotate=rotation_matrix(spec.feature_dim, spec.shift * t) if spec.scenario == "dil" else None,
         )
         for t in range(spec.tasks)
     ]
-
-
-def gen_stream(spec: ScenarioSpec, tokenizer: Tokenizer, seed) -> list[TaskDataset]:
-    if spec.scenario == "dil":
-        return gen_domain_shift(spec, tokenizer, seed)
-    return gen_split_classes(spec, tokenizer, seed)

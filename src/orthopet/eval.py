@@ -30,9 +30,14 @@ from . import rng as rng_mod
 from . import trainer as tr
 
 
+# A merging tensor's basis is keyed by its own name, `<name>[.<layer>]`
+# (see `pet.routes`), beside the raw site bases.
+_MERGED = {s.name for specs in pm.PARADIGM_TENSORS.values() for s in specs if s.merge}
+
+
 def site_basis_total(basis_sizes_entry: dict) -> int:
-    """Total raw-site basis columns, excluding the merged prompt key."""
-    return sum(v for k, v in basis_sizes_entry.items() if k != "prompt")
+    """Total raw-site basis columns, excluding the merged tensors' keys."""
+    return sum(v for k, v in basis_sizes_entry.items() if k.partition(".")[0] not in _MERGED)
 
 
 SWEEP_KEYS = ("epsilon", "beta", "projection")
@@ -172,19 +177,19 @@ def gradient_check(paradigm: str, h: float = 1e-5) -> float:
     w = bb.init_backbone(cfg, rng_mod.sub_seed(3, "backbone"))
     pet = pm.init_pet(cfg, paradigm, rng_mod.sub_seed(3, "pet"))
     head = w.classifier.copy()
-    x = np.random.default_rng(3).normal(0.0, 1.0, size=(cfg.seq_len, cfg.dim))
+    x = np.random.default_rng(3).normal(0.0, 1.0, size=(1, cfg.seq_len, cfg.dim))
     mask = np.ones(cfg.num_classes, dtype=bool)
     label = 1
 
     logits, trace = bb.forward(w, pet, x, head=head)
-    _, dlogits = tr.masked_cross_entropy(logits, mask, label)
+    _, dlogits = tr.masked_cross_entropy(logits, mask, [label])
     grads, head_grad = bb.backward(trace, w, pet, dlogits, head=head)
     tensors = [(name, pet.params[name], grads[name]) for name in sorted(grads)]
     tensors.append(("head", head, head_grad))
     worst = 0.0
     for name, arr, analytic in tensors:
         n = arr.size
-        xs = np.broadcast_to(x, (n,) + x.shape)
+        xs = np.broadcast_to(x, (n,) + x.shape[1:])
         labels = np.full(n, label)
         losses = []
         for sign in (1.0, -1.0):

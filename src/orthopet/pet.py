@@ -12,13 +12,12 @@ A paradigm enters a block in one of two ways: rows prepended to the
 tokens, K or V (prompt, prefix), or a down/up bypass added to Q, V or the
 MLP output (LoRA; the adapter, with GELU).  The backbone calls `insert`
 at the five points forward and `rows_grads`/`bypass_grads` backward, and
-never names a paradigm.  Activations carry a leading batch axis, (batch,
-rows, width), or are one (rows, width) sample.  In the forward pass a
-paradigm tensor is either shared by every sample or per-sample, with a
-leading axis of the batch size and one copy per sample; a batch computes
-the same bits as its samples run one at a time with their own copies.
-The backward pass takes shared tensors only.  The functions never mutate
-their inputs.
+never names a paradigm.  Activations are (batch, rows, width); a single
+sample is a batch of one.  In the forward pass a paradigm tensor is either
+shared by every sample or per-sample, with a leading axis of the batch
+size and one copy per sample; a batch computes the same bits as its
+samples run one at a time with their own copies.  The backward pass takes
+shared tensors only.  The functions never mutate their inputs.
 """
 
 import math
@@ -45,18 +44,14 @@ def gelu_factor(x: np.ndarray) -> np.ndarray:
     return 1.0 + erf(x / _SQRT_2)
 
 
-def gelu(x: np.ndarray, factor: np.ndarray | None = None) -> np.ndarray:
-    """Exact (erf-based) GELU; gelu(0) = 0, which is what makes a zero-init
-    adapter bypass an exact identity.  Pass `gelu_factor(x)` to reuse it;
-    the result is the same either way."""
-    if factor is None:
-        factor = gelu_factor(x)
+def gelu(x: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """Exact (erf-based) GELU of x, given its `gelu_factor`; gelu(0) = 0,
+    which is what makes a zero-init adapter bypass an exact identity."""
     return 0.5 * x * factor
 
 
-def gelu_grad(x: np.ndarray, factor: np.ndarray | None = None) -> np.ndarray:
-    if factor is None:
-        factor = gelu_factor(x)
+def gelu_grad(x: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """d gelu / dx, given the `gelu_factor` of x."""
     return 0.5 * factor + x * np.exp(-0.5 * x * x) / _SQRT_2PI
 
 
@@ -155,19 +150,21 @@ PARADIGMS = tuple(PARADIGM_TENSORS)
 class Route(NamedTuple):
     """One trainable tensor of a model: its parameter key, the site whose
     features constrain it, the key of the basis that projects its gradient,
-    and its template."""
+    its template, and the layer of its site (None on the embed site)."""
 
     name: str
     site: str
     basis: str
     spec: TensorSpec
+    layer: int | None
 
 
 def routes(paradigm: str, depth: int) -> list[Route]:
     """Every trainable tensor of a paradigm, layer by layer in table order.
 
     A tensor on a per-layer site gets one copy per layer, keyed
-    `<name>.<layer>`; a tensor on the embed site exists once.
+    `<name>.<layer>` on site `<kind>.<layer>`; a tensor on the embed site
+    exists once.
     """
     specs = PARADIGM_TENSORS[check_paradigm(paradigm)]
     out = []
@@ -177,7 +174,7 @@ def routes(paradigm: str, depth: int) -> list[Route]:
             if per_layer or layer == 0:
                 tag = f".{layer}" if per_layer else ""
                 name, site = spec.name + tag, spec.site + tag
-                out.append(Route(name, site, name if spec.merge else site, spec))
+                out.append(Route(name, site, name if spec.merge else site, spec, layer if per_layer else None))
     return out
 
 
@@ -204,11 +201,10 @@ def init_pet(cfg, paradigm: str, seed) -> PetState:
 
 
 def _check(what: str, x: np.ndarray, *params: np.ndarray) -> None:
-    """A parameter is 2-D and shared, or 3-D with one copy per sample of
-    a (batch, rows, width) input."""
-    if x.ndim < 2 or any(p.ndim != 2 and (p.ndim != 3 or x.ndim != 3 or p.shape[0] != x.shape[0])
-                         for p in params):
-        raise ValueError(f"{what}: expected ([batch,] rows, width) inputs and 2-D parameters, "
+    """The input is (batch, rows, width); a parameter is 2-D and shared,
+    or 3-D with one copy per sample."""
+    if x.ndim != 3 or any(p.ndim != 2 and (p.ndim != 3 or p.shape[0] != x.shape[0]) for p in params):
+        raise ValueError(f"{what}: expected (batch, rows, width) inputs and 2-D parameters, "
                          f"or 3-D ones with the batch axis; got x {x.shape}, "
                          f"parameters {[p.shape for p in params]}")
 

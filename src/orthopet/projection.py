@@ -18,6 +18,10 @@ SVD (the left basis of the column-oriented formulation is the right basis
 of the row-stacked one).  Which axis of a gradient the projector acts on
 is a property of the tensor, not of the basis, so it lives in the paradigm
 table (`pet.PARADIGM_TENSORS`) and is passed to `project`.
+
+Sites are named by the routes of a pet (`pet.routes`): a route carries its
+site's kind and layer, and the width and trace rows of a site are read
+from it.  `sample_features` serves every site of a pet's routes.
 """
 
 import warnings
@@ -166,61 +170,42 @@ def project(grad: np.ndarray, basis: ProjectionBasis, axis: int) -> np.ndarray:
     return basis.b @ (basis.b.T @ grad)
 
 
-def _parse_site(site: str) -> tuple[pm.SiteKind, int | None]:
-    """The kind of a site name and its layer (None for the embed site)."""
-    kind, dot, layer = site.partition(".")
-    spec = pm.SITES.get(kind)
-    if spec is None or spec.per_layer != bool(dot) or (dot and not layer.isdecimal()):
-        raise ValueError(f"unknown site {site!r}")
-    return spec, int(layer) if dot else None
+def site_width(route: pm.Route, cfg: bb.TransformerConfig) -> int:
+    """Feature width at a route's site: d for token spaces, r for bottleneck y-spaces."""
+    return getattr(cfg, pm.SITES[route.spec.site].width)
 
 
-def site_width(site: str, cfg: bb.TransformerConfig) -> int:
-    """Feature width at a site: d for token spaces, r for bottleneck y-spaces."""
-    spec, layer = _parse_site(site)
-    if layer is not None and layer >= cfg.depth:
-        raise ValueError(f"site {site!r} exceeds depth {cfg.depth}")
-    return getattr(cfg, spec.width)
-
-
-def paradigm_sites(paradigm: str, depth: int) -> list[str]:
-    """Sites whose features must be buffered for a paradigm, in a stable order."""
-    return list(dict.fromkeys(r.site for r in pm.routes(paradigm, depth)))
-
-
-def _site_rows(trace: bb.ActivationTrace, site: str) -> np.ndarray:
-    spec, layer = _parse_site(site)
-    if layer is None:
-        return getattr(trace, spec.trace_key)
-    if layer >= len(trace.layers):
-        raise ValueError(f"site {site!r} exceeds traced depth {len(trace.layers)}")
-    rows = trace.layers[layer].get(spec.trace_key)
-    if rows is None:
-        raise ValueError(f"site {site!r} is not active for paradigm of this trace")
-    if rows.shape[-2] != trace.layers[layer]["a_in"].shape[-2]:
+def _site_rows(trace: bb.ActivationTrace, route: pm.Route) -> np.ndarray:
+    key = pm.SITES[route.spec.site].trace_key
+    if route.layer is None:
+        return getattr(trace, key)
+    layer = trace.layers[route.layer]
+    if layer[key].shape[-2] != layer["a_in"].shape[-2]:
         raise ValueError(
-            f"site {site!r} covers only rows {trace.layers[layer]['query_from']}: in this "
+            f"site {route.site!r} covers only rows {layer['query_from']}: in this "
             "trace; the last block computes its query side for the pooled rows alone"
         )
-    return rows
+    return layer[key]
 
 
-def sample_features(w: bb.FrozenWeights, pet, sampling_set, sites) -> dict:
-    """Insertion-site feature rows for every sample in the sampling set.
+def sample_features(w: bb.FrozenWeights, pet, sampling_set) -> dict:
+    """Feature rows at every site of `pet`'s routes for every sample in
+    the sampling set.
 
-    One traced forward per CHUNK_ROWS samples serves every site in
-    ``sites``; each sample contributes all its token rows, in sample
-    order.  Returns site -> rows of shape (n, width); the caller adds them
-    to the site buffers.
+    One traced forward per CHUNK_ROWS samples serves every site; each
+    sample contributes all its token rows, in sample order.  Returns site
+    -> rows of shape (n, width), sites in route order; the caller adds
+    them to the site buffers.
     """
-    widths = {site: site_width(site, w.cfg) for site in sites}
+    sites = {r.site: r for r in pm.routes(pet.paradigm, w.cfg.depth)}
     collected = {site: [] for site in sites}
     xs = np.asarray(sampling_set, dtype=np.float64)
     for start in range(0, len(xs), bb.CHUNK_ROWS):
-        _, trace = bb.forward(w, pet, xs[start:start + bb.CHUNK_ROWS])
-        for site in sites:
-            collected[site].append(_site_rows(trace, site).reshape(-1, widths[site]))
+        _, trace = bb.forward(w, pet, xs[start:start + bb.CHUNK_ROWS], w.classifier)
+        for site, r in sites.items():
+            rows = _site_rows(trace, r)
+            collected[site].append(rows.reshape(-1, rows.shape[-1]))
     return {
-        site: np.vstack(rows) if rows else np.zeros((0, widths[site]))
+        site: np.vstack(rows) if rows else np.zeros((0, site_width(sites[site], w.cfg)))
         for site, rows in collected.items()
     }

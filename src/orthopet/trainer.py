@@ -135,24 +135,21 @@ def logit_mask(scenario, phase, num_classes, seen_classes=None, task_classes=Non
     return mask
 
 
-def masked_cross_entropy(logits, mask, label):
-    """Loss and dloss/dlogits with excluded classes pinned to zero.
+def masked_cross_entropy(logits, mask, labels):
+    """Per-row losses and dloss/dlogits with excluded classes pinned to zero.
 
-    ``logits`` is (classes,) with an int label, or (batch, classes) with
-    one label per row; a batch gives per-row losses and gradients.
-    Excluded logits are replaced by -inf, so their probabilities and
-    gradient entries are exactly 0.0 rather than merely small.
+    ``logits`` is (batch, classes) with one label per row.  Excluded
+    logits are replaced by -inf, so their probabilities and gradient
+    entries are exactly 0.0 rather than merely small.
     """
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim > 2 or logits.shape[-1:] != mask.shape:
-        raise ValueError(f"logits shape {logits.shape} != mask shape {mask.shape}")
-    labels = np.asarray(label, dtype=np.int64)
-    if labels.shape != logits.shape[:-1]:
+    if logits.ndim != 2 or logits.shape[1:] != mask.shape:
+        raise ValueError(f"logits shape {logits.shape} is not (batch,) + mask shape {mask.shape}")
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != logits.shape[:1]:
         raise ValueError(f"labels shape {labels.shape} does not match logits {logits.shape}")
     if not mask[labels].all():
-        raise ValueError(f"label {labels[~mask[labels]].flat[0]} is masked out")
-    z = np.where(mask, np.atleast_2d(logits), -np.inf)
-    labels = np.atleast_1d(labels)
+        raise ValueError(f"label {labels[~mask[labels]][0]} is masked out")
+    z = np.where(mask, logits, -np.inf)
     rows = np.arange(z.shape[0])
     z_max = z.max(axis=1)
     e = np.exp(z - z_max[:, None])
@@ -160,8 +157,6 @@ def masked_cross_entropy(logits, mask, label):
     loss = np.log(s) - (z[rows, labels] - z_max)
     grad = e / s[:, None]
     grad[rows, labels] -= 1.0
-    if logits.ndim == 1:
-        return float(loss[0]), grad[0]
     return loss, grad
 
 
@@ -189,17 +184,17 @@ def project_grads(pet, grads, bases, depth) -> dict:
     }
 
 
-def train_task(w, pet, head, task, cfg, bases=None, *, opt=None, seen_classes=None,
+def train_task(w, pet, head, task, cfg, bases=None, *, seen_classes=None,
                shuffle_rng=None, train_rows=None) -> list[float]:
-    """Train on one task; returns the per-epoch mean loss curve.
+    """Train on one task with a fresh optimizer; returns the per-epoch
+    mean loss curve.
 
     ``bases=None`` disables projection entirely (the baseline path);
     passing identity bases instead must give the same trajectory.
     ``train_rows`` overrides the training split, e.g. to hold out the
     feature-sampling slice.
     """
-    if opt is None:
-        opt = init_optimizer(cfg.optimizer, pet, head)
+    opt = init_optimizer(cfg.optimizer, pet, head)
     if seen_classes is None:
         seen_classes = max(task.classes) + 1
     if shuffle_rng is None:
@@ -237,18 +232,17 @@ def train_task(w, pet, head, task, cfg, bases=None, *, opt=None, seen_classes=No
 
 
 def init_buffers(paradigm, model_cfg) -> dict:
+    """An empty feature buffer per site of the paradigm, in route order."""
     return {
-        site: pj.FeatureBuffer(site=site, width=pj.site_width(site, model_cfg))
-        for site in pj.paradigm_sites(paradigm, model_cfg.depth)
+        r.site: pj.FeatureBuffer(site=r.site, width=pj.site_width(r, model_cfg))
+        for r in pm.routes(paradigm, model_cfg.depth)
     }
 
 
 def update_buffers(w, pet, sampling_set, buffers):
     """Append freshly sampled site features to every buffer."""
-    sites = sorted(buffers)
-    rows = pj.sample_features(w, pet, sampling_set, sites)
-    for site in sites:
-        buffers[site].add(rows[site])
+    for site, rows in pj.sample_features(w, pet, sampling_set).items():
+        buffers[site].add(rows)
 
 
 def rebuild_bases(pet, buffers, proj_cfg, model_cfg) -> dict:
@@ -272,15 +266,6 @@ def rebuild_bases(pet, buffers, proj_cfg, model_cfg) -> dict:
             own = pj.build_basis(rows, proj_cfg.epsilon, r.name)
             bases[r.basis] = pj.merge_bases(bases[r.site], own, proj_cfg.beta)
     return bases
-
-
-def _seen_after(stream, t, scenario, num_classes) -> int:
-    if scenario == "dil":
-        return num_classes
-    seen = 0
-    for task in stream[: t + 1]:
-        seen = max(seen, max(task.classes) + 1)
-    return seen
 
 
 def resume_start(state, paradigm, tasks: int) -> int:
@@ -341,16 +326,15 @@ def continual_run(stream, model_cfg, paradigm, cfg, out_dir=None, config_hash=""
     info = {"loss_curves": [], "basis_sizes": []}
     for t in range(start, len(stream)):
         task = stream[t]
-        seen = _seen_after(stream, t, cfg.scenario, model_cfg.num_classes)
+        seen = max(max(s.classes) for s in stream[: t + 1]) + 1
         perm = rngs["sampling"].permutation(task.n_train)
         k = min(cfg.proj.sample_count, max(task.n_train - 1, 0))
         sampling_set = task.train_x[perm[:k]]
         train_rows = (task.train_x[perm[k:]], task.train_y[perm[k:]])
-        opt = init_optimizer(cfg.optimizer, pet, head)
         use_bases = bases if (cfg.projection and t > 0) else None
         curve = train_task(
             w, pet, head, task, cfg, use_bases,
-            opt=opt, seen_classes=seen, shuffle_rng=rngs["shuffle"], train_rows=train_rows,
+            seen_classes=seen, shuffle_rng=rngs["shuffle"], train_rows=train_rows,
         )
         info["loss_curves"].append(curve)
         for i in range(t + 1):

@@ -44,7 +44,7 @@ def make_model(paradigm, seed=7, randomize=True):
     if randomize:
         for name in sorted(pet.params):
             pet.params[name] = rng.normal(0.0, 0.05, size=pet.params[name].shape)
-    x = rng.normal(0.0, 1.0, size=(CFG.seq_len, CFG.dim))
+    x = rng.normal(0.0, 1.0, size=(1, CFG.seq_len, CFG.dim))
     head = w.classifier.copy()
     return w, pet, x, head
 
@@ -61,6 +61,7 @@ def ref_layernorm(x, g, b):
 
 
 def reference_forward(w, pet, x, head):
+    """Logits of one (seq_len, dim) sample."""
     cfg = w.cfg
     dh = cfg.dim // cfg.heads
     z = x @ w.embed
@@ -100,21 +101,21 @@ def reference_forward(w, pet, x, head):
 def test_forward_matches_reference(paradigm):
     w, pet, x, head = make_model(paradigm)
     logits, _ = bb.forward(w, pet, x, head=head)
-    ref = reference_forward(w, pet, x, head)
-    assert np.allclose(logits, ref, atol=1e-12, rtol=1e-12)
+    ref = reference_forward(w, pet, x[0], head)
+    assert np.allclose(logits[0], ref, atol=1e-12, rtol=1e-12)
 
 
 @pytest.mark.parametrize("paradigm", pm.PARADIGMS)
 def test_backward_matches_finite_differences(paradigm):
     w, pet, x, head = make_model(paradigm)
-    c = np.random.default_rng(99).normal(size=CFG.num_classes)
+    c = np.random.default_rng(99).normal(size=(1, CFG.num_classes))
 
     _, trace = bb.forward(w, pet, x, head=head)
     grads, head_grad = bb.backward(trace, w, pet, c, head=head)
 
     def loss():
         logits, _ = bb.forward(w, pet, x, head=head, need_trace=False)
-        return float(logits @ c)
+        return float(logits[0] @ c[0])
 
     step = 1e-5
 
@@ -145,7 +146,7 @@ def test_backward_matches_finite_differences(paradigm):
 def test_backward_zero_loss_grad_gives_zero_grads(paradigm):
     w, pet, x, head = make_model(paradigm)
     _, trace = bb.forward(w, pet, x, head=head)
-    grads, head_grad = bb.backward(trace, w, pet, np.zeros(CFG.num_classes), head=head)
+    grads, head_grad = bb.backward(trace, w, pet, np.zeros((1, CFG.num_classes)), head=head)
     assert not head_grad.any()
     for g in grads.values():
         assert not g.any()
@@ -155,7 +156,7 @@ def test_backward_zero_loss_grad_gives_zero_grads(paradigm):
 def test_backward_shapes():
     w, pet, x, head = make_model("prompt")
     _, trace = bb.forward(w, pet, x, head=head)
-    grads, head_grad = bb.backward(trace, w, pet, np.ones(CFG.num_classes), head=head)
+    grads, head_grad = bb.backward(trace, w, pet, np.ones((1, CFG.num_classes)), head=head)
     assert grads["prompt"].shape == (CFG.prompt_len, CFG.dim)
     assert head_grad.shape == (CFG.dim, CFG.num_classes)
 
@@ -165,10 +166,10 @@ def test_stale_trace_rejected():
     _, trace = bb.forward(w, pet, x, head=head)
     pet.bump()
     with pytest.raises(bb.StaleTraceError):
-        bb.backward(trace, w, pet, np.ones(CFG.num_classes), head=head)
+        bb.backward(trace, w, pet, np.ones((1, CFG.num_classes)), head=head)
     other = pm.init_pet(CFG, "adapter", 123)
     with pytest.raises(bb.StaleTraceError):
-        bb.backward(trace, w, other, np.ones(CFG.num_classes), head=head)
+        bb.backward(trace, w, other, np.ones((1, CFG.num_classes)), head=head)
 
 
 def test_incomplete_trace_rejected():
@@ -176,13 +177,13 @@ def test_incomplete_trace_rejected():
     _, trace = bb.forward(w, pet, x, head=head)
     trace.layers.pop()
     with pytest.raises(ValueError):
-        bb.backward(trace, w, pet, np.ones(CFG.num_classes), head=head)
+        bb.backward(trace, w, pet, np.ones((1, CFG.num_classes)), head=head)
 
 
 def test_backward_is_repeatable():
     w, pet, x, head = make_model("prefix")
     _, trace = bb.forward(w, pet, x, head=head)
-    c = np.arange(CFG.num_classes, dtype=float)
+    c = np.arange(CFG.num_classes, dtype=float)[None]
     g1, h1 = bb.backward(trace, w, pet, c, head=head)
     g2, h2 = bb.backward(trace, w, pet, c, head=head)
     assert np.array_equal(h1, h2)
@@ -212,7 +213,7 @@ def test_forward_backward_leave_weights_bit_identical():
     snap_layers = [{k: v.copy() for k, v in layer.items()} for layer in w.layers]
     for _ in range(2):
         _, trace = bb.forward(w, pet, x, head=head)
-        bb.backward(trace, w, pet, np.ones(CFG.num_classes), head=head)
+        bb.backward(trace, w, pet, np.ones((1, CFG.num_classes)), head=head)
     assert np.array_equal(w.embed, snap_embed)
     for layer, snap in zip(w.layers, snap_layers):
         for key in layer:
@@ -223,13 +224,6 @@ def test_forward_is_deterministic():
     w, pet, x, head = make_model("prompt")
     a, _ = bb.forward(w, pet, x, head=head)
     b, _ = bb.forward(w, pet, x, head=head)
-    assert np.array_equal(a, b)
-
-
-def test_forward_default_head_is_frozen_classifier():
-    w, pet, x, _ = make_model("adapter")
-    a, _ = bb.forward(w, pet, x)
-    b, _ = bb.forward(w, pet, x, head=w.classifier)
     assert np.array_equal(a, b)
 
 
@@ -254,7 +248,7 @@ def test_zero_bypass_paradigms_match_pet_free_forward():
     """Freshly initialized adapter/LoRA (zero up-factors) and a zero-length
     prompt all compute the identical PET-free function."""
     w = bb.init_backbone(CFG, 9)
-    x = np.random.default_rng(10).normal(size=(CFG.seq_len, CFG.dim))
+    x = np.random.default_rng(10).normal(size=(1, CFG.seq_len, CFG.dim))
     free_cfg = bb.TransformerConfig(
         depth=CFG.depth,
         dim=CFG.dim,
@@ -266,12 +260,12 @@ def test_zero_bypass_paradigms_match_pet_free_forward():
         prefix_len=CFG.prefix_len,
         rank=CFG.rank,
     )
-    baseline, _ = bb.forward(w, pm.init_pet(free_cfg, "prompt", 1), x)
+    baseline, _ = bb.forward(w, pm.init_pet(free_cfg, "prompt", 1), x, w.classifier)
 
-    adapter_logits, _ = bb.forward(w, pm.init_pet(CFG, "adapter", 2), x)
+    adapter_logits, _ = bb.forward(w, pm.init_pet(CFG, "adapter", 2), x, w.classifier)
     assert np.array_equal(adapter_logits, baseline)
 
-    lora_logits, _ = bb.forward(w, pm.init_pet(CFG, "lora", 3), x)
+    lora_logits, _ = bb.forward(w, pm.init_pet(CFG, "lora", 3), x, w.classifier)
     assert np.array_equal(lora_logits, baseline)
 
 
@@ -282,8 +276,8 @@ def test_activation_variance_in_sane_range():
     rng = np.random.default_rng(23)
     per_layer = [[] for _ in range(cfg.depth)]
     for _ in range(16):
-        x = rng.normal(0.0, 1.0, size=(cfg.seq_len, cfg.dim))
-        _, trace = bb.forward(w, pet, x)
+        x = rng.normal(0.0, 1.0, size=(1, cfg.seq_len, cfg.dim))
+        _, trace = bb.forward(w, pet, x, w.classifier)
         for li, t in enumerate(trace.layers):
             per_layer[li].append((t["a_in"].var(), t["m_in"].var(), t["u"].var()))
     for stats in per_layer:
@@ -292,16 +286,16 @@ def test_activation_variance_in_sane_range():
 
 
 def test_forward_rejects_bad_shapes():
-    w, pet, x, _ = make_model("prompt")
-    with pytest.raises(ValueError):
-        bb.forward(w, pet, x[:, :-1])
-    with pytest.raises(ValueError):
-        bb.forward(w, pet, x.ravel())
+    w, pet, x, head = make_model("prompt")
+    # a (seq_len, dim) sample without the batch axis is refused too
+    for bad in (x[..., :-1], x.ravel(), x[0]):
+        with pytest.raises(ValueError, match="token batch"):
+            bb.forward(w, pet, bad, head)
 
 
 def test_non_finite_logits_raise():
     w, pet, _, head = make_model("prompt")
-    x = np.full((CFG.seq_len, CFG.dim), 1e308)
+    x = np.full((1, CFG.seq_len, CFG.dim), 1e308)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(FloatingPointError):
             bb.forward(w, pet, x, head=head)
@@ -349,24 +343,19 @@ def test_batched_pass_equals_per_sample_loop(paradigm, monkeypatch):
     assert factor_calls == []
     assert logits.shape == (BATCH, CFG.num_classes)
     if paradigm == "adapter":
-        # without the kept factor, gelu_grad recomputes it from y @ w_up,
-        # the expression backward used before; not a bit may move
+        # the factor backward reads has the bits of gelu_factor(y @ w_up)
         for li, t in enumerate(trace.layers):
             ins = pm.insertion(paradigm, "mlp", li)
             assert ins.gelu
             pre = t[ins.trace_key] @ pet.params[ins.names[1]]
             assert np.array_equal(t[ins.factor_key], pm.gelu_factor(pre))
-            t[ins.factor_key] = None
-        recomputed, _ = bb.backward(trace, w, pet, dlogits, head=head)
-        for name in grads:
-            assert np.array_equal(grads[name], recomputed[name]), name
 
     gsum = {name: np.zeros_like(arr) for name, arr in pet.params.items()}
     hsum = np.zeros_like(head)
     for i in range(BATCH):
-        one, one_trace = bb.forward(w, pet, xs[i], head=head)
-        assert np.array_equal(one, logits[i])
-        _, d_one = tr.masked_cross_entropy(one, mask, int(ys[i]))
+        one, one_trace = bb.forward(w, pet, xs[i:i + 1], head=head)
+        assert np.array_equal(one[0], logits[i])
+        _, d_one = tr.masked_cross_entropy(one, mask, ys[i:i + 1])
         g, h = bb.backward(one_trace, w, pet, d_one, head=head)
         for name in gsum:
             gsum[name] += g[name]
@@ -406,21 +395,6 @@ def test_passes_call_the_module_attributes(paradigm, monkeypatch):
     assert calls == {f"apply_{paradigm}": INSERT_CALLS[paradigm], "gelu": gelus, "gelu_grad": gelus}
 
 
-@pytest.mark.parametrize("paradigm", pm.PARADIGMS)
-def test_single_sample_is_a_batch_of_one(paradigm):
-    w, pet, x, head = make_model(paradigm)
-    c = np.random.default_rng(98).normal(size=CFG.num_classes)
-    logits, trace = bb.forward(w, pet, x, head=head)
-    batch_logits, batch_trace = bb.forward(w, pet, x[None], head=head)
-    assert logits.shape == (CFG.num_classes,)
-    assert np.array_equal(logits, batch_logits[0])
-    grads, head_grad = bb.backward(trace, w, pet, c, head=head)
-    batch_grads, batch_head_grad = bb.backward(batch_trace, w, pet, c[None], head=head)
-    assert np.array_equal(head_grad, batch_head_grad)
-    for name in grads:
-        assert np.array_equal(grads[name], batch_grads[name])
-
-
 def _per_sample(arr, n, rng):
     """n copies of arr, each moved by its own small draw."""
     return arr + rng.normal(0.0, 0.01, size=(n,) + arr.shape)
@@ -443,9 +417,9 @@ def test_per_sample_tensors_equal_single_sample_forwards(paradigm):
         for i in range(BATCH):
             one_pet = pm.PetState(paradigm, {name: arr[i] if name in tensors else arr
                                              for name, arr in batch_pet.params.items()})
-            one, _ = bb.forward(w, one_pet, xs[i], head=case_head[i] if case_head.ndim == 3 else head,
+            one, _ = bb.forward(w, one_pet, xs[i:i + 1], head=case_head[i] if case_head.ndim == 3 else head,
                                 need_trace=False)
-            assert np.array_equal(logits[i], one), (sorted(tensors), i)
+            assert np.array_equal(logits[i], one[0]), (sorted(tensors), i)
 
 
 @pytest.mark.parametrize("lead", [1, BATCH - 1])
@@ -460,15 +434,15 @@ def test_per_sample_tensor_of_another_batch_size_raises(paradigm, lead):
             bb.forward(w, bad, xs, head=head, need_trace=False)
     with pytest.raises(ValueError, match="head"):
         bb.forward(w, pet, xs, head=_per_sample(head, lead, rng), need_trace=False)
-    # a single sample is a batch of one, so only a leading axis of 1 fits it
+    # only a leading axis of 1 fits a batch of one
     fits = lead == 1
     for name, arr in pet.params.items():
         one = pm.PetState(paradigm, {**pet.params, name: _per_sample(arr, lead, rng)})
         if fits:
-            bb.forward(w, one, xs[0], head=head, need_trace=False)
+            bb.forward(w, one, xs[:1], head=head, need_trace=False)
         else:
             with pytest.raises(ValueError, match="batch axis"):
-                bb.forward(w, one, xs[0], head=head, need_trace=False)
+                bb.forward(w, one, xs[:1], head=head, need_trace=False)
 
 
 @pytest.mark.parametrize("paradigm", pm.PARADIGMS)
@@ -494,6 +468,10 @@ def test_backward_rejects_dlogits_of_another_batch():
     _, trace = bb.forward(w, pet, xs, head=head)
     with pytest.raises(ValueError, match="dlogits"):
         bb.backward(trace, w, pet, np.ones(CFG.num_classes), head=head)
+    # a batch of one takes (1, classes) dlogits, not (classes,)
+    _, trace = bb.forward(w, pet, xs[:1], head=head)
+    with pytest.raises(ValueError, match="dlogits"):
+        bb.backward(trace, w, pet, np.ones(CFG.num_classes), head=head)
 
 
 def test_batched_masked_cross_entropy_equals_rows():
@@ -504,9 +482,9 @@ def test_batched_masked_cross_entropy_equals_rows():
     losses, grads = tr.masked_cross_entropy(logits, mask, labels)
     assert losses.shape == (BATCH,) and grads.shape == logits.shape
     for i in range(BATCH):
-        loss, grad = tr.masked_cross_entropy(logits[i], mask, int(labels[i]))
-        assert loss == losses[i]
-        assert np.array_equal(grad, grads[i])
+        loss, grad = tr.masked_cross_entropy(logits[i:i + 1], mask, labels[i:i + 1])
+        assert loss[0] == losses[i]
+        assert np.array_equal(grad[0], grads[i])
     with pytest.raises(ValueError, match="masked out"):
         tr.masked_cross_entropy(logits, mask, np.ones(BATCH, dtype=np.int64))
     with pytest.raises(ValueError, match="shape"):
@@ -519,7 +497,7 @@ ODD_ROWS = 37  # not a multiple of bb.CHUNK_ROWS, so the last chunk is short
 def test_evaluate_task_chunks_keep_row_order():
     w, pet, head, xs, _ = make_batch("prefix", n=ODD_ROWS)
     predicted = np.array([
-        int(np.argmax(bb.forward(w, pet, x, head=head, need_trace=False)[0])) for x in xs
+        int(np.argmax(bb.forward(w, pet, xs[i:i + 1], head=head, need_trace=False)[0])) for i in range(ODD_ROWS)
     ])
     classes = list(range(CFG.num_classes))
     shifted = (predicted + np.arange(ODD_ROWS) % 2) % CFG.num_classes
@@ -538,15 +516,14 @@ def test_evaluate_task_chunks_keep_row_order():
 
 def test_sample_features_chunks_keep_row_order():
     w, pet, head, xs, _ = make_batch("lora", n=ODD_ROWS)
-    sites = pj.paradigm_sites("lora", CFG.depth)
+    sites = {r.site: r for r in pm.routes("lora", CFG.depth)}
     expected = {site: [] for site in sites}
-    for x in xs:
-        _, trace = bb.forward(w, pet, x)
-        for site in sites:
-            kind, layer = site.split(".")
-            expected[site].append(trace.layers[int(layer)][pm.SITES[kind].trace_key][0])
-    rows = pj.sample_features(w, pet, xs, sites)
-    assert sorted(rows) == sorted(sites)
+    for i in range(ODD_ROWS):
+        _, trace = bb.forward(w, pet, xs[i:i + 1], w.classifier)
+        for site, r in sites.items():
+            expected[site].append(trace.layers[r.layer][pm.SITES[r.spec.site].trace_key][0])
+    rows = pj.sample_features(w, pet, xs)
+    assert list(rows) == list(sites)
     for site in sites:
         assert np.array_equal(rows[site], np.vstack(expected[site])), site
 

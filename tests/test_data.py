@@ -79,7 +79,7 @@ def test_tokenizer_linearity_zero_and_determinism():
 def test_split_classes_shapes_and_balance():
     spec = spec_for()
     tok = tok_for(spec)
-    stream = dm.gen_split_classes(spec, tok, seed=7)
+    stream = dm.gen_stream(spec, tok, seed=7)
     assert len(stream) == 5
     for t, task in enumerate(stream):
         assert task.task_id == t
@@ -94,9 +94,9 @@ def test_split_classes_shapes_and_balance():
 def test_split_classes_deterministic():
     spec = spec_for()
     tok = tok_for(spec)
-    a = dm.gen_split_classes(spec, tok, seed=9)
-    b = dm.gen_split_classes(spec, tok, seed=9)
-    c = dm.gen_split_classes(spec, tok, seed=10)
+    a = dm.gen_stream(spec, tok, seed=9)
+    b = dm.gen_stream(spec, tok, seed=9)
+    c = dm.gen_stream(spec, tok, seed=10)
     assert np.array_equal(a[0].train_x, b[0].train_x)
     assert np.array_equal(a[3].test_y, b[3].test_y)
     assert not np.array_equal(a[0].train_x, c[0].train_x)
@@ -105,7 +105,7 @@ def test_split_classes_deterministic():
 def test_split_classes_zero_noise_collapses_clusters():
     spec = spec_for(noise=0.0, samples_per_class=10)
     tok = tok_for(spec)
-    task = dm.gen_split_classes(spec, tok, seed=1)[0]
+    task = dm.gen_stream(spec, tok, seed=1)[0]
     for cls in task.classes:
         rows = task.train_x[task.train_y == cls]
         assert np.abs(rows - rows[0]).max() == 0.0
@@ -114,7 +114,7 @@ def test_split_classes_zero_noise_collapses_clusters():
 def test_split_classes_probe_accuracy():
     spec = spec_for(samples_per_class=50)
     tok = tok_for(spec)
-    task = dm.gen_split_classes(spec, tok, seed=11)[0]
+    task = dm.gen_stream(spec, tok, seed=11)[0]
     acc = nearest_centroid_accuracy(task.train_x, task.train_y, task.test_x, task.test_y)
     assert acc >= 0.99
 
@@ -130,7 +130,7 @@ def test_rotation_matrix_orthogonal():
 def test_domain_shift_zero_angle_reproduces_means():
     spec = spec_for("dil", noise=0.0, shift=0.0, samples_per_class=6, classes_per_task=3)
     tok = tok_for(spec)
-    stream = dm.gen_domain_shift(spec, tok, seed=13)
+    stream = dm.gen_stream(spec, tok, seed=13)
     base = {c: stream[0].train_x[stream[0].train_y == c][0] for c in stream[0].classes}
     for task in stream[1:]:
         assert task.classes == stream[0].classes
@@ -144,7 +144,7 @@ def test_domain_shift_probe_degrades_with_angle():
     for shift in (0.0, 0.5, 1.0, 1.5):
         spec = spec_for("dil", classes_per_task=4, samples_per_class=40, shift=shift, tasks=2)
         tok = tok_for(spec, seed=5)
-        stream = dm.gen_domain_shift(spec, tok, seed=17)
+        stream = dm.gen_stream(spec, tok, seed=17)
         accs.append(nearest_centroid_accuracy(stream[0].train_x, stream[0].train_y, stream[1].test_x, stream[1].test_y))
     assert all(accs[i + 1] <= accs[i] + 0.02 for i in range(len(accs) - 1))
     assert accs[-1] < accs[0] - 0.2
@@ -154,15 +154,13 @@ def test_scenario_routing():
     dil = spec_for("dil")
     cil = spec_for()
     tok = tok_for(cil)
-    with pytest.raises(ValueError):
-        dm.gen_split_classes(dil, tok, seed=0)
-    with pytest.raises(ValueError):
-        dm.gen_domain_shift(cil, tok, seed=0)
-    assert len(dm.gen_stream(cil, tok, seed=0)) == cil.tasks
-    assert len(dm.gen_stream(dil, tok_for(dil), seed=0)) == dil.tasks
+    cil_stream = dm.gen_stream(cil, tok, seed=0)
+    dil_stream = dm.gen_stream(dil, tok_for(dil), seed=0)
+    assert [t.classes for t in cil_stream] == [[2 * t, 2 * t + 1] for t in range(5)]
+    assert [t.classes for t in dil_stream] == [[0, 1]] * 5
     mismatched = dm.make_tokenizer(32, 4, 8, seed=0)
     with pytest.raises(ValueError):
-        dm.gen_split_classes(cil, mismatched, seed=0)
+        dm.gen_stream(cil, mismatched, seed=0)
 
 
 def test_task_dataset_rejects_labels_outside_classes():

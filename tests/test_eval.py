@@ -85,6 +85,7 @@ def test_projection_sweep_equals_direct_runs():
 def test_site_basis_total_excludes_merged_prompt_key():
     entry = {"embed": 3, "prompt": 7}
     assert ev.site_basis_total(entry) == 3
+    assert ev.site_basis_total({"attn_in.0": 2, "lora_q_mid.1": 4}) == 6
 
 
 # -- property checks, run for real -------------------------------------------
@@ -113,13 +114,13 @@ def loop_gradient_check(paradigm, h=1e-5):
     w = bb.init_backbone(cfg, rng_mod.sub_seed(3, "backbone"))
     pet = pm.init_pet(cfg, paradigm, rng_mod.sub_seed(3, "pet"))
     head = w.classifier.copy()
-    x = np.random.default_rng(3).normal(0.0, 1.0, size=(cfg.seq_len, cfg.dim))
+    x = np.random.default_rng(3).normal(0.0, 1.0, size=(1, cfg.seq_len, cfg.dim))
     mask = np.ones(cfg.num_classes, dtype=bool)
-    label = 1
+    label = [1]
 
     def loss_at():
         logits, _ = bb.forward(w, pet, x, head=head, need_trace=False)
-        return tr.masked_cross_entropy(logits, mask, label)[0]
+        return tr.masked_cross_entropy(logits, mask, label)[0][0]
 
     logits, trace = bb.forward(w, pet, x, head=head)
     _, dlogits = tr.masked_cross_entropy(logits, mask, label)

@@ -37,18 +37,19 @@ def gelu_oracle(x):
 
 def test_gelu_matches_erf_oracle():
     x = np.linspace(-6.0, 6.0, 241)
-    assert np.allclose(pm.gelu(x), gelu_oracle(x), atol=1e-14, rtol=0.0)
+    assert np.allclose(pm.gelu(x, pm.gelu_factor(x)), gelu_oracle(x), atol=1e-14, rtol=0.0)
 
 
 def test_gelu_zero_is_exactly_zero():
-    assert pm.gelu(np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
+    x = np.zeros(3)
+    assert pm.gelu(x, pm.gelu_factor(x)).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_gelu_grad_matches_finite_differences():
     x = np.linspace(-4.0, 4.0, 81)
     h = 1e-6
     fd = (gelu_oracle(x + h) - gelu_oracle(x - h)) / (2.0 * h)
-    assert np.allclose(pm.gelu_grad(x), fd, atol=1e-8, rtol=0.0)
+    assert np.allclose(pm.gelu_grad(x, pm.gelu_factor(x)), fd, atol=1e-8, rtol=0.0)
 
 
 def test_check_paradigm_rejects_unknown():
@@ -83,6 +84,19 @@ def test_param_names_fixed_lists():
     ]
     with pytest.raises(ValueError):
         pm.routes("bitfit", 1)
+
+
+@pytest.mark.parametrize("paradigm", pm.PARADIGMS)
+def test_route_layer_is_the_site_suffix(paradigm):
+    """Route.layer is None exactly on the embed site; everywhere else it is
+    the layer its site name ends in."""
+    layers = set()
+    for r in pm.routes(paradigm, 3):
+        assert (r.layer is None) == (r.site == "embed")
+        if r.layer is not None:
+            assert r.site == f"{r.spec.site}.{r.layer}"
+            layers.add(r.layer)
+    assert layers == (set() if paradigm == "prompt" else {0, 1, 2})
 
 
 def test_routes_sites_and_axes():
@@ -123,12 +137,10 @@ def test_init_draws_layer_by_layer_in_table_order():
 def test_gelu_reuses_its_factor_bit_for_bit():
     x = np.linspace(-6.0, 6.0, 241)
     factor = pm.gelu_factor(x)
-    assert np.array_equal(pm.gelu(x, factor), pm.gelu(x))
-    assert np.array_equal(pm.gelu_grad(x, factor), pm.gelu_grad(x))
     # the expressions before the factor was shared, so no bit moved
-    assert np.array_equal(pm.gelu(x), 0.5 * x * (1.0 + erf(x / np.sqrt(2.0))))
+    assert np.array_equal(pm.gelu(x, factor), 0.5 * x * (1.0 + erf(x / np.sqrt(2.0))))
     assert np.array_equal(
-        pm.gelu_grad(x),
+        pm.gelu_grad(x, factor),
         0.5 * (1.0 + erf(x / np.sqrt(2.0))) + x * np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi),
     )
 
@@ -171,15 +183,15 @@ def test_init_shapes_and_scales():
 def test_apply_prompt_prepends_rows():
     rng = np.random.default_rng(0)
     p = rng.normal(size=(2, 4))
-    x = rng.normal(size=(3, 4))
+    x = rng.normal(size=(1, 3, 4))
     z = pm.apply_prompt(p, x)
-    assert z.shape == (5, 4)
-    assert np.array_equal(z[:2], p)
-    assert np.array_equal(z[2:], x)
+    assert z.shape == (1, 5, 4)
+    assert np.array_equal(z[0, :2], p)
+    assert np.array_equal(z[:, 2:], x)
 
 
 def test_apply_prompt_zero_rows_is_identity_copy():
-    x = np.random.default_rng(1).normal(size=(3, 4))
+    x = np.random.default_rng(1).normal(size=(1, 3, 4))
     z = pm.apply_prompt(np.zeros((0, 4)), x)
     assert np.array_equal(z, x)
     assert z is not x
@@ -187,7 +199,7 @@ def test_apply_prompt_zero_rows_is_identity_copy():
 
 def test_apply_prompt_width_mismatch():
     with pytest.raises(ValueError):
-        pm.apply_prompt(np.zeros((2, 5)), np.zeros((3, 4)))
+        pm.apply_prompt(np.zeros((2, 5)), np.zeros((1, 3, 4)))
 
 
 def test_apply_prefix_prepends_to_k_and_v():
@@ -208,11 +220,12 @@ def test_apply_prefix_prepends_to_k_and_v():
 def test_apply_prefix_shape_errors():
     for apply in (pm.apply_prefix, pm.apply_prompt):
         with pytest.raises(ValueError, match="width"):
-            apply(np.zeros((2, 5)), np.zeros((3, 4)))
+            apply(np.zeros((2, 5)), np.zeros((1, 3, 4)))
         with pytest.raises(ValueError, match="2-D parameters"):
-            apply(np.zeros(4), np.zeros((3, 4)))
-        with pytest.raises(ValueError, match="rows, width"):
-            apply(np.zeros((2, 4)), np.zeros(4))
+            apply(np.zeros(4), np.zeros((1, 3, 4)))
+        for x in (np.zeros(4), np.zeros((3, 4))):
+            with pytest.raises(ValueError, match="batch, rows, width"):
+                apply(np.zeros((2, 4)), x)
 
 
 @pytest.mark.parametrize("paradigm", pm.PARADIGMS)
@@ -241,35 +254,35 @@ def test_insert_returns_base_where_the_paradigm_does_not_enter():
 
 
 def test_apply_adapter_hand_case():
-    """One token, 2-wide, bottleneck 1: bypass = gelu(x W^d W^u)."""
-    x = np.array([[1.0, -2.0]])
+    """One sample of one token, 2-wide, bottleneck 1: bypass = gelu(x W^d W^u)."""
+    x = np.array([[[1.0, -2.0]]])
     w_down = np.array([[0.5], [0.25]])
     w_up = np.array([[2.0, -1.0]])
-    base = np.array([[0.1, 0.2]])
+    base = np.array([[[0.1, 0.2]]])
     out, y, factor = pm.apply_adapter(w_down, w_up, x, base)
-    assert np.allclose(y, [[0.0]], atol=1e-15)
+    assert np.allclose(y, [[[0.0]]], atol=1e-15)
     assert np.allclose(out, base + gelu_oracle(y @ w_up), atol=1e-15)
-    assert np.array_equal(factor, [[1.0, 1.0]])
+    assert np.array_equal(factor, [[[1.0, 1.0]]])
 
-    x2 = np.array([[2.0, 4.0]])
+    x2 = np.array([[[2.0, 4.0]]])
     out2, y2, factor2 = pm.apply_adapter(w_down, w_up, x2, base)
-    assert np.allclose(y2, [[2.0]], atol=1e-15)
-    assert np.allclose(out2, base + gelu_oracle(np.array([[4.0, -2.0]])), atol=1e-14)
-    assert np.array_equal(factor2, pm.gelu_factor(np.array([[4.0, -2.0]])))
+    assert np.allclose(y2, [[[2.0]]], atol=1e-15)
+    assert np.allclose(out2, base + gelu_oracle(np.array([[[4.0, -2.0]]])), atol=1e-14)
+    assert np.array_equal(factor2, pm.gelu_factor(np.array([[[4.0, -2.0]]])))
 
 
 def test_apply_adapter_zero_up_is_exact_identity():
     rng = np.random.default_rng(3)
-    x = rng.normal(size=(3, 4))
-    base = rng.normal(size=(3, 4))
+    x = rng.normal(size=(1, 3, 4))
+    base = rng.normal(size=(1, 3, 4))
     out, _, _ = pm.apply_adapter(rng.normal(size=(4, 2)), np.zeros((2, 4)), x, base)
     assert np.array_equal(out, base)
 
 
 def test_apply_lora_adds_the_unscaled_product():
     rng = np.random.default_rng(4)
-    x = rng.normal(size=(3, 4))
-    base = rng.normal(size=(3, 4))
+    x = rng.normal(size=(1, 3, 4))
+    base = rng.normal(size=(1, 3, 4))
     w_down = rng.normal(size=(4, 2))
     w_up = rng.normal(size=(2, 4))
     out0, y, _ = pm.apply_lora(w_down, w_up * 0.0, x, base)
@@ -281,7 +294,7 @@ def test_apply_lora_adds_the_unscaled_product():
 
 def test_apply_ops_leave_inputs_unchanged():
     rng = np.random.default_rng(5)
-    x = rng.normal(size=(3, 4))
+    x = rng.normal(size=(1, 3, 4))
     snap = x.copy()
     pm.apply_prompt(rng.normal(size=(2, 4)), x)
     pm.apply_prefix(rng.normal(size=(2, 4)), x)
@@ -300,7 +313,7 @@ def test_per_sample_rows_equal_stacked_shared_calls(apply):
     rng = np.random.default_rng(6)
     p = rng.normal(size=(PER_SAMPLE, 2, 4))
     x = rng.normal(size=(PER_SAMPLE, 3, 4))
-    stacked = np.stack([apply(p[i], x[i]) for i in range(PER_SAMPLE)])
+    stacked = np.concatenate([apply(p[i], x[i:i + 1]) for i in range(PER_SAMPLE)])
     assert np.array_equal(apply(p, x), stacked)
 
 
@@ -317,16 +330,16 @@ def test_per_sample_factors_equal_stacked_shared_calls(apply, per_sample):
     got = apply(w_down, w_up, x, base)
     for i in range(PER_SAMPLE):
         one = apply(w_down[i] if w_down.ndim == 3 else w_down, w_up[i] if w_up.ndim == 3 else w_up,
-                    x[i], base[i])
+                    x[i:i + 1], base[i:i + 1])
         for a, b in zip(got, one):
-            assert (a is None and b is None) or np.array_equal(a[i], b)
+            assert (a is None and b is None) or np.array_equal(a[i], b[0])
 
 
 @pytest.mark.parametrize("lead", [1, PER_SAMPLE + 1])
 def test_per_sample_tensor_must_match_the_batch(lead):
     """A leading axis other than the batch size raises, also 1: it must
-    not broadcast over the batch.  A single (rows, width) sample takes no
-    per-sample tensor at all."""
+    not broadcast over the batch.  An input without the batch axis is
+    refused with any parameter."""
     x = np.zeros((PER_SAMPLE, 3, 4))
     rows, down, up = np.zeros((lead, 2, 4)), np.zeros((lead, 4, 2)), np.zeros((lead, 2, 4))
     for apply in (pm.apply_prompt, pm.apply_prefix):
@@ -364,20 +377,21 @@ def test_paradigm_table_is_consistent(paradigm, depth):
     xs = np.random.default_rng(3).normal(size=(5, cfg.seq_len, cfg.dim))
     table = names(paradigm, depth)
 
-    logits, trace = bb.forward(w, pet, xs)
-    grads, _ = bb.backward(trace, w, pet, np.ones_like(logits))
-    sites = pj.paradigm_sites(paradigm, depth)
+    logits, trace = bb.forward(w, pet, xs, w.classifier)
+    grads, _ = bb.backward(trace, w, pet, np.ones_like(logits), w.classifier)
     buffers = tr.init_buffers(paradigm, cfg)
+    sites = list(buffers)
     tr.update_buffers(w, pet, xs, buffers)
     bases = tr.rebuild_bases(pet, buffers, pj.ProjectionConfig(), cfg)
     projected = tr.project_grads(pet, grads, bases, depth)
     assert list(pet.params) == list(grads) == list(projected) == table
 
-    feats = pj.sample_features(w, pet, xs, sites)
+    feats = pj.sample_features(w, pet, xs)
+    assert list(feats) == sites
     for r in pm.routes(paradigm, depth):
         assert r.site in sites
-        width = pj.site_width(r.site, cfg)
+        width = pj.site_width(r, cfg)
         assert feats[r.site].shape == (5 * cfg.seq_len, width)
         assert pet.params[r.name].shape == tuple(getattr(cfg, f) for f in r.spec.shape)
         assert bases[r.basis].width == grads[r.name].shape[r.spec.axis] == width
-    assert sorted(buffers) == sorted(sites)
+    assert sites == list(dict.fromkeys(r.site for r in pm.routes(paradigm, depth)))

@@ -5,6 +5,8 @@ explicit pairwise-sum construction for the merge, compared at the
 projector level (span equality) so column order and sign never matter.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -320,47 +322,58 @@ CFG = bb.TransformerConfig(depth=2, dim=16, heads=4, seq_len=4, num_classes=3, p
 
 
 def test_paradigm_sites_lists():
-    assert pj.paradigm_sites("prompt", 2) == ["embed"]
-    assert pj.paradigm_sites("prefix", 2) == ["attn_in.0", "attn_in.1"]
-    assert pj.paradigm_sites("adapter", 2) == ["mlp_in.0", "adapter_mid.0", "mlp_in.1", "adapter_mid.1"]
-    assert pj.paradigm_sites("lora", 1) == ["attn_in.0", "lora_q_mid.0", "lora_v_mid.0"]
+    """The sites a paradigm buffers, in the order of its routes; the buffers
+    and the sampled features list them alike."""
+    def sites(paradigm, depth):
+        cfg = replace(CFG, depth=depth)
+        pet = pm.init_pet(cfg, paradigm, 21)
+        feats = pj.sample_features(bb.init_backbone(cfg, 20), pet, np.zeros((1, cfg.seq_len, cfg.dim)))
+        assert list(feats) == list(tr.init_buffers(paradigm, cfg))
+        return list(feats)
+
+    assert sites("prompt", 2) == ["embed"]
+    assert sites("prefix", 2) == ["attn_in.0", "attn_in.1"]
+    assert sites("adapter", 2) == ["mlp_in.0", "adapter_mid.0", "mlp_in.1", "adapter_mid.1"]
+    assert sites("lora", 1) == ["attn_in.0", "lora_q_mid.0", "lora_v_mid.0"]
     with pytest.raises(ValueError):
-        pj.paradigm_sites("bitfit", 2)
+        tr.init_buffers("bitfit", CFG)
+
+
+def _route(paradigm, site):
+    return next(r for r in pm.routes(paradigm, CFG.depth) if r.site == site)
 
 
 def test_site_width_and_validation():
-    assert pj.site_width("embed", CFG) == CFG.dim
-    assert pj.site_width("attn_in.1", CFG) == CFG.dim
-    assert pj.site_width("adapter_mid.0", CFG) == CFG.rank
-    assert pj.site_width("lora_v_mid.1", CFG) == CFG.rank
-    with pytest.raises(ValueError):
-        pj.site_width("attn_in.2", CFG)
-    for bad in ("banana", "embed.0", "attn_in", "attn_in.x"):
-        with pytest.raises(ValueError, match="unknown site"):
-            pj.site_width(bad, CFG)
+    assert pj.site_width(_route("prompt", "embed"), CFG) == CFG.dim
+    assert pj.site_width(_route("prefix", "attn_in.1"), CFG) == CFG.dim
+    assert pj.site_width(_route("adapter", "adapter_mid.0"), CFG) == CFG.rank
+    assert pj.site_width(_route("lora", "lora_v_mid.1"), CFG) == CFG.rank
+    # every route's site width is the extent of the gradient axis it projects
+    for paradigm in pm.PARADIGMS:
+        pet = pm.init_pet(CFG, paradigm, 0)
+        for r in pm.routes(paradigm, CFG.depth):
+            assert pj.site_width(r, CFG) == pet.params[r.name].shape[r.spec.axis]
 
 
 def test_sample_features_counts_and_widths():
     w = bb.init_backbone(CFG, 30)
     rng = np.random.default_rng(31)
-    samples = [rng.normal(size=(CFG.seq_len, CFG.dim)) for _ in range(8)]
+    samples = rng.normal(size=(8, CFG.seq_len, CFG.dim))
 
     prompt = pm.init_pet(CFG, "prompt", 32)
-    rows = pj.sample_features(w, prompt, samples, ["embed"])["embed"]
+    rows = pj.sample_features(w, prompt, samples)["embed"]
     assert rows.shape == (8 * CFG.seq_len, CFG.dim)
 
     adapter = pm.init_pet(CFG, "adapter", 33)
-    mids = pj.sample_features(w, adapter, samples, ["adapter_mid.1"])["adapter_mid.1"]
+    mids = pj.sample_features(w, adapter, samples)["adapter_mid.1"]
     assert mids.shape == (8 * CFG.seq_len, CFG.rank)
 
-    again = pj.sample_features(w, adapter, samples, ["adapter_mid.1"])["adapter_mid.1"]
+    again = pj.sample_features(w, adapter, samples)["adapter_mid.1"]
     assert np.array_equal(mids, again)
 
-    with pytest.raises(ValueError):
-        pj.sample_features(w, adapter, samples, ["lora_q_mid.0"])
-    with pytest.raises(ValueError):
-        pj.sample_features(w, adapter, samples, ["mlp_in.9"])
-    assert pj.sample_features(w, adapter, [], ["mlp_in.0"])["mlp_in.0"].shape == (0, CFG.dim)
+    empty = pj.sample_features(w, adapter, [])
+    assert empty["mlp_in.0"].shape == (0, CFG.dim)
+    assert empty["adapter_mid.1"].shape == (0, CFG.rank)
 
 
 def test_trimmed_site_rows_are_refused_by_name():
@@ -370,19 +383,18 @@ def test_trimmed_site_rows_are_refused_by_name():
     w = bb.init_backbone(CFG, 40)
     xs = np.random.default_rng(41).normal(size=(3, CFG.seq_len, CFG.dim))
     last = CFG.depth - 1
-    _, trace = bb.forward(w, pm.init_pet(CFG, "prompt", 42), xs)
+    _, trace = bb.forward(w, pm.init_pet(CFG, "prompt", 42), xs, w.classifier)
     all_rows = CFG.prompt_len + CFG.seq_len
     assert trace.layers[last]["query_from"] == CFG.prompt_len
     assert trace.layers[0]["query_from"] == 0
-    assert pj._site_rows(trace, "embed").shape == (3, CFG.seq_len, CFG.dim)
-    assert pj._site_rows(trace, f"attn_in.{last}").shape == (3, all_rows, CFG.dim)
-    assert pj._site_rows(trace, "mlp_in.0").shape == (3, all_rows, CFG.dim)
+    assert pj._site_rows(trace, _route("prompt", "embed")).shape == (3, CFG.seq_len, CFG.dim)
+    assert pj._site_rows(trace, _route("prefix", f"attn_in.{last}")).shape == (3, all_rows, CFG.dim)
+    assert pj._site_rows(trace, _route("adapter", "mlp_in.0")).shape == (3, all_rows, CFG.dim)
+    # an adapter site read from a prompt trace: no route of the prompt
+    # paradigm reaches these rows
     with pytest.raises(ValueError, match=f"'mlp_in.{last}' covers only rows {CFG.prompt_len}:"):
-        pj._site_rows(trace, f"mlp_in.{last}")
-    with pytest.raises(ValueError, match=f"mlp_in.{last}"):
-        pj.sample_features(w, pm.init_pet(CFG, "prompt", 42), xs, ["embed", f"mlp_in.{last}"])
+        pj._site_rows(trace, _route("adapter", f"mlp_in.{last}"))
 
-    no_prompt = bb.TransformerConfig(depth=CFG.depth, dim=CFG.dim, heads=CFG.heads, seq_len=CFG.seq_len,
-                                     num_classes=CFG.num_classes, prompt_len=0)
-    _, trace = bb.forward(w, pm.init_pet(no_prompt, "prompt", 43), xs)
-    assert pj._site_rows(trace, f"mlp_in.{last}").shape == (3, CFG.seq_len, CFG.dim)
+    no_prompt = replace(CFG, prompt_len=0)
+    _, trace = bb.forward(w, pm.init_pet(no_prompt, "prompt", 43), xs, w.classifier)
+    assert pj._site_rows(trace, _route("adapter", f"mlp_in.{last}")).shape == (3, CFG.seq_len, CFG.dim)

@@ -89,42 +89,51 @@ def test_logit_mask_rejects_bad_args():
 # -- masked cross entropy ---------------------------------------------------
 
 def test_masked_ce_hand_values():
-    logits = np.array([2.0, 0.0, -1.0])
+    logits = np.array([[2.0, 0.0, -1.0]])
     mask = np.ones(3, dtype=bool)
-    loss, grad = tr.masked_cross_entropy(logits, mask, 0)
-    p = np.exp(logits) / np.exp(logits).sum()
-    assert loss == pytest.approx(-np.log(p[0]), abs=1e-12)
-    assert np.allclose(grad, p - np.array([1.0, 0.0, 0.0]), atol=1e-12)
+    loss, grad = tr.masked_cross_entropy(logits, mask, [0])
+    p = np.exp(logits[0]) / np.exp(logits[0]).sum()
+    assert loss.shape == (1,) and grad.shape == (1, 3)
+    assert loss[0] == pytest.approx(-np.log(p[0]), abs=1e-12)
+    assert np.allclose(grad[0], p - np.array([1.0, 0.0, 0.0]), atol=1e-12)
 
 
 def test_masked_ce_excluded_entries_exactly_zero():
-    logits = np.array([1.0, 5.0, 3.0])
+    logits = np.array([[1.0, 5.0, 3.0]])
     mask = np.array([True, False, True])
-    loss, grad = tr.masked_cross_entropy(logits, mask, 0)
-    assert grad[1] == 0.0
+    loss, grad = tr.masked_cross_entropy(logits, mask, [0])
+    assert grad[0, 1] == 0.0
     p0 = np.exp(1.0) / (np.exp(1.0) + np.exp(3.0))
-    assert loss == pytest.approx(-np.log(p0), abs=1e-12)
+    assert loss[0] == pytest.approx(-np.log(p0), abs=1e-12)
 
 
 def test_masked_ce_rejects_masked_label_and_shape_mismatch():
+    mask = np.array([True, False, True])
     with pytest.raises(ValueError, match="masked out"):
-        tr.masked_cross_entropy(np.zeros(3), np.array([True, False, True]), 1)
+        tr.masked_cross_entropy(np.zeros((1, 3)), mask, [1])
     with pytest.raises(ValueError, match="shape"):
-        tr.masked_cross_entropy(np.zeros(3), np.ones(4, dtype=bool), 0)
+        tr.masked_cross_entropy(np.zeros((1, 3)), np.ones(4, dtype=bool), [0])
+    # a single sample is a batch of one: 1-D logits or a scalar label raise
+    with pytest.raises(ValueError, match="shape"):
+        tr.masked_cross_entropy(np.zeros(3), mask, [0])
+    with pytest.raises(ValueError, match="shape"):
+        tr.masked_cross_entropy(np.zeros(3), mask, 0)
+    with pytest.raises(ValueError, match="shape"):
+        tr.masked_cross_entropy(np.zeros((1, 3)), mask, 0)
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(-8, 8), min_size=3, max_size=8),
        st.data())
 def test_masked_ce_grad_properties(vals, data):
-    logits = np.array(vals)
-    n = logits.size
+    logits = np.array([vals])
+    n = logits.shape[1]
     mask = np.array(data.draw(
         st.lists(st.booleans(), min_size=n, max_size=n)))
     if not mask.any():
         mask[0] = True
     label = data.draw(st.sampled_from(np.flatnonzero(mask).tolist()))
-    loss, grad = tr.masked_cross_entropy(logits, mask, label)
+    (loss,), (grad,) = tr.masked_cross_entropy(logits, mask, [label])
     assert loss >= 0.0
     # softmax minus one-hot sums to zero; excluded entries stay exactly zero
     assert grad.sum() == pytest.approx(0.0, abs=1e-12)
