@@ -4,15 +4,19 @@ Everything here is deterministic: the same input array always produces the
 same output bits, which is what makes run-level reproducibility checks
 byte-stable.  The SVD is a one-sided Jacobi, chosen over bidiagonalization
 schemes because at this scale it is simple, accurate, and has no
-implementation-defined branching.  Its pair loop keeps the arithmetic of
-the plain per-pair numpy loop, which `tests/test_linalg.py` keeps as the
-bit oracle, and changes only where the numbers live: each column of b and
-of the accumulated rotation sits in one contiguous row of a column-blocked
-store, interleaved with padding, so a rotation streams through memory
-instead of touching one cache line per element.  The pair dot then reads
-its column at stride 2, and BLAS `ddot` sums every non-unit stride in the
-same order, so it returns the bits of a dot down a column of an (m, n)
-C-ordered matrix.
+implementation-defined branching.  It factors one matrix or a (B, m, n)
+stack of them; a stack runs its sweeps in lockstep, sharing one pass over
+the column pairs and one set of rotation ufunc calls per pair, while every
+matrix keeps its own scalar steps, so each comes out with the bits it has
+when factored alone.  The pair loop keeps the arithmetic of the plain
+per-pair numpy loop, which `tests/test_linalg.py` keeps as the bit oracle,
+and changes only where the numbers live: each column of b and of the
+accumulated rotation sits in one contiguous row of a column-blocked store,
+interleaved with padding, so a rotation streams through memory instead of
+touching one cache line per element.  The pair dot then reads its column
+at stride 2, and BLAS `ddot` sums every non-unit stride in the same order,
+so it returns the bits of a dot down a column of an (m, n) C-ordered
+matrix.
 """
 
 import math
@@ -26,16 +30,22 @@ DEPENDENT_COL_TOL = 1e-10
 
 
 def matrix(data) -> np.ndarray:
-    """Validate and copy `data` into a dense 2-D float64 array.
+    """Validate and copy `data` into a float64 matrix (2-D) or a stack of
+    matrices (3-D, at least one).
 
-    Rejects non-2-D input and any NaN/Inf entry up front so the numeric
-    kernels never have to re-check.
+    Rejects any other rank, an empty stack and any NaN/Inf entry up front,
+    naming the matrix of a stack that holds it, so the numeric kernels
+    never have to re-check.
     """
     a = np.array(data, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite (no NaN/Inf)")
+    if a.ndim not in (2, 3):
+        raise ValueError(f"expected a 2-D matrix or a 3-D stack of matrices, got ndim={a.ndim}")
+    if a.ndim == 3 and a.shape[0] == 0:
+        raise ValueError("expected a stack of at least one matrix, got an empty stack")
+    bad = np.flatnonzero(~np.isfinite(a).all(axis=(-2, -1)))
+    if bad.size:
+        where = f"matrix {bad[0]} of the stack: " if a.ndim == 3 else ""
+        raise ValueError(f"{where}matrix entries must be finite (no NaN/Inf)")
     return a
 
 
@@ -58,7 +68,8 @@ def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
 
 @dataclass
 class SvdResult:
-    """Reduced SVD: a = u @ diag(s) @ vt with k = min(rows, cols) columns.
+    """Reduced SVD: a = u @ diag(s) @ vt with k = min(rows, cols) columns;
+    the factors of a stack carry its leading axis.
 
     s is non-negative and descending; u has orthonormal columns; vt has
     orthonormal rows.  Sign convention: the largest-magnitude entry of each
@@ -71,80 +82,120 @@ class SvdResult:
 
 
 def _jacobi_orthogonalize(b: np.ndarray) -> np.ndarray:
-    """Rotate column pairs of b in place until all columns are mutually
-    orthogonal; returns the accumulated right rotation v (b_in @ v = b_out).
+    """Rotate column pairs of every matrix in the (B, m, n) stack b in place
+    until its columns are mutually orthogonal; returns the accumulated
+    right rotations v, (B, n, n) and C-ordered (b_in[k] @ v[k] = b_out[k]).
 
     Convergence: every pair satisfies |<bi,bj>| <= tol * |bi| * |bj|, or the
     sweep cap is hit.  Pair order is fixed, so the result is deterministic.
 
-    b and v live in one store of shape (n, m + n, 2): column k of the
-    stacked matrix [b; v] is `store[k, :, 0]`, and the odd slots are
-    padding.  Each rotation is six in-place ufunc calls on the contiguous
-    padded rows `store.reshape(n, 2 * (m + n))[k]` through two scratch
-    vectors; every element is still `c*x - s*y` and `s*x + c*y`, and the
-    padding only ever holds signed zeros.  The pair dot runs on
-    `store[k, :m, 0]`, a stride-2 view.  OpenBLAS's strided `ddot` adds
-    the products in groups of four into two partial sums whatever the
-    stride; only its unit-stride kernel sums in another order.  So the
-    stride-2 dot gives the bits of the plain loop's stride-n column dot
-    (n >= 2 whenever a pair exists).  The scalar work runs on Python
-    floats (`math.sqrt` and `math.copysign` are correctly rounded, like
-    their numpy forms), and the squared norms are still reduced along
-    axis 0 of a C-ordered (m, n) product.  So the output bits are those of
-    the plain per-pair numpy loop.  Folding the update into a 2x2 matmul,
-    dotting unit-stride rows or summing an F-ordered product changes them.
+    The stack runs in lockstep, one pass over the pairs (i, j) for all of
+    it, and each matrix does exactly the work it would do alone: its own
+    cached squared norms, pair dot and scalar step, and it leaves the
+    active set after the first sweep in which it rotates nothing.  Only the
+    rotations are shared: the matrices that rotate at a pair are rotated by
+    one set of six in-place ufunc calls, with their c and s as a column,
+    and a lone rotating matrix uses 0-d c and s on its own rows.  Every
+    element is still `c*x - s*y` and `s*x + c*y`.
+
+    b and v live in one store of shape (n, B, m + n, 2): column k of the
+    stacked matrix [b; v] of matrix q is `store[k, q, :, 0]`, and the odd
+    slots are padding that only ever holds signed zeros.  A rotation
+    streams through the contiguous padded rows `store.reshape(n, B, -1)[k]`.
+    The pair dot runs on `store[k, q, :m, 0]`, a stride-2 view.  OpenBLAS's
+    strided `ddot` adds the products in groups of four into two partial
+    sums whatever the stride; only its unit-stride kernel sums in another
+    order.  So the stride-2 dot gives the bits of the plain loop's stride-n
+    column dot (n >= 2 whenever a pair exists).  The scalar work runs on
+    Python floats (`math.sqrt` and `math.copysign` are correctly rounded,
+    like their numpy forms), and the squared norms are still reduced along
+    the row axis of a C-ordered product.  So every matrix's output bits are
+    those of the plain per-pair numpy loop on that matrix alone.  Folding
+    the update into a 2x2 matmul, dotting unit-stride rows or summing an
+    F-ordered product changes them.
     """
-    m, n = b.shape
-    store = np.zeros((n, m + n, 2))
-    b_t = store[:, :m, 0].T
+    nb, m, n = b.shape
+    store = np.zeros((n, nb, m + n, 2))
+    b_t = store[:, :, :m, 0].transpose(1, 2, 0)
     b_t[...] = b
-    store[:, m:, 0] = np.eye(n)
-    cols = list(store.reshape(n, 2 * (m + n)))
-    b_cols = [store[k, :m, 0] for k in range(n)]
-    prod = np.empty((m, n))
+    store[:, :, m:, 0] = np.eye(n)[:, None]
+    rows = store.reshape(n, nb, 2 * (m + n))
+    cols = [list(r) for r in rows]
+    b_cols = [list(store[k, :, :m, 0]) for k in range(n)]
+    prod = np.empty((nb, m, n))
     sx = np.empty(2 * (m + n))
     sy = np.empty(2 * (m + n))
+    c0 = np.empty(())
+    s0 = np.empty(())
+    active = range(nb)
     for _ in range(SVD_MAX_SWEEPS):
         # Re-sync cached squared norms each sweep to bound drift.
-        sq = np.sum(np.multiply(b_t, b_t, out=prod), axis=0).tolist()
-        rotated = False
+        sqs = np.sum(np.multiply(b_t, b_t, out=prod), axis=1).tolist()
+        rotated = [False] * nb
         for i in range(n - 1):
-            x = cols[i]
+            ci = cols[i]
             bi = b_cols[i]
             for j in range(i + 1, n):
-                alpha = sq[i]
-                beta = sq[j]
-                if alpha <= 0.0 or beta <= 0.0:
+                bj = b_cols[j]
+                rotations = []
+                for q in active:
+                    sq = sqs[q]
+                    alpha = sq[i]
+                    beta = sq[j]
+                    if alpha <= 0.0 or beta <= 0.0:
+                        continue
+                    gamma = float(bi[q].dot(bj[q]))
+                    if gamma == 0.0 or abs(gamma) <= SVD_SWEEP_TOL * math.sqrt(alpha * beta):
+                        continue
+                    zeta = (beta - alpha) / (2.0 * gamma)
+                    if zeta == 0.0:
+                        t = 1.0
+                    elif abs(zeta) > 1e100:
+                        t = 0.5 / zeta  # asymptotic root; zeta**2 would overflow
+                    else:
+                        t = math.copysign(1.0, zeta) / (abs(zeta) + math.sqrt(1.0 + zeta * zeta))
+                    c = 1.0 / math.sqrt(1.0 + t * t)
+                    s = c * t
+                    cs = c * s
+                    # Cached norms can round slightly negative; clamp so the
+                    # relative-tolerance test above stays NaN-free.
+                    sq[i] = max(c * c * alpha - 2.0 * cs * gamma + s * s * beta, 0.0)
+                    sq[j] = max(s * s * alpha + 2.0 * cs * gamma + c * c * beta, 0.0)
+                    rotated[q] = True
+                    rotations.append((q, c, s))
+                if not rotations:
                     continue
-                gamma = float(bi.dot(b_cols[j]))
-                if gamma == 0.0 or abs(gamma) <= SVD_SWEEP_TOL * math.sqrt(alpha * beta):
+                if len(rotations) == 1:
+                    # A 0-d array operand costs a ufunc call less than a
+                    # Python float, and multiplies to the same bits.
+                    q, c0[()], s0[()] = rotations[0]
+                    x = ci[q]
+                    y = cols[j][q]
+                    np.multiply(x, s0, out=sx)
+                    np.multiply(y, s0, out=sy)
+                    np.multiply(x, c0, out=x)
+                    np.subtract(x, sy, out=x)
+                    np.multiply(y, c0, out=y)
+                    np.add(sx, y, out=y)
                     continue
-                rotated = True
-                zeta = (beta - alpha) / (2.0 * gamma)
-                if zeta == 0.0:
-                    t = 1.0
-                elif abs(zeta) > 1e100:
-                    t = 0.5 / zeta  # asymptotic root; zeta**2 would overflow
-                else:
-                    t = math.copysign(1.0, zeta) / (abs(zeta) + math.sqrt(1.0 + zeta * zeta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = c * t
-                y = cols[j]
-                np.multiply(x, s, out=sx)
-                np.multiply(y, s, out=sy)
+                qs, c, s = zip(*rotations)
+                c = np.array(c)[:, None]
+                s = np.array(s)[:, None]
+                x = rows[i][qs, :]
+                y = rows[j][qs, :]
+                wx = x * s
+                wy = y * s
                 np.multiply(x, c, out=x)
-                np.subtract(x, sy, out=x)
+                np.subtract(x, wy, out=x)
                 np.multiply(y, c, out=y)
-                np.add(sx, y, out=y)
-                cs = c * s
-                # Cached norms can round slightly negative; clamp so the
-                # relative-tolerance test above stays NaN-free.
-                sq[i] = max(c * c * alpha - 2.0 * cs * gamma + s * s * beta, 0.0)
-                sq[j] = max(s * s * alpha + 2.0 * cs * gamma + c * c * beta, 0.0)
-        if not rotated:
+                np.add(wx, y, out=y)
+                rows[i][qs, :] = x
+                rows[j][qs, :] = y
+        active = [q for q in active if rotated[q]]
+        if not active:
             break
     b[...] = b_t
-    return np.ascontiguousarray(store[:, m:, 0].T)
+    return np.ascontiguousarray(store[:, :, m:, 0].transpose(1, 2, 0))
 
 
 def _complete_orthonormal(cols: np.ndarray, need: int) -> np.ndarray:
@@ -177,58 +228,59 @@ def _complete_orthonormal(cols: np.ndarray, need: int) -> np.ndarray:
 
 
 def svd(a: np.ndarray) -> SvdResult:
-    """One-sided Jacobi SVD on the shorter dimension.
+    """One-sided Jacobi SVD on the shorter dimension, of one matrix or of
+    each matrix in a stack.
 
-    For rows >= cols the Jacobi sweeps orthogonalize the columns of a copy
-    of `a`; column norms become the singular values and the accumulated
-    rotations become v.  For rows < cols the factorization is computed on
-    the transpose and the factors are swapped back.  Columns whose singular
-    value underflows relative to the largest (<= 1e-13 * s_max) are zeroed
-    and their u column rebuilt from the orthogonal complement, so u stays
-    orthonormal even for rank-deficient or zero input.
+    `a` is (m, n) or (B, m, n), like `np.linalg.svd`; a stack's factors
+    are stacked the same way, and slice k of its u, s and vt equals
+    `svd(a[k])` bit for bit, because a 2-D input is factored as a stack of
+    one.  For rows >= cols the Jacobi sweeps orthogonalize the columns of a
+    copy of `a`; column norms become the singular values and the
+    accumulated rotations become v.  For rows < cols the factorization is
+    computed on the transpose and the factors are swapped back.  Columns
+    whose singular value underflows relative to their matrix's largest
+    (<= 1e-13 * s_max) are zeroed and their u column rebuilt from the
+    orthogonal complement, so u stays orthonormal even for rank-deficient
+    or zero input.  u and vt come back C-ordered.
     """
     a = matrix(a)
-    m, n = a.shape
+    m, n = a.shape[-2:]
     if m < n:
-        inner = svd(a.T)
-        return _canonicalize(SvdResult(u=inner.vt.T.copy(), s=inner.s.copy(), vt=inner.u.T.copy()))
+        inner = svd(a.swapaxes(-1, -2))
+        return _canonicalize(SvdResult(u=inner.vt.swapaxes(-1, -2).copy(), s=inner.s.copy(),
+                                       vt=inner.u.swapaxes(-1, -2).copy()))
 
-    b = a.copy()
+    b = np.ascontiguousarray(a if a.ndim == 3 else a[None])
     v = _jacobi_orthogonalize(b)
-    norms = np.sqrt(np.sum(b * b, axis=0))
-    order = np.argsort(-norms, kind="stable")
-    norms = norms[order]
-    b = b[:, order]
-    v = v[:, order]
+    norms = np.sqrt(np.sum(b * b, axis=1))
+    order = np.argsort(-norms, axis=1, kind="stable")
+    norms = np.take_along_axis(norms, order, axis=1)
+    b = np.take_along_axis(b, order[:, None], axis=2)
+    v = np.take_along_axis(v, order[:, None], axis=2)
 
-    s_max = float(norms[0]) if n > 0 else 0.0
-    floor = 1e-13 * s_max
-    u = np.zeros((m, n))
-    degenerate = []
-    for j in range(n):
-        if norms[j] > floor:
-            u[:, j] = b[:, j] / norms[j]
-        else:
-            degenerate.append(j)
-            norms[j] = 0.0
-    if degenerate:
-        keep = [j for j in range(n) if j not in degenerate]
-        extra = _complete_orthonormal(u[:, keep], len(degenerate))
-        for idx, j in enumerate(degenerate):
-            u[:, j] = extra[:, idx]
+    live = norms > 1e-13 * norms[:, :1]
+    u = np.zeros(b.shape)
+    np.divide(b, norms[:, None], out=u, where=live[:, None])
+    norms[~live] = 0.0
+    for k in np.flatnonzero(~live.all(axis=1)):
+        dead = ~live[k]
+        u[k][:, dead] = _complete_orthonormal(u[k][:, live[k]], int(dead.sum()))
 
-    return _canonicalize(SvdResult(u=u, s=norms, vt=v.T.copy()))
+    lead = a.shape[:-2]
+    return _canonicalize(SvdResult(u=u.reshape(a.shape), s=norms.reshape(lead + (n,)),
+                                   vt=v.swapaxes(1, 2).copy().reshape(lead + (n, n))))
 
 
 def _canonicalize(res: SvdResult) -> SvdResult:
-    u, s, vt = res.u, res.s, res.vt
-    for j in range(u.shape[1]):
-        col = u[:, j]
-        i_star = int(np.argmax(np.abs(col)))
-        if col[i_star] < 0.0:
-            u[:, j] = -col
-            vt[j, :] = -vt[j, :]
-    return SvdResult(u=u, s=s, vt=vt)
+    """Flip the sign of each u column whose largest-magnitude entry (the
+    first on ties) is negative, and of the matching vt row."""
+    u, vt = res.u, res.vt
+    if u.size:
+        i_star = np.argmax(np.abs(u), axis=-2)
+        flip = np.take_along_axis(u, i_star[..., None, :], axis=-2) < 0.0
+        np.negative(u, out=u, where=flip)
+        np.negative(vt, out=vt, where=flip.swapaxes(-1, -2))
+    return res
 
 
 def orthonormalize(a: np.ndarray) -> np.ndarray:

@@ -159,6 +159,12 @@ class Route(NamedTuple):
     layer: int | None
 
 
+def layer_key(name: str, layer: int | None) -> str:
+    """The key of a tensor or site at one layer, `<name>.<layer>`; the name
+    itself on the embed site (layer None)."""
+    return name if layer is None else f"{name}.{layer}"
+
+
 def routes(paradigm: str, depth: int) -> list[Route]:
     """Every trainable tensor of a paradigm, layer by layer in table order.
 
@@ -172,9 +178,9 @@ def routes(paradigm: str, depth: int) -> list[Route]:
         for spec in specs:
             per_layer = SITES[spec.site].per_layer
             if per_layer or layer == 0:
-                tag = f".{layer}" if per_layer else ""
-                name, site = spec.name + tag, spec.site + tag
-                out.append(Route(name, site, name if spec.merge else site, spec, layer if per_layer else None))
+                at = layer if per_layer else None
+                name, site = layer_key(spec.name, at), layer_key(spec.site, at)
+                out.append(Route(name, site, name if spec.merge else site, spec, at))
     return out
 
 
@@ -278,7 +284,7 @@ def insertion(paradigm: str, point: str, layer: int | None) -> Insertion | None:
     specs = [s for s in PARADIGM_TENSORS[check_paradigm(paradigm)] if s.point == point]
     if not specs:
         return None
-    names = tuple(s.name if layer is None else f"{s.name}.{layer}" for s in specs)
+    names = tuple(layer_key(s.name, layer) for s in specs)
     if specs[0].init == "rows":
         return Insertion(f"apply_{paradigm}", names)
     up = specs[1]

@@ -268,17 +268,28 @@ def rebuild_bases(pet, buffers, proj_cfg, model_cfg) -> dict:
     return bases
 
 
-def resume_start(state, paradigm, tasks: int) -> int:
-    """The task a `paradigm` run of `tasks` tasks resumes at from `state`.
+def resume_start(state, paradigm, depth: int, tasks: int) -> int:
+    """The task a `paradigm` run of `tasks` tasks on a `depth`-block model
+    resumes at from `state`.
 
     Raises ValueError when the saved run is of another paradigm or
-    length, or when it has no task left to run.
+    length, when its paradigm tensors or buffers are not keyed by the
+    routes of this model (naming the missing and extra keys), or when it
+    has no task left to run.
     """
     saved = (state["pet"].paradigm, state["matrix"].tasks)
     if saved != (paradigm, tasks):
         raise ValueError(
             f"it holds a {saved[0]} run of {saved[1]} tasks, not a {paradigm} run of {tasks} tasks"
         )
+    routes = pm.routes(paradigm, depth)
+    for what, have, want in (("tensors", state["pet"].params, {r.name for r in routes}),
+                             ("buffers", state["buffers"], {r.site for r in routes})):
+        if set(have) != want:
+            raise ValueError(
+                f"its {what} do not fit a {paradigm} model of depth {depth}: "
+                f"missing {sorted(want - set(have))}, extra {sorted(set(have) - want)}"
+            )
     start = state["task_index"] + 1
     if start >= tasks:
         raise ValueError(f"task {start - 1} is the last of {tasks} tasks; every task is already done")
@@ -318,7 +329,7 @@ def continual_run(stream, model_cfg, paradigm, cfg, out_dir=None, config_hash=""
         bases = None
         start = 0
     else:
-        start = resume_start(resume, paradigm, len(stream))
+        start = resume_start(resume, paradigm, model_cfg.depth, len(stream))
         pet, head, buffers, matrix = resume["pet"], resume["head"], resume["buffers"], resume["matrix"]
         for name, g in rngs.items():
             g.bit_generator.state = resume["rng_states"][name]

@@ -1,6 +1,8 @@
 """Checkpoint round-trips must be lossless and version-gated."""
 
 import json
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -258,24 +260,51 @@ def test_run_emits_loadable_checkpoints(tmp_path):
     assert np.array_equal(final["matrix"].values[filled], matrix.values[filled])
 
 
+def _keyed(part, drop=None, add=None):
+    """A state edit: drop the key `drop` from the state's `part` ("buffers"
+    or the paradigm tensors, "params"), and add `add` holding the dropped
+    value, or else the value of the first key."""
+    def edit(state):
+        keys = state["pet"].params if part == "params" else state["buffers"]
+        value = keys.pop(drop) if drop else next(iter(keys.values()))
+        if add:
+            keys[add] = value
+    return edit
+
+
 @pytest.mark.filterwarnings("ignore::orthopet.projection.EmptyBasisWarning")
 def test_resume_state_must_fit_the_run(tmp_path):
     """`continual_run` refuses a state from another paradigm or stream
-    length, and one with no task left to run."""
+    length, one whose tensors or buffers are not keyed by the routes of the
+    model (naming the missing and extra keys), and one with no task left to
+    run."""
     spec = dm.ScenarioSpec(scenario="cil", tasks=2, classes_per_task=2,
                            samples_per_class=12, feature_dim=64, noise=0.1,
                            separation=4.0)
     stream = dm.gen_stream(spec, dm.make_tokenizer(64, MODEL.seq_len, MODEL.dim, 0), 0)
     cfg = tr.TrainConfig(epochs=1, batch_size=8, lr=0.05, optimizer="sgd",
                          scenario="cil", seed=0, backbone_seed=0)
-    tr.continual_run(stream, MODEL, "lora", cfg, out_dir=tmp_path, config_hash="h")
+    for paradigm in ("lora", "prompt"):
+        tr.continual_run(stream, MODEL, paradigm, cfg, out_dir=tmp_path / paradigm, config_hash="h")
     other = "holds a lora run of 2 tasks, not a {} run of {} tasks"
-    for t, paradigm, tasks, match in (
-        (0, "prompt", 2, other.format("prompt", 2)),
-        (0, "lora", 1, other.format("lora", 1)),
-        (1, "lora", 2, "task 1 is the last of 2 tasks; every task is already done"),
+    unfit = "its {} do not fit a {} model of depth {}: missing {}, extra {}"
+    lora_layer_1 = [r.name for r in pm.routes("lora", 2) if r.layer == 1]
+    for saved, t, paradigm, tasks, model, edit, match in (
+        ("lora", 0, "prompt", 2, MODEL, None, other.format("prompt", 2)),
+        ("lora", 0, "lora", 1, MODEL, None, other.format("lora", 1)),
+        ("lora", 1, "lora", 2, MODEL, None, "task 1 is the last of 2 tasks; every task is already done"),
+        ("prompt", 0, "prompt", 2, MODEL, _keyed("buffers", drop="embed"),
+         unfit.format("buffers", "prompt", 2, ["embed"], [])),
+        ("prompt", 0, "prompt", 2, MODEL, _keyed("buffers", add="attn_in.0"),
+         unfit.format("buffers", "prompt", 2, [], ["attn_in.0"])),
+        ("lora", 0, "lora", 2, MODEL, _keyed("params", drop="lora_v_up.1", add="lora_v_up.2"),
+         unfit.format("tensors", "lora", 2, ["lora_v_up.1"], ["lora_v_up.2"])),
+        ("lora", 0, "lora", 2, replace(MODEL, depth=1), None,
+         unfit.format("tensors", "lora", 1, [], lora_layer_1)),
     ):
-        state = ck.load_checkpoint(ck.task_path(tmp_path, t))
-        with pytest.raises(ValueError, match=match):
-            tr.continual_run(stream[:tasks], MODEL, paradigm, cfg, resume=state)
-    assert ck.last_task_path(tmp_path) == tmp_path / "task_1.npz"
+        state = ck.load_checkpoint(ck.task_path(tmp_path / saved, t))
+        if edit:
+            edit(state)
+        with pytest.raises(ValueError, match=re.escape(match)):
+            tr.continual_run(stream[:tasks], model, paradigm, cfg, resume=state)
+    assert ck.last_task_path(tmp_path / "lora") == tmp_path / "lora" / "task_1.npz"

@@ -8,6 +8,7 @@ import warnings
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import orthopet.cli as cli
@@ -420,6 +421,20 @@ def test_resume_refuses_another_config(uninterrupted, tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "--resume:" in err and "task_0.npz was written by config" in err
+    assert not (out / "report.jsonl").exists()
+
+
+def test_resume_refuses_a_state_without_a_site_buffer(uninterrupted, tmp_path, capsys):
+    path, full = uninterrupted["prompt"]
+    out = tmp_path / "out"
+    (out / "checkpoints").mkdir(parents=True)
+    with np.load(full / "checkpoints" / "task_0.npz") as data:
+        members = {name: data[name] for name in data.files if name != "buffer/embed"}
+    np.savez(out / "checkpoints" / "task_0.npz", **members)
+    assert cli.main(["train", "--config", path, "--out", str(out), "--resume"]) == 2
+    err = capsys.readouterr().err
+    assert "--resume:" in err
+    assert "its buffers do not fit a prompt model of depth 2: missing ['embed'], extra []" in err
     assert not (out / "report.jsonl").exists()
 
 

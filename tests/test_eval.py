@@ -9,6 +9,7 @@ import pytest
 import orthopet.backbone as bb
 import orthopet.data as dm
 import orthopet.eval as ev
+import orthopet.linalg as linalg
 import orthopet.metrics as mt
 import orthopet.pet as pm
 import orthopet.projection as pj
@@ -95,6 +96,63 @@ def test_svd_suite_meets_tolerances():
     assert res["reconstruction"] <= 1e-10
     assert res["orthogonality"] <= 1e-10
     assert res["projector"] <= 1e-9
+
+
+def loop_svd_suite(seeds_per_class=100):
+    """Oracle: the per-matrix loop `svd_suite` batches, one `linalg.svd`
+    call per seeded matrix."""
+    worst = {"reconstruction": 0.0, "orthogonality": 0.0, "projector": 0.0}
+    for name, (m, n, rank) in sorted(ev.SHAPE_CLASSES.items()):
+        k = min(m, n)
+        for seed in range(seeds_per_class):
+            rng = np.random.default_rng(1000 + seed)
+            a = ev._random_matrix(rng, m, n, rank)
+            res = linalg.svd(a)
+            scale = max(float(np.linalg.norm(a)), 1e-30)
+            recon = res.u @ np.diag(res.s) @ res.vt
+            worst["reconstruction"] = max(
+                worst["reconstruction"], float(np.linalg.norm(recon - a)) / scale
+            )
+            worst["orthogonality"] = max(
+                worst["orthogonality"],
+                float(np.linalg.norm(res.u.T @ res.u - np.eye(k))),
+                float(np.linalg.norm(res.vt @ res.vt.T - np.eye(k))),
+            )
+            v1 = res.vt[res.s > 1e-10 * res.s[0]].T if res.s[0] > 0 else res.vt.T[:, :0]
+            mine = np.eye(n) - v1 @ v1.T
+            _, s_ref, vt_ref = np.linalg.svd(a, full_matrices=False)
+            top = s_ref[0] if s_ref.size else 0.0
+            v1_ref = vt_ref[s_ref > 1e-10 * top].T if top > 0 else vt_ref.T[:, :0]
+            ref = np.eye(n) - v1_ref @ v1_ref.T
+            worst["projector"] = max(worst["projector"], float(np.linalg.norm(mine - ref)))
+    return worst
+
+
+def test_svd_suite_equals_the_per_matrix_loop():
+    got = ev.svd_suite()
+    assert all(type(v) is float for v in got.values())
+    assert got == loop_svd_suite()
+
+
+def test_svd_suite_factors_one_stack_per_shape_class(monkeypatch):
+    """One outer `linalg.svd` call per shape class, on all of its seeded
+    matrices (a wide stack's call on its transpose is nested, not counted)."""
+    calls, depth = [], []
+    svd = linalg.svd
+
+    def counted(a):
+        if not depth:
+            calls.append(np.shape(a))
+        depth.append(a)
+        try:
+            return svd(a)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(linalg, "svd", counted)
+    ev.svd_suite(seeds_per_class=4)
+    shapes = [(4, m, n) for _, (m, n, _) in sorted(ev.SHAPE_CLASSES.items())]
+    assert calls == shapes and len(calls) == 5
 
 
 def test_orthonormalize_suite_tolerance():

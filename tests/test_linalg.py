@@ -122,6 +122,17 @@ def test_svd_rank_one():
     assert np.allclose(res.u.T @ res.u, np.eye(2), atol=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0), (2, 0, 3), (2, 3, 0)])
+def test_svd_of_empty_matrices(shape):
+    """Zero rows or columns give empty factors of the reduced shapes."""
+    res = linalg.svd(np.zeros(shape))
+    *lead, m, n = shape
+    k = min(m, n)
+    assert res.u.shape == (*lead, m, k)
+    assert res.s.shape == (*lead, k)
+    assert res.vt.shape == (*lead, k, n)
+
+
 def test_svd_rejects_nan():
     with pytest.raises(ValueError):
         linalg.svd(np.array([[np.nan, 0.0], [0.0, 1.0]]))
@@ -207,9 +218,10 @@ def test_jacobi_matches_reference_bit_for_bit(name):
     a = _jacobi_input(name)
     b_ref, b_new = a.copy(), a.copy()
     v_ref = reference_jacobi(b_ref)
-    v_new = linalg._jacobi_orthogonalize(b_new)
+    v_new = linalg._jacobi_orthogonalize(b_new[None])
+    assert v_new.shape == (1, *v_ref.shape)
     assert np.array_equal(b_new, b_ref)
-    assert np.array_equal(v_new, v_ref)
+    assert np.array_equal(v_new[0], v_ref)
     assert v_new.flags.c_contiguous
 
 
@@ -220,9 +232,109 @@ def test_jacobi_rotates_the_callers_array():
     reference_jacobi(b_ref)
     for b in (a.copy(order="C"), a.copy(order="F"), np.hstack([a, a])[:, :10]):
         flags = (b.flags.c_contiguous, b.flags.f_contiguous)
-        linalg._jacobi_orthogonalize(b)
+        linalg._jacobi_orthogonalize(b[None])
         assert np.array_equal(b, b_ref)
         assert (b.flags.c_contiguous, b.flags.f_contiguous) == flags
+
+
+def _jacobi_stacks():
+    """Stacks of equal-shape inputs whose matrices converge in different
+    sweeps, or need no rotation at all."""
+    rng = np.random.default_rng(77)
+    stacks = {
+        "mixed_60x12": [
+            np.linalg.qr(rng.normal(size=(60, 12)))[0],
+            JACOBI_INPUTS["zero_columns"],
+            JACOBI_INPUTS["duplicated_columns"],
+            np.zeros((60, 12)),
+            rng.normal(size=(60, 12)),
+        ],
+    }
+    # Every row count mod 4 of the strided dot, with a copy that rounds
+    # differently.
+    for name in sorted(JACOBI_INPUTS):
+        if name.startswith("rows_"):
+            stacks[name] = [JACOBI_INPUTS[name], 1e-3 * JACOBI_INPUTS[name]]
+    return {name: np.stack(mats) for name, mats in stacks.items()}
+
+
+JACOBI_STACKS = _jacobi_stacks()
+
+
+@pytest.mark.parametrize("name", sorted(JACOBI_STACKS))
+def test_jacobi_stack_matches_reference_per_matrix(name):
+    """Each matrix of a lockstep stack comes out as the plain loop leaves it
+    alone, bit for bit."""
+    stack = JACOBI_STACKS[name]
+    b_new = stack.copy()
+    v_new = linalg._jacobi_orthogonalize(b_new)
+    assert v_new.shape == (stack.shape[0], stack.shape[2], stack.shape[2])
+    assert v_new.flags.c_contiguous
+    for k, a in enumerate(stack):
+        b_ref = a.copy()
+        v_ref = reference_jacobi(b_ref)
+        assert np.array_equal(b_new[k], b_ref), k
+        assert np.array_equal(v_new[k], v_ref), k
+
+
+def _same_bits(x, y):
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def _svd_stacks():
+    rng = np.random.default_rng(31)
+    tall = [rng.normal(size=(12, 8)) for _ in range(4)]
+    wide = [rng.normal(size=(8, 12)) for _ in range(4)]
+    # Rank 4 of 8 and an all-zero matrix take the degenerate completion;
+    # the full-rank matrix beside them does not.
+    tall_deficient = [random_matrix(rng, 12, 8, rank=4), np.zeros((12, 8)),
+                      rng.normal(size=(12, 8)), random_matrix(rng, 12, 8, rank=1)]
+    wide_deficient = [random_matrix(rng, 8, 12, rank=5), np.zeros((8, 12)), rng.normal(size=(8, 12))]
+    return {"tall": tall, "wide": wide, "tall_rank_deficient": tall_deficient,
+            "wide_rank_deficient": wide_deficient, "one_column": [rng.normal(size=(20, 1)) for _ in range(3)]}
+
+
+SVD_STACKS = {name: np.stack(mats) for name, mats in _svd_stacks().items()}
+
+
+@pytest.mark.parametrize("name", sorted(SVD_STACKS))
+def test_svd_stack_slices_equal_single_svds(name):
+    """Slice k of a stack's factors is svd(stack[k]), bit for bit, and a
+    single matrix keeps 2-D factors."""
+    stack = SVD_STACKS[name]
+    res = linalg.svd(stack)
+    k_dim = min(stack.shape[1:])
+    assert res.u.shape == (stack.shape[0], stack.shape[1], k_dim)
+    assert res.s.shape == (stack.shape[0], k_dim)
+    assert res.vt.shape == (stack.shape[0], k_dim, stack.shape[2])
+    assert res.u.flags.c_contiguous and res.vt.flags.c_contiguous
+    for k, a in enumerate(stack):
+        one = linalg.svd(a)
+        assert one.u.ndim == 2 and one.s.ndim == 1
+        assert _same_bits(res.u[k], one.u), k
+        assert _same_bits(res.s[k], one.s), k
+        assert _same_bits(res.vt[k], one.vt), k
+
+
+def test_svd_refuses_a_stack_with_a_non_finite_matrix():
+    stack = np.stack([np.eye(3)] * 4)
+    stack[2, 1, 0] = np.inf
+    with pytest.raises(ValueError, match="matrix 2 of the stack"):
+        linalg.svd(stack)
+    stack[2, 1, 0] = np.nan
+    with pytest.raises(ValueError, match="matrix 2 of the stack"):
+        linalg.svd(stack)
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 2, 2, 2), ()])
+def test_svd_refuses_other_ranks(shape):
+    with pytest.raises(ValueError, match="2-D matrix or a 3-D stack"):
+        linalg.svd(np.ones(shape))
+
+
+def test_svd_refuses_an_empty_stack():
+    with pytest.raises(ValueError, match="empty stack"):
+        linalg.svd(np.zeros((0, 3, 3)))
 
 
 def test_factor_layouts_are_pinned():
