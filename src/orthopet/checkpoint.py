@@ -38,9 +38,9 @@ def task_path(directory, task_index: int) -> Path:
 
 
 def last_task_path(directory):
-    """The highest-numbered task checkpoint in `directory`, or None."""
+    """The highest-numbered checkpoint in `directory` named by `task_path`, or None."""
     done = [p.stem[len("task_"):] for p in Path(directory).glob("task_*.npz")]
-    done = [int(t) for t in done if t.isdigit()]
+    done = [int(t) for t in done if t.isdecimal() and str(int(t)) == t]
     return task_path(directory, max(done)) if done else None
 
 
@@ -56,10 +56,7 @@ def save_checkpoint(path, *, config_hash, task_index, pet, head, buffers, matrix
         "task_index": task_index,
         "paradigm": pet.paradigm,
         "pet_version": pet.version,
-        "accuracy_rows": [
-            [matrix.values[j, i] for i in range(j + 1) if np.isfinite(matrix.values[j, i])]
-            for j in range(task_index + 1)
-        ],
+        "accuracy_rows": matrix.to_lists()[: task_index + 1],
         "matrix_tasks": matrix.tasks,
         "rng_states": {name: g.bit_generator.state for name, g in sorted(rngs.items())},
     }
@@ -131,7 +128,7 @@ def load_checkpoint(path) -> dict:
         "pet": pm.PetState(paradigm=meta["paradigm"], params=params, version=meta["pet_version"]),
         "head": head,
         "buffers": {
-            site: pj.FeatureBuffer(site=site, width=rows.shape[1], rows=rows)
+            site: pj.FeatureBuffer(site=site, width=rows.shape[-1], rows=rows)
             for site, rows in buffers.items()
         },
         "matrix": matrix,

@@ -196,7 +196,7 @@ def _parse_sweep(text: str):
     return key, values
 
 
-def _resume_state(ckpt_dir: Path, config_hash: str, paradigm: str, depth: int, tasks: int) -> dict:
+def _resume_state(ckpt_dir: Path, config_hash: str, paradigm: str, model_cfg, tasks: int) -> dict:
     """The last checkpoint under `ckpt_dir`, checked against this run."""
     path = ck.last_task_path(ckpt_dir)
     if path is None:
@@ -208,7 +208,7 @@ def _resume_state(ckpt_dir: Path, config_hash: str, paradigm: str, depth: int, t
             f"not by this config {config_hash[:12]}"
         )
     try:
-        tr.resume_start(state, paradigm, depth, tasks)
+        tr.resume_start(state, paradigm, model_cfg, tasks)
     except ValueError as exc:
         raise ConfigError(f"--resume: {path}: {exc}") from exc
     return state
@@ -218,7 +218,7 @@ def cmd_train(cfg: RunConfig, resume: bool = False) -> int:
     stream = cfg.stream()
     ckpt_dir = cfg.out / "checkpoints"
     config_hash = cfg.config_hash()
-    state = (_resume_state(ckpt_dir, config_hash, cfg.paradigm, cfg.model_cfg.depth, len(stream))
+    state = (_resume_state(ckpt_dir, config_hash, cfg.paradigm, cfg.model_cfg, len(stream))
              if resume else None)
     ckpt_dir.mkdir(parents=True, exist_ok=True)
     matrix, info = tr.continual_run(

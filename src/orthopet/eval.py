@@ -30,14 +30,10 @@ from . import rng as rng_mod
 from . import trainer as tr
 
 
-# A merging tensor's basis is keyed by its own name, `<name>[.<layer>]`
-# (see `pet.routes`), beside the raw site bases.
-_MERGED = {s.name for specs in pm.PARADIGM_TENSORS.values() for s in specs if s.merge}
-
-
-def site_basis_total(basis_sizes_entry: dict) -> int:
-    """Total raw-site basis columns, excluding the merged tensors' keys."""
-    return sum(v for k, v in basis_sizes_entry.items() if k.partition(".")[0] not in _MERGED)
+def site_basis_total(basis_sizes_entry: dict, paradigm: str, depth: int) -> int:
+    """Total basis columns over the sites of `pet.routes(paradigm, depth)`;
+    the merged bases, keyed by their tensors' names, are left out."""
+    return sum(basis_sizes_entry[site] for site in {r.site for r in pm.routes(paradigm, depth)})
 
 
 SWEEP_KEYS = ("epsilon", "beta", "projection")
@@ -68,8 +64,8 @@ def ablation_sweep(stream, model_cfg, paradigm, base_cfg, key, values, seeds) ->
                 cfg = replace(base_cfg, seed=seed, proj=replace(base_cfg.proj, **{key: value}))
             matrix, info = tr.continual_run(stream, model_cfg, paradigm, cfg)
             summary = mt.summarize(matrix)
-            per_seed.append({"seed": seed, **{k: summary[k] for k in mt.METRICS},
-                             "basis_columns": site_basis_total(info["basis_sizes"][-1])})
+            total = site_basis_total(info["basis_sizes"][-1], paradigm, model_cfg.depth)
+            per_seed.append({"seed": seed, **{k: summary[k] for k in mt.METRICS}, "basis_columns": total})
         means = {k: float(np.mean([r[k] for r in per_seed])) for k in (*mt.METRICS, "basis_columns")}
         rows.append({key: value, **means, "per_seed": per_seed})
     return rows
@@ -279,7 +275,7 @@ def orthogonality_check(paradigm: str, epsilon: float = 1e-10) -> dict:
 
     idem = 0.0
     for basis in bases.values():
-        p = basis.projector()
+        p = basis @ basis.T
         idem = max(idem, float(np.linalg.norm(p @ p - p)))
     return {"max_overlap": max(overlaps), "idempotence": idem}
 
@@ -395,24 +391,16 @@ SECOND_ORDER_PARADIGMS = tuple(
 )
 
 
-def eta_scaling_guarantee(paradigm: str) -> str:
-    """The step-size guarantee a paradigm's projected step carries.
-
-    Bypass factors see old inputs only through buffered features, so the
-    projected step leaves them a second-order drift.  Prompt and prefix
-    rows feed the attention key and value paths, which stay linear in the
-    step however the rows are projected, so the projected step only
-    reduces drift.  Every paradigm's unprojected drift is first order.
-    """
-    pm.check_paradigm(paradigm)
-    if paradigm in SECOND_ORDER_PARADIGMS:
-        return "second order: ratios in 3.2-4.8/1.6-2.4"
-    return "drift reduction: projected < unprojected drift, unprojected ratio in 1.6-2.4"
-
-
 def eta_scaling_ok(paradigm: str, res: dict) -> bool:
-    """Whether an `eta_scaling_probe` result meets the paradigm's guarantee
-    (see `eta_scaling_guarantee`).  NaN ratios or drifts fail."""
+    """Whether an `eta_scaling_probe` result meets the paradigm's guarantee.
+
+    Every unprojected drift is first order: halving ratio in 1.6-2.4.
+    Bypass factors see old inputs only through buffered features, so their
+    projected drift is second order: ratio in 3.2-4.8.  Prompt and prefix
+    rows feed the key and value paths, which stay linear in the step
+    however the rows are projected, so their projected step only reduces
+    drift: projected < unprojected drift.  NaN ratios or drifts fail.
+    """
     pm.check_paradigm(paradigm)
     if not 1.6 <= res["unproj_ratio"] <= 2.4:
         return False

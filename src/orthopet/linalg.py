@@ -49,11 +49,6 @@ def matrix(data) -> np.ndarray:
     return a
 
 
-def _check_2d(a: np.ndarray, name: str) -> None:
-    if not isinstance(a, np.ndarray) or a.ndim != 2:
-        raise ValueError(f"{name} must be a 2-D ndarray")
-
-
 def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
     u = np.asarray(u, dtype=np.float64).ravel()
     v = np.asarray(v, dtype=np.float64).ravel()
@@ -198,7 +193,7 @@ def _jacobi_orthogonalize(b: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(store[:, :, m:, 0].transpose(1, 2, 0))
 
 
-def _complete_orthonormal(cols: np.ndarray, need: int) -> np.ndarray:
+def complete_orthonormal(cols: np.ndarray, need: int) -> np.ndarray:
     """Extend the orthonormal columns `cols` (m x c) with `need` more
     orthonormal columns drawn from the standard basis.
 
@@ -264,7 +259,7 @@ def svd(a: np.ndarray) -> SvdResult:
     norms[~live] = 0.0
     for k in np.flatnonzero(~live.all(axis=1)):
         dead = ~live[k]
-        u[k][:, dead] = _complete_orthonormal(u[k][:, live[k]], int(dead.sum()))
+        u[k][:, dead] = complete_orthonormal(u[k][:, live[k]], int(dead.sum()))
 
     lead = a.shape[:-2]
     return _canonicalize(SvdResult(u=u.reshape(a.shape), s=norms.reshape(lead + (n,)),
@@ -290,12 +285,12 @@ def orthonormalize(a: np.ndarray) -> np.ndarray:
     after projection falls below DEPENDENT_COL_TOL relative to max(1, its
     input norm).  Orthonormal input passes through unchanged.
     """
-    _check_2d(a, "a")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite (no NaN/Inf)")
+    a = matrix(a)
+    if a.ndim != 2:
+        raise ValueError(f"orthonormalize: expected a 2-D matrix, got ndim={a.ndim}")
     kept: list[np.ndarray] = []
     for j in range(a.shape[1]):
-        col = a[:, j].astype(np.float64).copy()
+        col = a[:, j].copy()
         orig_norm = float(np.linalg.norm(col))
         for q in kept:
             col = col - (q @ col) * q
@@ -309,12 +304,3 @@ def orthonormalize(a: np.ndarray) -> np.ndarray:
         return np.zeros((a.shape[0], 0))
     return np.stack(kept, axis=1)
 
-
-def orthonormal_complement(basis: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the subspace orthogonal to span(basis columns)."""
-    _check_2d(basis, "basis")
-    w = basis.shape[0]
-    need = w - basis.shape[1]
-    if need <= 0:
-        return np.zeros((w, 0))
-    return _complete_orthonormal(basis, need)

@@ -79,31 +79,9 @@ class FeatureBuffer:
         self.rows = np.vstack([self.rows, new_rows])
 
 
-@dataclass
-class ProjectionBasis:
-    """Orthonormal columns spanning the allowed update directions."""
-
-    b: np.ndarray
-
-    def __post_init__(self):
-        self.b = np.asarray(self.b, dtype=np.float64)
-        if self.b.ndim != 2:
-            raise ValueError("basis must be a 2-D column matrix")
-
-    @property
-    def width(self) -> int:
-        return self.b.shape[0]
-
-    @property
-    def ncols(self) -> int:
-        return self.b.shape[1]
-
-    def projector(self) -> np.ndarray:
-        return self.b @ self.b.T
-
-
-def build_basis(rows: np.ndarray, epsilon: float, site: str) -> ProjectionBasis:
-    """Null-space basis of the feature rows at relative threshold epsilon.
+def build_basis(rows: np.ndarray, epsilon: float, site: str) -> np.ndarray:
+    """Null-space basis of the feature rows at relative threshold epsilon:
+    (width, k) orthonormal columns spanning the allowed update directions.
 
     Directions with sigma_i <= epsilon * sigma_1 are kept (all of them when
     sigma_1 = 0).  When there are fewer rows than columns the reduced SVD
@@ -120,17 +98,17 @@ def build_basis(rows: np.ndarray, epsilon: float, site: str) -> ProjectionBasis:
     keep = res.s <= epsilon * res.s[0]
     cols = res.vt.T[:, keep]
     if res.s.size < rows.shape[1]:
-        cols = np.hstack([cols, linalg.orthonormal_complement(res.vt.T)])
+        cols = np.hstack([cols, linalg.complete_orthonormal(res.vt.T, rows.shape[1] - res.s.size)])
     if cols.shape[1] == 0:
         warnings.warn(
             f"site {site}: buffer is full rank at epsilon={epsilon:g}; projected gradients will be zero",
             EmptyBasisWarning,
             stacklevel=2,
         )
-    return ProjectionBasis(b=cols)
+    return cols
 
 
-def merge_bases(input_basis: ProjectionBasis, prompt_basis: ProjectionBasis, beta: float) -> ProjectionBasis:
+def merge_bases(input_basis: np.ndarray, prompt_basis: np.ndarray, beta: float) -> np.ndarray:
     """Combine the input-space and prompt-space null bases column by column.
 
     Position j of both bases is compared by cosine similarity; pairs with
@@ -140,21 +118,21 @@ def merge_bases(input_basis: ProjectionBasis, prompt_basis: ProjectionBasis, bet
     """
     if not 0.0 <= beta <= 1.0:
         raise ValueError("beta must lie in [0, 1]")
-    if input_basis.width != prompt_basis.width:
-        raise ValueError(f"row dimensions differ: {input_basis.width} vs {prompt_basis.width}")
+    if input_basis.shape[0] != prompt_basis.shape[0]:
+        raise ValueError(f"row dimensions differ: {input_basis.shape[0]} vs {prompt_basis.shape[0]}")
     picked = []
-    for j in range(min(input_basis.ncols, prompt_basis.ncols)):
-        ci = input_basis.b[:, j]
-        cp = prompt_basis.b[:, j]
+    for j in range(min(input_basis.shape[1], prompt_basis.shape[1])):
+        ci = input_basis[:, j]
+        cp = prompt_basis[:, j]
         cos = linalg.cosine_similarity(ci, cp)
         if abs(cos) > beta:
             picked.append(ci + (cp if cos >= 0.0 else -cp))
     if not picked:
-        return ProjectionBasis(b=np.zeros((input_basis.width, 0)))
-    return ProjectionBasis(b=linalg.orthonormalize(np.stack(picked, axis=1)))
+        return np.zeros((input_basis.shape[0], 0))
+    return linalg.orthonormalize(np.stack(picked, axis=1))
 
 
-def project(grad: np.ndarray, basis: ProjectionBasis, axis: int) -> np.ndarray:
+def project(grad: np.ndarray, basis: np.ndarray, axis: int) -> np.ndarray:
     """Project one axis of a 2-D gradient onto the span of the basis.
 
     Axis 1 gives (grad B) B^T: token rows (prompt, prefix) live in feature
@@ -163,11 +141,11 @@ def project(grad: np.ndarray, basis: ProjectionBasis, axis: int) -> np.ndarray:
     """
     if grad.ndim != 2:
         raise ValueError("project: gradient must be 2-D")
-    if grad.shape[axis] != basis.width:
-        raise ValueError(f"project: gradient axis {axis} is {grad.shape[axis]}, basis width is {basis.width}")
+    if grad.shape[axis] != basis.shape[0]:
+        raise ValueError(f"project: gradient axis {axis} is {grad.shape[axis]}, basis width is {basis.shape[0]}")
     if axis == 1:
-        return (grad @ basis.b) @ basis.b.T
-    return basis.b @ (basis.b.T @ grad)
+        return (grad @ basis) @ basis.T
+    return basis @ (basis.T @ grad)
 
 
 def site_width(route: pm.Route, cfg: bb.TransformerConfig) -> int:

@@ -77,25 +77,17 @@ class TrainConfig:
 
 @dataclass
 class OptimizerState:
-    """First/second moments per tensor name; empty dicts for plain sgd."""
+    """First/second moments per tensor name, each created at its first adam
+    step from 0.0, which adds with the bits of a zeros array."""
 
     kind: str
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
     step: int = 0
 
-
-def init_optimizer(kind: str, pet: pm.PetState, head: np.ndarray) -> OptimizerState:
-    if kind not in OPTIMIZERS:
-        raise ValueError(f"optimizer must be one of {OPTIMIZERS}, got {kind!r}")
-    state = OptimizerState(kind=kind)
-    if kind == "adam":
-        for name, arr in pet.params.items():
-            state.m[name] = np.zeros_like(arr)
-            state.v[name] = np.zeros_like(arr)
-        state.m["head"] = np.zeros_like(head)
-        state.v["head"] = np.zeros_like(head)
-    return state
+    def __post_init__(self):
+        if self.kind not in OPTIMIZERS:
+            raise ValueError(f"optimizer must be one of {OPTIMIZERS}, got {self.kind!r}")
 
 
 def apply_updates(opt, pet, head, grads, head_grad, lr):
@@ -105,8 +97,8 @@ def apply_updates(opt, pet, head, grads, head_grad, lr):
     items.append(("head", head, head_grad))
     for name, arr, g in items:
         if opt.kind == "adam":
-            opt.m[name] = ADAM_BETA1 * opt.m[name] + (1.0 - ADAM_BETA1) * g
-            opt.v[name] = ADAM_BETA2 * opt.v[name] + (1.0 - ADAM_BETA2) * (g * g)
+            opt.m[name] = ADAM_BETA1 * opt.m.get(name, 0.0) + (1.0 - ADAM_BETA1) * g
+            opt.v[name] = ADAM_BETA2 * opt.v.get(name, 0.0) + (1.0 - ADAM_BETA2) * (g * g)
             m_hat = opt.m[name] / (1.0 - ADAM_BETA1 ** opt.step)
             v_hat = opt.v[name] / (1.0 - ADAM_BETA2 ** opt.step)
             arr -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
@@ -194,7 +186,7 @@ def train_task(w, pet, head, task, cfg, bases=None, *, seen_classes=None,
     ``train_rows`` overrides the training split, e.g. to hold out the
     feature-sampling slice.
     """
-    opt = init_optimizer(cfg.optimizer, pet, head)
+    opt = OptimizerState(cfg.optimizer)
     if seen_classes is None:
         seen_classes = max(task.classes) + 1
     if shuffle_rng is None:
@@ -268,28 +260,39 @@ def rebuild_bases(pet, buffers, proj_cfg, model_cfg) -> dict:
     return bases
 
 
-def resume_start(state, paradigm, depth: int, tasks: int) -> int:
-    """The task a `paradigm` run of `tasks` tasks on a `depth`-block model
+def resume_start(state, paradigm, model_cfg, tasks: int) -> int:
+    """The task a `paradigm` run of `tasks` tasks on a `model_cfg` model
     resumes at from `state`.
 
     Raises ValueError when the saved run is of another paradigm or
     length, when its paradigm tensors or buffers are not keyed by the
-    routes of this model (naming the missing and extra keys), or when it
-    has no task left to run.
+    routes of this model (naming the missing and extra keys) or an array
+    has a shape the model does not take (naming the key and both shapes),
+    or when it has no task left to run.
     """
     saved = (state["pet"].paradigm, state["matrix"].tasks)
     if saved != (paradigm, tasks):
         raise ValueError(
             f"it holds a {saved[0]} run of {saved[1]} tasks, not a {paradigm} run of {tasks} tasks"
         )
-    routes = pm.routes(paradigm, depth)
-    for what, have, want in (("tensors", state["pet"].params, {r.name for r in routes}),
-                             ("buffers", state["buffers"], {r.site for r in routes})):
+    routes = pm.routes(paradigm, model_cfg.depth)
+    params, buffers = state["pet"].params, state["buffers"]
+    for what, have, want in (("tensors", params, {r.name for r in routes}),
+                             ("buffers", buffers, {r.site for r in routes})):
         if set(have) != want:
             raise ValueError(
-                f"its {what} do not fit a {paradigm} model of depth {depth}: "
+                f"its {what} do not fit a {paradigm} model of depth {model_cfg.depth}: "
                 f"missing {sorted(want - set(have))}, extra {sorted(set(have) - want)}"
             )
+    fits = [("head", state["head"].shape, (model_cfg.dim, model_cfg.num_classes))]
+    for r in routes:
+        fits.append((f"tensor {r.name}", params[r.name].shape,
+                     tuple(getattr(model_cfg, f) for f in r.spec.shape)))
+        rows = buffers[r.site].rows.shape
+        fits.append((f"buffer {r.site}", rows, rows[:1] + (pj.site_width(r, model_cfg),)))
+    for key, have, want in fits:
+        if have != want:
+            raise ValueError(f"its {key} has shape {have}, not {want}")
     start = state["task_index"] + 1
     if start >= tasks:
         raise ValueError(f"task {start - 1} is the last of {tasks} tasks; every task is already done")
@@ -329,7 +332,7 @@ def continual_run(stream, model_cfg, paradigm, cfg, out_dir=None, config_hash=""
         bases = None
         start = 0
     else:
-        start = resume_start(resume, paradigm, model_cfg.depth, len(stream))
+        start = resume_start(resume, paradigm, model_cfg, len(stream))
         pet, head, buffers, matrix = resume["pet"], resume["head"], resume["buffers"], resume["matrix"]
         for name, g in rngs.items():
             g.bit_generator.state = resume["rng_states"][name]
@@ -352,7 +355,7 @@ def continual_run(stream, model_cfg, paradigm, cfg, out_dir=None, config_hash=""
             matrix.set(t, i, evaluate_task(w, pet, head, stream[i], cfg.scenario, seen))
         update_buffers(w, pet, sampling_set, buffers)
         bases = rebuild_bases(pet, buffers, cfg.proj, model_cfg)
-        info["basis_sizes"].append({key: b.ncols for key, b in sorted(bases.items())})
+        info["basis_sizes"].append({key: b.shape[1] for key, b in sorted(bases.items())})
         if out_dir is not None:
             ck.save_checkpoint(
                 ck.task_path(out_dir, t),

@@ -99,10 +99,12 @@ def test_criterion_4_step_size_scaling():
     verdicts = {p: ev.eta_scaling_ok(p, r) for p, r in res.items()}
     parts = []
     for p, r in res.items():
-        part = (f"{p} {'ok' if verdicts[p] else 'FAILS'} "
-                f"[{ev.eta_scaling_guarantee(p)}]: "
+        second_order = p in ev.SECOND_ORDER_PARADIGMS
+        guarantee = ("second order: ratios in 3.2-4.8/1.6-2.4" if second_order else
+                     "drift reduction: projected < unprojected drift, unprojected ratio in 1.6-2.4")
+        part = (f"{p} {'ok' if verdicts[p] else 'FAILS'} [{guarantee}]: "
                 f"ratios {r['proj_ratio']:.2f}/{r['unproj_ratio']:.2f}")
-        if p not in ev.SECOND_ORDER_PARADIGMS:
+        if not second_order:
             part += f", drift {r['proj_drift']:.3g} vs {r['unproj_drift_matched']:.3g}"
         parts.append(part)
     assert _verdict(4, "step-size scaling", all(verdicts.values()), (

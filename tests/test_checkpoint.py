@@ -25,7 +25,7 @@ def _handmade_state():
     rng = np.random.default_rng(7)
     pet = pm.init_pet(MODEL, "adapter", 3)
     head = rng.normal(size=(MODEL.dim, MODEL.num_classes))
-    opt = tr.init_optimizer("adam", pet, head)
+    opt = tr.OptimizerState("adam")
     grads = {name: rng.normal(size=arr.shape) for name, arr in pet.params.items()}
     tr.apply_updates(opt, pet, head, grads, rng.normal(size=head.shape), lr=0.01)
 
@@ -144,10 +144,10 @@ def test_rebuilt_bases_match_the_saved_state(tmp_path):
     got = ck.load_checkpoint(_save(tmp_path / "d.npz", state=state))
     with pytest.warns(pj.EmptyBasisWarning):
         after = tr.rebuild_bases(got["pet"], got["buffers"], PROJ, MODEL)
-    assert before["mlp_in.0"].b.shape == (MODEL.dim, 0)
+    assert before["mlp_in.0"].shape == (MODEL.dim, 0)
     assert sorted(after) == sorted(before)
     for key, basis in before.items():
-        assert np.array_equal(after[key].b, basis.b)
+        assert np.array_equal(after[key], basis)
 
 
 def test_generator_state_round_trips(tmp_path):
@@ -272,12 +272,27 @@ def _keyed(part, drop=None, add=None):
     return edit
 
 
+def _reshaped(key, shape):
+    """A state edit: put zeros of `shape` in place of the head ("head"), a
+    paradigm tensor, or the rows of a buffer ("buffer/<site>")."""
+    def edit(state):
+        if key == "head":
+            state["head"] = np.zeros(shape)
+        elif key.startswith("buffer/"):
+            site = key[len("buffer/"):]
+            state["buffers"][site] = pj.FeatureBuffer(site, shape[1], np.zeros(shape))
+        else:
+            state["pet"].params[key] = np.zeros(shape)
+    return edit
+
+
 @pytest.mark.filterwarnings("ignore::orthopet.projection.EmptyBasisWarning")
 def test_resume_state_must_fit_the_run(tmp_path):
     """`continual_run` refuses a state from another paradigm or stream
     length, one whose tensors or buffers are not keyed by the routes of the
-    model (naming the missing and extra keys), and one with no task left to
-    run."""
+    model (naming the missing and extra keys), one whose tensors, head or
+    buffer rows have shapes the model does not take (naming the key and
+    both shapes), and one with no task left to run."""
     spec = dm.ScenarioSpec(scenario="cil", tasks=2, classes_per_task=2,
                            samples_per_class=12, feature_dim=64, noise=0.1,
                            separation=4.0)
@@ -301,6 +316,16 @@ def test_resume_state_must_fit_the_run(tmp_path):
          unfit.format("tensors", "lora", 2, ["lora_v_up.1"], ["lora_v_up.2"])),
         ("lora", 0, "lora", 2, replace(MODEL, depth=1), None,
          unfit.format("tensors", "lora", 1, [], lora_layer_1)),
+        ("lora", 0, "lora", 2, MODEL, _reshaped("buffer/attn_in.0", (5, 8)),
+         "its buffer attn_in.0 has shape (5, 8), not (5, 16)"),
+        ("lora", 0, "lora", 2, MODEL, _reshaped("lora_q_up.0", (16, 16)),
+         "its tensor lora_q_up.0 has shape (16, 16), not (4, 16)"),
+        ("lora", 0, "lora", 2, MODEL, _reshaped("head", (16, 5)),
+         "its head has shape (16, 5), not (16, 4)"),
+        ("prompt", 0, "prompt", 2, MODEL, _reshaped("prompt", (4,)),
+         "its tensor prompt has shape (4,), not (4, 16)"),
+        ("lora", 0, "lora", 2, replace(MODEL, rank=8), None,
+         "its tensor lora_q_down.0 has shape (16, 4), not (16, 8)"),
     ):
         state = ck.load_checkpoint(ck.task_path(tmp_path / saved, t))
         if edit:
@@ -308,3 +333,12 @@ def test_resume_state_must_fit_the_run(tmp_path):
         with pytest.raises(ValueError, match=re.escape(match)):
             tr.continual_run(stream[:tasks], model, paradigm, cfg, resume=state)
     assert ck.last_task_path(tmp_path / "lora") == tmp_path / "lora" / "task_1.npz"
+
+
+def test_last_task_path_counts_only_names_task_path_writes(tmp_path):
+    for name in ("task_01.npz", "task_007.npz", "task_x.npz", "task_\u00b2.npz", "task_-1.npz"):
+        (tmp_path / name).write_bytes(b"")
+    assert ck.last_task_path(tmp_path) is None
+    for t in (0, 3, 10):
+        ck.task_path(tmp_path, t).write_bytes(b"")
+    assert ck.last_task_path(tmp_path) == tmp_path / "task_10.npz"

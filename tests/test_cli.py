@@ -438,12 +438,35 @@ def test_resume_refuses_a_state_without_a_site_buffer(uninterrupted, tmp_path, c
     assert not (out / "report.jsonl").exists()
 
 
+@pytest.mark.parametrize("member, shape, message", [
+    ("pet/lora_q_up.0", (16, 16), "its tensor lora_q_up.0 has shape (16, 16), not (4, 16)"),
+    ("buffer/attn_in.0", (5,), "its buffer attn_in.0 has shape (5,), not (5, 16)"),
+], ids=["tensor", "buffer"])
+def test_resume_refuses_a_state_whose_shapes_do_not_fit(uninterrupted, tmp_path, capsys,
+                                                         member, shape, message):
+    """An array under the right key but of the wrong shape exits 2 through
+    the `--resume:` path, naming the key and both shapes."""
+    path, full = uninterrupted["lora"]
+    out = tmp_path / "out"
+    (out / "checkpoints").mkdir(parents=True)
+    with np.load(full / "checkpoints" / "task_0.npz") as data:
+        members = {name: data[name] for name in data.files}
+    members[member] = np.zeros(shape)
+    np.savez(out / "checkpoints" / "task_0.npz", **members)
+    assert cli.main(["train", "--config", path, "--out", str(out), "--resume"]) == 2
+    err = capsys.readouterr().err
+    assert "--resume:" in err
+    assert message in err
+    assert not (out / "report.jsonl").exists()
+
+
 def test_resume_refuses_an_empty_directory(tmp_path, capsys):
     path = _resume_config(tmp_path, "lora")
     out = tmp_path / "out"
     (out / "checkpoints").mkdir(parents=True)
-    # a version-3 checkpoint is not a candidate
+    # a version-3 checkpoint is not a candidate, nor a name a run never writes
     (out / "checkpoints" / "task_0.json").write_text("{}")
+    (out / "checkpoints" / "task_01.npz").write_bytes(b"")
     assert cli.main(["train", "--config", path, "--out", str(out), "--resume"]) == 2
     assert "--resume: no task_<t>.npz checkpoint under" in capsys.readouterr().err
 

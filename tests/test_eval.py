@@ -78,15 +78,17 @@ def test_projection_sweep_equals_direct_runs():
             summary = mt.summarize(matrix)
             direct.append({"seed": seed, "avg_acc": summary["avg_acc"],
                            "forgetting": summary["forgetting"], "new_acc": summary["new_acc"],
-                           "basis_columns": ev.site_basis_total(info["basis_sizes"][-1])})
+                           "basis_columns": ev.site_basis_total(info["basis_sizes"][-1], "adapter",
+                                                                 MODEL.depth)})
         assert row["per_seed"] == direct
     assert rows[0]["per_seed"] != rows[1]["per_seed"]
 
 
 def test_site_basis_total_excludes_merged_prompt_key():
-    entry = {"embed": 3, "prompt": 7}
-    assert ev.site_basis_total(entry) == 3
-    assert ev.site_basis_total({"attn_in.0": 2, "lora_q_mid.1": 4}) == 6
+    assert ev.site_basis_total({"embed": 3, "prompt": 7}, "prompt", 2) == 3
+    lora = {"attn_in.0": 2, "lora_q_mid.0": 4, "lora_v_mid.0": 1,
+            "attn_in.1": 5, "lora_q_mid.1": 0, "lora_v_mid.1": 3}
+    assert ev.site_basis_total(lora, "lora", 2) == 15
 
 
 # -- property checks, run for real -------------------------------------------

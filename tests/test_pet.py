@@ -393,5 +393,5 @@ def test_paradigm_table_is_consistent(paradigm, depth):
         width = pj.site_width(r, cfg)
         assert feats[r.site].shape == (5 * cfg.seq_len, width)
         assert pet.params[r.name].shape == tuple(getattr(cfg, f) for f in r.spec.shape)
-        assert bases[r.basis].width == grads[r.name].shape[r.spec.axis] == width
+        assert bases[r.basis].shape[0] == grads[r.name].shape[r.spec.axis] == width
     assert sites == list(dict.fromkeys(r.site for r in pm.routes(paradigm, depth)))

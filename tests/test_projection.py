@@ -97,9 +97,9 @@ def test_build_basis_two_dim_subspace_of_r4():
     span = gs_columns(rng.normal(size=(4, 2)))
     x = rng.normal(size=(6, 2)) @ span.T
     basis = pj.build_basis(x, 0.0, "probe")
-    assert basis.ncols == 2
-    assert np.abs(x @ basis.b).max() <= 1e-10
-    assert np.abs(basis.b.T @ basis.b - np.eye(2)).max() <= 1e-10
+    assert basis.shape[1] == 2
+    assert np.abs(x @ basis).max() <= 1e-10
+    assert np.abs(basis.T @ basis - np.eye(2)).max() <= 1e-10
 
 
 def test_build_basis_full_rank_square_is_empty_and_warns():
@@ -107,7 +107,7 @@ def test_build_basis_full_rank_square_is_empty_and_warns():
     x = rng.normal(size=(5, 5)) + 5.0 * np.eye(5)
     with pytest.warns(pj.EmptyBasisWarning):
         basis = pj.build_basis(x, 0.0, "probe")
-    assert basis.ncols == 0
+    assert basis.shape[1] == 0
     g = rng.normal(size=(2, 5))
     assert np.abs(pj.project(g, basis, 1)).max() == 0.0
 
@@ -117,8 +117,8 @@ def test_build_basis_rank3_in_r6_matches_null_space_oracle():
     x = rank_deficient(rng, 8, 6, 3)
     basis = pj.build_basis(x, 1e-10, "probe")
     oracle = null_space_oracle(x)
-    assert basis.ncols == 3 and oracle.shape[1] == 3
-    diff = basis.projector() - oracle @ oracle.T
+    assert basis.shape[1] == 3 and oracle.shape[1] == 3
+    diff = basis @ basis.T - oracle @ oracle.T
     assert np.abs(diff).max() <= 1e-9
 
 
@@ -128,16 +128,38 @@ def test_build_basis_appends_complement_when_rows_are_few():
     rng = np.random.default_rng(6)
     x = rng.normal(size=(2, 6))
     basis = pj.build_basis(x, 1e-10, "probe")
-    assert basis.ncols == 4
-    assert np.abs(x @ basis.b).max() <= 1e-10
+    assert basis.shape[1] == 4
+    assert np.abs(x @ basis).max() <= 1e-10
     oracle = null_space_oracle(x)
-    assert np.abs(basis.projector() - oracle @ oracle.T).max() <= 1e-9
+    assert np.abs(basis @ basis.T - oracle @ oracle.T).max() <= 1e-9
+
+
+def test_basis_layouts_are_pinned():
+    """Bases are plain arrays handed to `project` as they come: memory
+    layout alone moves later last bits (the criterion-7 FOUND line in
+    CHANGES.md), so each kind's layout is fixed here, as the SVD factor
+    layouts are in `tests/test_linalg.py`.  A tall buffer's basis is a
+    column slice of vt.T, F-ordered; a completed, a merged and an empty
+    merged basis are built column by column, C-ordered."""
+    rng = np.random.default_rng(9)
+    tall = rank_deficient(rng, 40, 8, 5)
+    site = pj.build_basis(tall, 1e-10, "probe")
+    assert site.shape == (8, 3)
+    assert site.flags.f_contiguous and not site.flags.c_contiguous
+    completed = pj.build_basis(rng.normal(size=(3, 8)), 1e-10, "probe")
+    assert completed.shape == (8, 5)
+    assert completed.flags.c_contiguous and not completed.flags.f_contiguous
+    merged = pj.merge_bases(site, site, 0.5)
+    assert merged.shape == (8, 3)
+    assert merged.flags.c_contiguous and not merged.flags.f_contiguous
+    empty = pj.merge_bases(site, site, 1.0)
+    assert empty.shape == (8, 0) and empty.flags.c_contiguous
 
 
 def test_build_basis_zero_rows_select_everything():
     basis = pj.build_basis(np.zeros((3, 5)), 0.0, "probe")
-    assert basis.ncols == 5
-    assert np.abs(basis.projector() - np.eye(5)).max() <= 1e-12
+    assert basis.shape[1] == 5
+    assert np.abs(basis @ basis.T - np.eye(5)).max() <= 1e-12
 
 
 def test_build_basis_threshold_is_relative():
@@ -146,13 +168,13 @@ def test_build_basis_threshold_is_relative():
     v = gs_columns(rng.normal(size=(4, 4)))
     sigmas = np.array([1.0, 0.5, 0.01, 1e-12])
     x = u @ np.diag(sigmas) @ v.T
-    counts = {eps: pj.build_basis(x, eps, "probe").ncols for eps in (1e-11, 0.02, 0.6)}
+    counts = {eps: pj.build_basis(x, eps, "probe").shape[1] for eps in (1e-11, 0.02, 0.6)}
     assert counts[1e-11] == 1
     assert counts[0.02] == 2
     assert counts[0.6] == 3
     # scaling the whole buffer must not change any count
     scaled = pj.build_basis(1e3 * x, 0.02, "probe")
-    assert scaled.ncols == 2
+    assert scaled.shape[1] == 2
 
 
 @given(
@@ -164,11 +186,11 @@ def test_build_basis_count_monotone_in_epsilon(eps_a, eps_b, seed):
     lo, hi = sorted((eps_a, eps_b))
     rng = np.random.default_rng(seed)
     x = rank_deficient(rng, 7, 5, 3)
-    assert pj.build_basis(x, lo, "probe").ncols <= pj.build_basis(x, hi, "probe").ncols
+    assert pj.build_basis(x, lo, "probe").shape[1] <= pj.build_basis(x, hi, "probe").shape[1]
 
 
 def test_identity_basis_is_vacuous():
-    basis = pj.ProjectionBasis(np.eye(4))
+    basis = np.eye(4)
     g = np.random.default_rng(8).normal(size=(3, 4))
     assert np.allclose(pj.project(g, basis, 1), g, atol=1e-15)
     assert np.allclose(pj.project(g.T, basis, 0), g.T, atol=1e-15)
@@ -176,22 +198,22 @@ def test_identity_basis_is_vacuous():
 
 def test_merge_identical_single_columns():
     v = np.array([[3.0], [4.0]]) / 5.0
-    merged = pj.merge_bases(pj.ProjectionBasis(v), pj.ProjectionBasis(v.copy()), 0.5)
-    assert merged.ncols == 1
-    assert np.allclose(merged.b, v, atol=1e-12)
+    merged = pj.merge_bases(v, v.copy(), 0.5)
+    assert merged.shape[1] == 1
+    assert np.allclose(merged, v, atol=1e-12)
 
 
 def test_merge_orthogonal_single_columns_is_empty():
-    a = pj.ProjectionBasis(np.array([[1.0], [0.0]]))
-    b = pj.ProjectionBasis(np.array([[0.0], [1.0]]))
-    assert pj.merge_bases(a, b, 0.5).ncols == 0
+    a = np.array([[1.0], [0.0]])
+    b = np.array([[0.0], [1.0]])
+    assert pj.merge_bases(a, b, 0.5).shape[1] == 0
 
 
 def test_merge_sign_alignment():
     v = np.array([[1.0], [0.0], [0.0]])
-    merged = pj.merge_bases(pj.ProjectionBasis(v), pj.ProjectionBasis(-v), 0.5)
-    assert merged.ncols == 1
-    assert np.abs(merged.projector() - v @ v.T).max() <= 1e-12
+    merged = pj.merge_bases(v, -v, 0.5)
+    assert merged.shape[1] == 1
+    assert np.abs(merged @ merged.T - v @ v.T).max() <= 1e-12
 
 
 def test_merge_three_columns_matches_explicit_oracle():
@@ -205,29 +227,29 @@ def test_merge_three_columns_matches_explicit_oracle():
         axis=1,
     )
     beta = 0.7
-    merged = pj.merge_bases(pj.ProjectionBasis(vi), pj.ProjectionBasis(vp), beta)
+    merged = pj.merge_bases(vi, vp, beta)
     cos = [float(vi[:, j] @ vp[:, j]) for j in range(3)]
     assert abs(cos[0]) > beta and abs(cos[1]) < beta and abs(cos[2]) > beta
 
     picked = [vi[:, 0] + vp[:, 0], vi[:, 2] - vp[:, 2]]
     oracle = gs_columns(np.stack(picked, axis=1))
-    assert merged.ncols == 2
-    assert np.abs(merged.projector() - oracle @ oracle.T).max() <= 1e-10
+    assert merged.shape[1] == 2
+    assert np.abs(merged @ merged.T - oracle @ oracle.T).max() <= 1e-10
 
 
 def test_merge_uses_shorter_column_count():
     rng = np.random.default_rng(10)
     q = gs_columns(rng.normal(size=(5, 4)))
-    long = pj.ProjectionBasis(q[:, :3])
-    short = pj.ProjectionBasis(q[:, :1].copy())
+    long = q[:, :3]
+    short = q[:, :1].copy()
     merged = pj.merge_bases(long, short, 0.5)
-    assert merged.ncols == 1
-    assert np.abs(merged.projector() - q[:, :1] @ q[:, :1].T).max() <= 1e-12
+    assert merged.shape[1] == 1
+    assert np.abs(merged @ merged.T - q[:, :1] @ q[:, :1].T).max() <= 1e-12
 
 
 def test_merge_validation():
-    a = pj.ProjectionBasis(np.eye(3)[:, :1])
-    b = pj.ProjectionBasis(np.eye(4)[:, :1])
+    a = np.eye(3)[:, :1]
+    b = np.eye(4)[:, :1]
     with pytest.raises(ValueError):
         pj.merge_bases(a, b, 0.5)
     with pytest.raises(ValueError):
@@ -238,7 +260,7 @@ def test_project_prompt_grad_fixed_point_and_annihilation():
     rng = np.random.default_rng(11)
     x = rank_deficient(rng, 8, 6, 3)
     basis = pj.build_basis(x, 1e-10, "probe")
-    inside = rng.normal(size=(2, basis.ncols)) @ basis.b.T
+    inside = rng.normal(size=(2, basis.shape[1])) @ basis.T
     assert np.abs(pj.project(inside, basis, 1) - inside).max() <= 1e-12
     outside = rng.normal(size=(2, 8)) @ x  # rows inside the feature row space
     assert np.abs(pj.project(outside, basis, 1)).max() <= 1e-12 * np.abs(outside).max()
@@ -264,7 +286,7 @@ def test_projector_idempotence_and_contraction():
         twice = pj.project(once, basis, 1)
         assert np.linalg.norm(twice - once) <= 1e-12 * np.linalg.norm(g)
         assert np.linalg.norm(once) <= np.linalg.norm(g) * (1.0 + 1e-12)
-        assert np.abs(basis.b.T @ basis.b - np.eye(basis.ncols)).max() <= 1e-10
+        assert np.abs(basis.T @ basis - np.eye(basis.shape[1])).max() <= 1e-10
 
 
 def test_project_prefix_grads_both_outputs():
