@@ -100,22 +100,27 @@ def _legacy_version(path: Path):
 
 
 def load_checkpoint(path) -> dict:
+    """The state saved at `path`.  A file of another version, a pickled
+    member or a buffer member that is not 2-D raises ValueError."""
     path = Path(path)
     legacy = _legacy_version(path)
     if legacy is not None:
         raise ValueError(
-            f"{path}: unsupported checkpoint version {legacy!r} (a JSON checkpoint); "
+            f"unsupported checkpoint version {legacy!r} (a JSON checkpoint); "
             f"only version {CHECKPOINT_VERSION} .npz checkpoints load"
         )
     with np.load(path, allow_pickle=False) as data:
         meta = json.loads(str(data["meta"]))
         if meta.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {meta.get('version')!r}")
+            raise ValueError(f"unsupported checkpoint version {meta.get('version')!r}")
         params = {k[len(_PET):]: data[k] for k in data.files if k.startswith(_PET)}
         buffers = {
             k[len(_BUFFER):]: data[k] for k in data.files if k.startswith(_BUFFER)
         }
         head = data["head"]
+    for site, rows in buffers.items():
+        if rows.ndim != 2:
+            raise ValueError(f"its buffer {site} has shape {rows.shape}, not (rows, width)")
 
     matrix = mt.AccuracyMatrix(tasks=meta["matrix_tasks"])
     for j, row in enumerate(meta["accuracy_rows"]):
@@ -128,7 +133,7 @@ def load_checkpoint(path) -> dict:
         "pet": pm.PetState(paradigm=meta["paradigm"], params=params, version=meta["pet_version"]),
         "head": head,
         "buffers": {
-            site: pj.FeatureBuffer(site=site, width=rows.shape[-1], rows=rows)
+            site: pj.FeatureBuffer(site=site, width=rows.shape[1], rows=rows)
             for site, rows in buffers.items()
         },
         "matrix": matrix,

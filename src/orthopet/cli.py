@@ -201,7 +201,10 @@ def _resume_state(ckpt_dir: Path, config_hash: str, paradigm: str, model_cfg, ta
     path = ck.last_task_path(ckpt_dir)
     if path is None:
         raise ConfigError(f"--resume: no task_<t>.npz checkpoint under {ckpt_dir}")
-    state = ck.load_checkpoint(path)
+    try:
+        state = ck.load_checkpoint(path)
+    except ValueError as exc:
+        raise ConfigError(f"--resume: {path}: {exc}") from exc
     if state["config_hash"] != config_hash:
         raise ConfigError(
             f"--resume: {path} was written by config {state['config_hash'][:12]}, "

@@ -11,8 +11,8 @@ and factor orthogonality, analytic gradients against central finite
 differences, projected-gradient orthogonality to stored features on
 rank-deficient buffers, projector idempotence, the single-step size
 scaling signature of each paradigm, and the metric formulas against
-direct oracles.  `verify_all` runs every check and reports one named
-pass/fail row per property.
+direct oracles.  `verify_all` runs every check, each on a worker of one
+`workers.pool`, and reports one named pass/fail row per property.
 """
 
 import warnings
@@ -28,6 +28,7 @@ from . import pet as pm
 from . import projection as pj
 from . import rng as rng_mod
 from . import trainer as tr
+from . import workers
 
 
 def site_basis_total(basis_sizes_entry: dict, paradigm: str, depth: int) -> int:
@@ -265,7 +266,8 @@ def orthogonality_check(paradigm: str, epsilon: float = 1e-10) -> dict:
     tr.update_buffers(w, pet, stream[0].train_x[:8], buffers)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", pj.EmptyBasisWarning)
-        bases = {site: pj.build_basis(buffers[site].rows, epsilon, site) for site in sorted(buffers)}
+        bases = {site: pj.build_basis(pj.svd_factors(buffers[site].rows), epsilon, site)
+                 for site in sorted(buffers)}
     routes = pm.routes(paradigm, cfg.depth)
     for r in routes:
         bases.setdefault(r.basis, bases[r.site])
@@ -330,7 +332,7 @@ def _probe_state(paradigm: str):
         # A full-rank bottleneck buffer is a legitimate operating point
         # here; the affected factor simply stays frozen.
         warnings.simplefilter("ignore", pj.EmptyBasisWarning)
-        bases = tr.rebuild_bases(pet, buffers, PROBE_PROJ, cfg)
+        bases = tr.rebuild_bases(pet, buffers, PROBE_PROJ, cfg, workers.inline)
     probes = stream[0].test_x[:16]
     batch = (stream[1].train_x[:16], stream[1].train_y[:16])
     return w, pet, head, bases, probes, batch
@@ -450,15 +452,28 @@ def metrics_oracle_check(trials: int = 1000) -> dict:
 # ------------------------------------------------------------ the suite
 
 
+def _run_check(name: str, args: tuple):
+    """Call the check this module binds to `name`, in whichever process
+    runs it; a worker forked after a rebinding sees it rebound."""
+    return globals()[name](*args)
+
+
 def verify_all() -> list[dict]:
     """Run every named property check; one row per property.
 
-    Each row carries the measured numbers so failures are diagnosable
-    from the printout alone.
+    The checks run through one `workers.pool`, `svd_suite` first, and the
+    rows are built here, in a fixed order.  Each row carries the measured
+    numbers so failures are diagnosable from the printout alone.
     """
+    calls = [("svd_suite", ()), ("orthonormalize_suite", ())]
+    for name in ("gradient_check", "orthogonality_check", "eta_scaling_probe"):
+        calls += [(name, (paradigm,)) for paradigm in pm.PARADIGMS]
+    calls.append(("metrics_oracle_check", ()))
+    with workers.pool() as run:
+        results = iter(run(_run_check, *zip(*calls)))
     rows = []
 
-    svd = svd_suite()
+    svd = next(results)
     rows.append({
         "name": "svd",
         "ok": svd["reconstruction"] <= 1e-10 and svd["orthogonality"] <= 1e-10
@@ -469,7 +484,7 @@ def verify_all() -> list[dict]:
         ),
     })
 
-    ortho = orthonormalize_suite()
+    ortho = next(results)
     rows.append({
         "name": "orthonormalize",
         "ok": ortho <= 1e-9,
@@ -477,7 +492,7 @@ def verify_all() -> list[dict]:
     })
 
     for paradigm in pm.PARADIGMS:
-        err = gradient_check(paradigm)
+        err = next(results)
         rows.append({
             "name": f"gradients-{paradigm}",
             "ok": err <= 1e-4,
@@ -485,7 +500,7 @@ def verify_all() -> list[dict]:
         })
 
     for paradigm in pm.PARADIGMS:
-        res = orthogonality_check(paradigm)
+        res = next(results)
         rows.append({
             "name": f"orthogonality-{paradigm}",
             "ok": res["max_overlap"] <= 1e-9 and res["idempotence"] <= 1e-12,
@@ -496,7 +511,7 @@ def verify_all() -> list[dict]:
         })
 
     for paradigm in pm.PARADIGMS:
-        res = eta_scaling_probe(paradigm)
+        res = next(results)
         rows.append({
             "name": f"eta-scaling-{paradigm}",
             "ok": eta_scaling_ok(paradigm, res),
@@ -507,7 +522,7 @@ def verify_all() -> list[dict]:
             ),
         })
 
-    metrics = metrics_oracle_check()
+    metrics = next(results)
     rows.append({
         "name": "metrics",
         "ok": metrics["max_error"] <= 1e-15 and metrics["hand_case_ok"],

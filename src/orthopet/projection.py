@@ -79,9 +79,18 @@ class FeatureBuffer:
         self.rows = np.vstack([self.rows, new_rows])
 
 
-def build_basis(rows: np.ndarray, epsilon: float, site: str) -> np.ndarray:
-    """Null-space basis of the feature rows at relative threshold epsilon:
-    (width, k) orthonormal columns spanning the allowed update directions.
+def svd_factors(rows: np.ndarray) -> tuple:
+    """`(s, vt)` of `linalg.svd(rows)`, the factors `build_basis` cuts.
+    A worker looks `linalg.svd` up when this runs, so it calls whatever the
+    parent had bound to that name when it forked."""
+    res = linalg.svd(rows)
+    return res.s, res.vt
+
+
+def build_basis(factors: tuple, epsilon: float, site: str) -> np.ndarray:
+    """Null-space basis of feature rows at relative threshold epsilon, from
+    their `svd_factors`: (width, k) orthonormal columns spanning the
+    allowed update directions.
 
     Directions with sigma_i <= epsilon * sigma_1 are kept (all of them when
     sigma_1 = 0).  When there are fewer rows than columns the reduced SVD
@@ -92,13 +101,13 @@ def build_basis(rows: np.ndarray, epsilon: float, site: str) -> np.ndarray:
     """
     if epsilon < 0.0:
         raise ValueError("epsilon must be >= 0")
-    if rows.shape[0] == 0:
+    s, vt = factors
+    if s.size == 0:
         raise RuntimeError(f"cannot build a basis from the empty buffer at site {site}")
-    res = linalg.svd(rows)
-    keep = res.s <= epsilon * res.s[0]
-    cols = res.vt.T[:, keep]
-    if res.s.size < rows.shape[1]:
-        cols = np.hstack([cols, linalg.complete_orthonormal(res.vt.T, rows.shape[1] - res.s.size)])
+    keep = s <= epsilon * s[0]
+    cols = vt.T[:, keep]
+    if s.size < vt.shape[1]:
+        cols = np.hstack([cols, linalg.complete_orthonormal(vt.T, vt.shape[1] - s.size)])
     if cols.shape[1] == 0:
         warnings.warn(
             f"site {site}: buffer is full rank at epsilon={epsilon:g}; projected gradients will be zero",

@@ -17,6 +17,10 @@ Class visibility is controlled per scenario:
 
 Masked logits are set to -inf before the softmax so excluded classes get
 exactly zero probability and exactly zero gradient.
+
+A run opens one `workers.pool` for its whole length.  Each rebuild
+factors its matrices there and cuts, completes and merges the bases in
+this process, so bases and warnings are those of an inline rebuild.
 """
 
 from dataclasses import dataclass, field
@@ -30,6 +34,7 @@ from . import metrics as mt
 from . import pet as pm
 from . import projection as pj
 from . import rng as rng_mod
+from . import workers
 
 OPTIMIZERS = ("sgd", "adam")
 ADAM_BETA1 = 0.9
@@ -237,25 +242,27 @@ def update_buffers(w, pet, sampling_set, buffers):
         buffers[site].add(rows)
 
 
-def rebuild_bases(pet, buffers, proj_cfg, model_cfg) -> dict:
+def rebuild_bases(pet, buffers, proj_cfg, model_cfg, run) -> dict:
     """Null-space basis per site, plus a merged basis per merging tensor.
 
     Prompt gradients must avoid both the stored input features and the
     span of the frozen previous prompt, so the embed-site basis is merged
-    with a basis built from the current prompt rows.
+    with a basis built from the current prompt rows.  Every matrix is
+    factored through `run` (see `workers.pool`): the site buffers in sorted
+    order, then the rows of each merging tensor.  The bases are cut,
+    completed and merged here, in that order, so any `EmptyBasisWarning`
+    is raised in this process.
     """
-    bases = {
-        site: pj.build_basis(buffers[site].rows, proj_cfg.epsilon, site)
-        for site in sorted(buffers)
-    }
-    for r in pm.routes(pet.paradigm, model_cfg.depth):
-        if not r.spec.merge:
-            continue
-        rows = pet.params[r.name]
-        if rows.shape[0] == 0:
+    sites = sorted(buffers)
+    merging = [r for r in pm.routes(pet.paradigm, model_cfg.depth) if r.spec.merge]
+    factors = run(pj.svd_factors, [buffers[site].rows for site in sites]
+                  + [pet.params[r.name] for r in merging])
+    bases = {site: pj.build_basis(f, proj_cfg.epsilon, site) for site, f in zip(sites, factors)}
+    for r, f in zip(merging, factors[len(sites):]):
+        if pet.params[r.name].shape[0] == 0:
             bases[r.basis] = bases[r.site]
         else:
-            own = pj.build_basis(rows, proj_cfg.epsilon, r.name)
+            own = pj.build_basis(f, proj_cfg.epsilon, r.name)
             bases[r.basis] = pj.merge_bases(bases[r.site], own, proj_cfg.beta)
     return bases
 
@@ -308,7 +315,8 @@ def continual_run(stream, model_cfg, paradigm, cfg, out_dir=None, config_hash=""
     `checkpoint.load_checkpoint`, continues the run from the task after
     the saved one: the backbone is re-initialised from its seed, the
     bases are rebuilt from the restored buffers and paradigm tensors, and
-    info covers only the tasks run here.
+    info covers only the tasks run here.  Every rebuild, that one included,
+    factors on the run's one `workers.pool`.
     """
     pm.check_paradigm(paradigm)
     if len(stream) == 0:
@@ -324,42 +332,43 @@ def continual_run(stream, model_cfg, paradigm, cfg, out_dir=None, config_hash=""
         "shuffle": rng_mod.generator(cfg.seed, "shuffle"),
         "sampling": rng_mod.generator(cfg.seed, "sampling"),
     }
-    if resume is None:
-        pet = pm.init_pet(model_cfg, paradigm, rng_mod.sub_seed(cfg.seed, "pet"))
-        head = w.classifier.copy()
-        buffers = init_buffers(paradigm, model_cfg)
-        matrix = mt.AccuracyMatrix(len(stream))
-        bases = None
-        start = 0
-    else:
-        start = resume_start(resume, paradigm, model_cfg, len(stream))
-        pet, head, buffers, matrix = resume["pet"], resume["head"], resume["buffers"], resume["matrix"]
-        for name, g in rngs.items():
-            g.bit_generator.state = resume["rng_states"][name]
-        bases = rebuild_bases(pet, buffers, cfg.proj, model_cfg)
-    info = {"loss_curves": [], "basis_sizes": []}
-    for t in range(start, len(stream)):
-        task = stream[t]
-        seen = max(max(s.classes) for s in stream[: t + 1]) + 1
-        perm = rngs["sampling"].permutation(task.n_train)
-        k = min(cfg.proj.sample_count, max(task.n_train - 1, 0))
-        sampling_set = task.train_x[perm[:k]]
-        train_rows = (task.train_x[perm[k:]], task.train_y[perm[k:]])
-        use_bases = bases if (cfg.projection and t > 0) else None
-        curve = train_task(
-            w, pet, head, task, cfg, use_bases,
-            seen_classes=seen, shuffle_rng=rngs["shuffle"], train_rows=train_rows,
-        )
-        info["loss_curves"].append(curve)
-        for i in range(t + 1):
-            matrix.set(t, i, evaluate_task(w, pet, head, stream[i], cfg.scenario, seen))
-        update_buffers(w, pet, sampling_set, buffers)
-        bases = rebuild_bases(pet, buffers, cfg.proj, model_cfg)
-        info["basis_sizes"].append({key: b.shape[1] for key, b in sorted(bases.items())})
-        if out_dir is not None:
-            ck.save_checkpoint(
-                ck.task_path(out_dir, t),
-                config_hash=config_hash, task_index=t, pet=pet, head=head,
-                buffers=buffers, matrix=matrix, rngs=rngs,
+    with workers.pool() as run:
+        if resume is None:
+            pet = pm.init_pet(model_cfg, paradigm, rng_mod.sub_seed(cfg.seed, "pet"))
+            head = w.classifier.copy()
+            buffers = init_buffers(paradigm, model_cfg)
+            matrix = mt.AccuracyMatrix(len(stream))
+            bases = None
+            start = 0
+        else:
+            start = resume_start(resume, paradigm, model_cfg, len(stream))
+            pet, head, buffers, matrix = resume["pet"], resume["head"], resume["buffers"], resume["matrix"]
+            for name, g in rngs.items():
+                g.bit_generator.state = resume["rng_states"][name]
+            bases = rebuild_bases(pet, buffers, cfg.proj, model_cfg, run)
+        info = {"loss_curves": [], "basis_sizes": []}
+        for t in range(start, len(stream)):
+            task = stream[t]
+            seen = max(max(s.classes) for s in stream[: t + 1]) + 1
+            perm = rngs["sampling"].permutation(task.n_train)
+            k = min(cfg.proj.sample_count, max(task.n_train - 1, 0))
+            sampling_set = task.train_x[perm[:k]]
+            train_rows = (task.train_x[perm[k:]], task.train_y[perm[k:]])
+            use_bases = bases if (cfg.projection and t > 0) else None
+            curve = train_task(
+                w, pet, head, task, cfg, use_bases,
+                seen_classes=seen, shuffle_rng=rngs["shuffle"], train_rows=train_rows,
             )
-    return matrix, info
+            info["loss_curves"].append(curve)
+            for i in range(t + 1):
+                matrix.set(t, i, evaluate_task(w, pet, head, stream[i], cfg.scenario, seen))
+            update_buffers(w, pet, sampling_set, buffers)
+            bases = rebuild_bases(pet, buffers, cfg.proj, model_cfg, run)
+            info["basis_sizes"].append({key: b.shape[1] for key, b in sorted(bases.items())})
+            if out_dir is not None:
+                ck.save_checkpoint(
+                    ck.task_path(out_dir, t),
+                    config_hash=config_hash, task_index=t, pet=pet, head=head,
+                    buffers=buffers, matrix=matrix, rngs=rngs,
+                )
+        return matrix, info

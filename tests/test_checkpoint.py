@@ -15,6 +15,7 @@ import orthopet.pet as pm
 import orthopet.projection as pj
 import orthopet.rng as rng_mod
 import orthopet.trainer as tr
+import orthopet.workers as workers
 
 MODEL = bb.TransformerConfig(dim=16, depth=2, heads=2, mlp_ratio=2.0, seq_len=4,
                              num_classes=4, prompt_len=4, prefix_len=4, rank=4)
@@ -140,10 +141,10 @@ def test_rebuilt_bases_match_the_saved_state(tmp_path):
     the same bits as from the state that was saved, empty bases included."""
     pet, _, buffers, _, _ = state = _handmade_state()
     with pytest.warns(pj.EmptyBasisWarning):
-        before = tr.rebuild_bases(pet, buffers, PROJ, MODEL)
+        before = tr.rebuild_bases(pet, buffers, PROJ, MODEL, workers.inline)
     got = ck.load_checkpoint(_save(tmp_path / "d.npz", state=state))
     with pytest.warns(pj.EmptyBasisWarning):
-        after = tr.rebuild_bases(got["pet"], got["buffers"], PROJ, MODEL)
+        after = tr.rebuild_bases(got["pet"], got["buffers"], PROJ, MODEL, workers.inline)
     assert before["mlp_in.0"].shape == (MODEL.dim, 0)
     assert sorted(after) == sorted(before)
     for key, basis in before.items():
@@ -222,6 +223,19 @@ def test_pickled_members_are_refused(tmp_path):
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
     with pytest.raises(ValueError, match="allow_pickle"):
+        ck.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("rows", [np.array(1.0), np.zeros(5), np.zeros((1, 5, 16))],
+                         ids=["0-d", "1-d", "3-d"])
+def test_buffer_members_must_be_2d(tmp_path, rows):
+    path = _save(tmp_path / "task_0.npz", task_index=0)
+    with np.load(path, allow_pickle=False) as data:
+        arrays = {key: data[key] for key in data.files}
+    arrays["buffer/mlp_in.0"] = rows
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    with pytest.raises(ValueError, match=re.escape(f"its buffer mlp_in.0 has shape {rows.shape}, not (rows, width)")):
         ck.load_checkpoint(path)
 
 

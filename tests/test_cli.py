@@ -440,7 +440,7 @@ def test_resume_refuses_a_state_without_a_site_buffer(uninterrupted, tmp_path, c
 
 @pytest.mark.parametrize("member, shape, message", [
     ("pet/lora_q_up.0", (16, 16), "its tensor lora_q_up.0 has shape (16, 16), not (4, 16)"),
-    ("buffer/attn_in.0", (5,), "its buffer attn_in.0 has shape (5,), not (5, 16)"),
+    ("buffer/attn_in.0", (5, 8), "its buffer attn_in.0 has shape (5, 8), not (5, 16)"),
 ], ids=["tensor", "buffer"])
 def test_resume_refuses_a_state_whose_shapes_do_not_fit(uninterrupted, tmp_path, capsys,
                                                          member, shape, message):
@@ -456,6 +456,42 @@ def test_resume_refuses_a_state_whose_shapes_do_not_fit(uninterrupted, tmp_path,
     assert cli.main(["train", "--config", path, "--out", str(out), "--resume"]) == 2
     err = capsys.readouterr().err
     assert "--resume:" in err
+    assert message in err
+    assert not (out / "report.jsonl").exists()
+
+
+def _meta_version(version):
+    def edit(members):
+        meta = json.loads(str(members["meta"]))
+        members["meta"] = np.array(json.dumps({**meta, "version": version}, sort_keys=True))
+    return edit
+
+
+def _member(name, value):
+    def edit(members):
+        members[name] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_meta_version(5), "unsupported checkpoint version 5"),
+    (_member("head", np.array([{"not": "an array"}], dtype=object)), "allow_pickle"),
+    (_member("buffer/attn_in.0", np.array(1.0)), "its buffer attn_in.0 has shape (), not (rows, width)"),
+    (_member("buffer/attn_in.0", np.zeros(5)), "its buffer attn_in.0 has shape (5,), not (rows, width)"),
+], ids=["version", "pickled", "0-d-buffer", "1-d-buffer"])
+def test_resume_refuses_an_unreadable_checkpoint(uninterrupted, tmp_path, capsys, edit, message):
+    """A checkpoint `load_checkpoint` refuses exits 2 through `--resume:`,
+    naming the file."""
+    path, full = uninterrupted["lora"]
+    out = tmp_path / "out"
+    (out / "checkpoints").mkdir(parents=True)
+    with np.load(full / "checkpoints" / "task_0.npz") as data:
+        members = {name: data[name] for name in data.files}
+    edit(members)
+    np.savez(out / "checkpoints" / "task_0.npz", **members)
+    assert cli.main(["train", "--config", path, "--out", str(out), "--resume"]) == 2
+    err = capsys.readouterr().err
+    assert f"--resume: {out / 'checkpoints' / 'task_0.npz'}: " in err
     assert message in err
     assert not (out / "report.jsonl").exists()
 

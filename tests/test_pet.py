@@ -17,6 +17,7 @@ from orthopet.backbone import TransformerConfig
 from orthopet import pet as pm
 from orthopet import projection as pj
 from orthopet import trainer as tr
+from orthopet import workers
 
 CFG = TransformerConfig(
     depth=2,
@@ -382,7 +383,7 @@ def test_paradigm_table_is_consistent(paradigm, depth):
     buffers = tr.init_buffers(paradigm, cfg)
     sites = list(buffers)
     tr.update_buffers(w, pet, xs, buffers)
-    bases = tr.rebuild_bases(pet, buffers, pj.ProjectionConfig(), cfg)
+    bases = tr.rebuild_bases(pet, buffers, pj.ProjectionConfig(), cfg, workers.inline)
     projected = tr.project_grads(pet, grads, bases, depth)
     assert list(pet.params) == list(grads) == list(projected) == table
 

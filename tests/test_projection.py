@@ -89,14 +89,14 @@ def test_buffer_rejects_bad_rows():
 def test_build_basis_empty_buffer_is_invalid_state():
     buf = pj.FeatureBuffer(site="s", width=3)
     with pytest.raises(RuntimeError, match="site s"):
-        pj.build_basis(buf.rows, 0.0, buf.site)
+        pj.build_basis(pj.svd_factors(buf.rows), 0.0, buf.site)
 
 
 def test_build_basis_two_dim_subspace_of_r4():
     rng = np.random.default_rng(3)
     span = gs_columns(rng.normal(size=(4, 2)))
     x = rng.normal(size=(6, 2)) @ span.T
-    basis = pj.build_basis(x, 0.0, "probe")
+    basis = pj.build_basis(pj.svd_factors(x), 0.0, "probe")
     assert basis.shape[1] == 2
     assert np.abs(x @ basis).max() <= 1e-10
     assert np.abs(basis.T @ basis - np.eye(2)).max() <= 1e-10
@@ -106,7 +106,7 @@ def test_build_basis_full_rank_square_is_empty_and_warns():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(5, 5)) + 5.0 * np.eye(5)
     with pytest.warns(pj.EmptyBasisWarning):
-        basis = pj.build_basis(x, 0.0, "probe")
+        basis = pj.build_basis(pj.svd_factors(x), 0.0, "probe")
     assert basis.shape[1] == 0
     g = rng.normal(size=(2, 5))
     assert np.abs(pj.project(g, basis, 1)).max() == 0.0
@@ -115,7 +115,7 @@ def test_build_basis_full_rank_square_is_empty_and_warns():
 def test_build_basis_rank3_in_r6_matches_null_space_oracle():
     rng = np.random.default_rng(5)
     x = rank_deficient(rng, 8, 6, 3)
-    basis = pj.build_basis(x, 1e-10, "probe")
+    basis = pj.build_basis(pj.svd_factors(x), 1e-10, "probe")
     oracle = null_space_oracle(x)
     assert basis.shape[1] == 3 and oracle.shape[1] == 3
     diff = basis @ basis.T - oracle @ oracle.T
@@ -127,7 +127,7 @@ def test_build_basis_appends_complement_when_rows_are_few():
     though the reduced SVD only yields two singular directions."""
     rng = np.random.default_rng(6)
     x = rng.normal(size=(2, 6))
-    basis = pj.build_basis(x, 1e-10, "probe")
+    basis = pj.build_basis(pj.svd_factors(x), 1e-10, "probe")
     assert basis.shape[1] == 4
     assert np.abs(x @ basis).max() <= 1e-10
     oracle = null_space_oracle(x)
@@ -143,10 +143,10 @@ def test_basis_layouts_are_pinned():
     merged basis are built column by column, C-ordered."""
     rng = np.random.default_rng(9)
     tall = rank_deficient(rng, 40, 8, 5)
-    site = pj.build_basis(tall, 1e-10, "probe")
+    site = pj.build_basis(pj.svd_factors(tall), 1e-10, "probe")
     assert site.shape == (8, 3)
     assert site.flags.f_contiguous and not site.flags.c_contiguous
-    completed = pj.build_basis(rng.normal(size=(3, 8)), 1e-10, "probe")
+    completed = pj.build_basis(pj.svd_factors(rng.normal(size=(3, 8))), 1e-10, "probe")
     assert completed.shape == (8, 5)
     assert completed.flags.c_contiguous and not completed.flags.f_contiguous
     merged = pj.merge_bases(site, site, 0.5)
@@ -157,7 +157,7 @@ def test_basis_layouts_are_pinned():
 
 
 def test_build_basis_zero_rows_select_everything():
-    basis = pj.build_basis(np.zeros((3, 5)), 0.0, "probe")
+    basis = pj.build_basis(pj.svd_factors(np.zeros((3, 5))), 0.0, "probe")
     assert basis.shape[1] == 5
     assert np.abs(basis @ basis.T - np.eye(5)).max() <= 1e-12
 
@@ -168,12 +168,12 @@ def test_build_basis_threshold_is_relative():
     v = gs_columns(rng.normal(size=(4, 4)))
     sigmas = np.array([1.0, 0.5, 0.01, 1e-12])
     x = u @ np.diag(sigmas) @ v.T
-    counts = {eps: pj.build_basis(x, eps, "probe").shape[1] for eps in (1e-11, 0.02, 0.6)}
+    counts = {eps: pj.build_basis(pj.svd_factors(x), eps, "probe").shape[1] for eps in (1e-11, 0.02, 0.6)}
     assert counts[1e-11] == 1
     assert counts[0.02] == 2
     assert counts[0.6] == 3
     # scaling the whole buffer must not change any count
-    scaled = pj.build_basis(1e3 * x, 0.02, "probe")
+    scaled = pj.build_basis(pj.svd_factors(1e3 * x), 0.02, "probe")
     assert scaled.shape[1] == 2
 
 
@@ -186,7 +186,8 @@ def test_build_basis_count_monotone_in_epsilon(eps_a, eps_b, seed):
     lo, hi = sorted((eps_a, eps_b))
     rng = np.random.default_rng(seed)
     x = rank_deficient(rng, 7, 5, 3)
-    assert pj.build_basis(x, lo, "probe").shape[1] <= pj.build_basis(x, hi, "probe").shape[1]
+    factors = pj.svd_factors(x)
+    assert pj.build_basis(factors, lo, "probe").shape[1] <= pj.build_basis(factors, hi, "probe").shape[1]
 
 
 def test_identity_basis_is_vacuous():
@@ -259,7 +260,7 @@ def test_merge_validation():
 def test_project_prompt_grad_fixed_point_and_annihilation():
     rng = np.random.default_rng(11)
     x = rank_deficient(rng, 8, 6, 3)
-    basis = pj.build_basis(x, 1e-10, "probe")
+    basis = pj.build_basis(pj.svd_factors(x), 1e-10, "probe")
     inside = rng.normal(size=(2, basis.shape[1])) @ basis.T
     assert np.abs(pj.project(inside, basis, 1) - inside).max() <= 1e-12
     outside = rng.normal(size=(2, 8)) @ x  # rows inside the feature row space
@@ -269,7 +270,7 @@ def test_project_prompt_grad_fixed_point_and_annihilation():
 def test_project_prompt_grad_orthogonality_bound():
     rng = np.random.default_rng(12)
     x = rank_deficient(rng, 10, 6, 4)
-    basis = pj.build_basis(x, 1e-10, "probe")
+    basis = pj.build_basis(pj.svd_factors(x), 1e-10, "probe")
     g = rng.normal(size=(3, 6))
     gp = pj.project(g, basis, 1)
     lhs = np.linalg.norm(x @ gp.T)
@@ -280,7 +281,7 @@ def test_projector_idempotence_and_contraction():
     for seed in range(20):
         r = np.random.default_rng(seed)
         x = rank_deficient(r, 9, 5, r.integers(1, 5))
-        basis = pj.build_basis(x, 1e-10, "probe")
+        basis = pj.build_basis(pj.svd_factors(x), 1e-10, "probe")
         g = r.normal(size=(3, 5))
         once = pj.project(g, basis, 1)
         twice = pj.project(once, basis, 1)
@@ -292,7 +293,7 @@ def test_projector_idempotence_and_contraction():
 def test_project_prefix_grads_both_outputs():
     rng = np.random.default_rng(14)
     x = rank_deficient(rng, 10, 6, 3)
-    basis = pj.build_basis(x, 1e-10, "probe")
+    basis = pj.build_basis(pj.svd_factors(x), 1e-10, "probe")
     gk = rng.normal(size=(2, 6))
     gv = rng.normal(size=(2, 6))
     bases = {"attn_in.0": basis}
@@ -312,8 +313,8 @@ def test_project_factor_grads_orthogonality():
     d, r = 8, 3
     x = rank_deficient(rng, 12, d, 4)
     y = rank_deficient(rng, 12, r, 1)
-    bx = pj.build_basis(x, 1e-10, "probe")
-    by = pj.build_basis(y, 1e-10, "probe")
+    bx = pj.build_basis(pj.svd_factors(x), 1e-10, "probe")
+    by = pj.build_basis(pj.svd_factors(y), 1e-10, "probe")
     gd = rng.normal(size=(d, r))
     gu = rng.normal(size=(r, d))
     pd_, pu = pj.project(gd, bx, 0), pj.project(gu, by, 0)
@@ -328,8 +329,8 @@ def test_project_factor_grads_orthogonality():
 def test_project_factor_grads_zero_and_vacuous():
     rng = np.random.default_rng(16)
     d, r = 6, 2
-    bx = pj.build_basis(rank_deficient(rng, 9, d, 2), 1e-10, "probe")
-    by = pj.build_basis(np.zeros((4, r)), 1e-10, "probe")
+    bx = pj.build_basis(pj.svd_factors(rank_deficient(rng, 9, d, 2)), 1e-10, "probe")
+    by = pj.build_basis(pj.svd_factors(np.zeros((4, r))), 1e-10, "probe")
     zd, zu = pj.project(np.zeros((d, r)), bx, 0), pj.project(np.zeros((r, d)), by, 0)
     assert not zd.any() and not zu.any()
     gu = rng.normal(size=(r, d))

@@ -17,6 +17,7 @@ import orthopet.pet as pm
 import orthopet.projection as pj
 import orthopet.rng as rng_mod
 import orthopet.trainer as tr
+import orthopet.workers as workers
 
 MODEL = bb.TransformerConfig(dim=16, depth=2, heads=2, mlp_ratio=2.0, seq_len=4,
                              num_classes=4, prompt_len=4, prefix_len=4, rank=4)
@@ -393,7 +394,7 @@ def test_projection_with_buffered_probes_freezes_first_task_accuracy():
     tr.update_buffers(w, pet, probes, buffers)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", pj.EmptyBasisWarning)
-        bases = tr.rebuild_bases(pet, buffers, cfg.proj, model)
+        bases = tr.rebuild_bases(pet, buffers, cfg.proj, model, workers.inline)
     assert bases["prompt"].shape[1] == 0
     prompt_before = pet.params["prompt"].copy()
 
