@@ -99,9 +99,18 @@ def _legacy_version(path: Path):
         return json.load(fh).get("version")
 
 
+# The keys of `meta` and the JSON type of each; a bool is no int here.
+_META = {"version": int, "config_hash": str, "task_index": int, "paradigm": str,
+         "pet_version": int, "accuracy_rows": list, "matrix_tasks": int, "rng_states": dict}
+# The generators whose states a checkpoint keeps.
+RNG_NAMES = ("sampling", "shuffle")
+
+
 def load_checkpoint(path) -> dict:
-    """The state saved at `path`.  A file of another version, a pickled
-    member or a buffer member that is not 2-D raises ValueError."""
+    """The state saved at `path`.  A file that is no readable `.npz`, of
+    another version, or without a member or meta key a resume needs, a
+    meta value of the wrong JSON type, a pickled member or a buffer member
+    that is not 2-D raises ValueError naming what is wrong."""
     path = Path(path)
     legacy = _legacy_version(path)
     if legacy is not None:
@@ -109,21 +118,45 @@ def load_checkpoint(path) -> dict:
             f"unsupported checkpoint version {legacy!r} (a JSON checkpoint); "
             f"only version {CHECKPOINT_VERSION} .npz checkpoints load"
         )
-    with np.load(path, allow_pickle=False) as data:
-        meta = json.loads(str(data["meta"]))
-        if meta.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {meta.get('version')!r}")
-        params = {k[len(_PET):]: data[k] for k in data.files if k.startswith(_PET)}
-        buffers = {
-            k[len(_BUFFER):]: data[k] for k in data.files if k.startswith(_BUFFER)
-        }
-        head = data["head"]
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            for member in ("meta", "head"):
+                if member not in data.files:
+                    raise ValueError(f"it has no member {member}")
+            meta = json.loads(str(data["meta"]))
+            if not isinstance(meta, dict):
+                raise ValueError("its meta is not a JSON object")
+            if meta.get("version") != CHECKPOINT_VERSION:
+                raise ValueError(f"unsupported checkpoint version {meta.get('version')!r}")
+            params = {k[len(_PET):]: data[k] for k in data.files if k.startswith(_PET)}
+            buffers = {
+                k[len(_BUFFER):]: data[k] for k in data.files if k.startswith(_BUFFER)
+            }
+            head = data["head"]
+    except (EOFError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"it is not a readable .npz file ({exc})") from exc
+    for key, kind in _META.items():
+        if key not in meta:
+            raise ValueError(f"its meta has no key {key}")
+        if type(meta[key]) is not kind:
+            raise ValueError(f"its meta {key} is {json.dumps(meta[key])}, not of type {kind.__name__}")
+    acc_rows = meta["accuracy_rows"]
+    if not acc_rows or len(acc_rows) != meta["task_index"] + 1 or not all(
+        isinstance(row, list) and len(row) == j + 1 and all(type(a) in (int, float) for a in row)
+        for j, row in enumerate(acc_rows)
+    ):
+        raise ValueError(
+            f"its meta accuracy_rows is {json.dumps(acc_rows)}, not task_index + 1 rows of 1, 2, ... numbers"
+        )
+    missing = sorted(set(RNG_NAMES) - set(meta["rng_states"]))
+    if missing:
+        raise ValueError(f"its meta rng_states has no state for {', '.join(missing)}")
     for site, rows in buffers.items():
         if rows.ndim != 2:
             raise ValueError(f"its buffer {site} has shape {rows.shape}, not (rows, width)")
 
     matrix = mt.AccuracyMatrix(tasks=meta["matrix_tasks"])
-    for j, row in enumerate(meta["accuracy_rows"]):
+    for j, row in enumerate(acc_rows):
         for i, acc in enumerate(row):
             matrix.set(j, i, acc)
     return {

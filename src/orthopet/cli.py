@@ -9,7 +9,8 @@ timestamps or absolute paths, so the same config and seed reproduce a
 report byte for byte.  `train --resume` continues a stopped run from its
 last checkpoint and gives the same report bytes.  `ablate --sweep`
 takes a key of `eval.SWEEP_KEYS`: `epsilon` or `beta` with numbers, or
-`projection=on,off` to compare the two arms.
+`projection=on,off` to compare the two arms; `beta` only for a paradigm
+with a merging tensor, the one basis it weighs.
 
 Exit codes: 0 success, 1 runtime failure, 2 invalid config or usage.
 """
@@ -346,6 +347,9 @@ def main(argv=None) -> int:
         if sweep_key == "projection" and args.projection is not None:
             # The flag would be overridden, yet still move the config hash.
             raise ConfigError("--projection: --sweep projection=... sets the arm of every run")
+        if sweep_key == "beta" and not any(s.merge for s in pm.PARADIGM_TENSORS[cfg.paradigm]):
+            # beta only weighs merged bases: every value would give the same rows.
+            raise ConfigError(f"--sweep: beta only acts on a merging tensor, and {cfg.paradigm} has none")
         return cmd_ablate(cfg, sweep_key, sweep_values)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -11,8 +11,10 @@ and factor orthogonality, analytic gradients against central finite
 differences, projected-gradient orthogonality to stored features on
 rank-deficient buffers, projector idempotence, the single-step size
 scaling signature of each paradigm, and the metric formulas against
-direct oracles.  `verify_all` runs every check, each on a worker of one
-`workers.pool`, and reports one named pass/fail row per property.
+direct oracles.  `PROPERTIES` is the one list of these properties, in
+print order, each with its check and verdict; `verify_all` runs every
+check, each on a worker of one `workers.pool`, and reports one named
+pass/fail row per property.
 """
 
 import warnings
@@ -458,75 +460,47 @@ def _run_check(name: str, args: tuple):
     return globals()[name](*args)
 
 
+# The properties `verify_all` reports, in print order: row name, the name
+# of the check that measures it, the check's arguments, and the verdict
+# that turns the check's result and arguments into (ok, detail).  Checks
+# and `eta_scaling_ok` are found by name when they run, so a rebinding
+# reaches them.
+PROPERTIES = [
+    ("svd", "svd_suite", (), lambda r: (
+        r["reconstruction"] <= 1e-10 and r["orthogonality"] <= 1e-10 and r["projector"] <= 1e-9,
+        f"recon {r['reconstruction']:.2e}, factors {r['orthogonality']:.2e}, "
+        f"projector-vs-lapack {r['projector']:.2e}")),
+    ("orthonormalize", "orthonormalize_suite", (), lambda r: (
+        r <= 1e-9, f"max defect {r:.2e}")),
+    *((f"gradients-{p}", "gradient_check", (p,), lambda r, _: (
+        r <= 1e-4, f"max relative fd error {r:.2e}")) for p in pm.PARADIGMS),
+    *((f"orthogonality-{p}", "orthogonality_check", (p,), lambda r, _: (
+        r["max_overlap"] <= 1e-9 and r["idempotence"] <= 1e-12,
+        f"max feature overlap {r['max_overlap']:.2e}, idempotence {r['idempotence']:.2e}"))
+      for p in pm.PARADIGMS),
+    *((f"eta-scaling-{p}", "eta_scaling_probe", (p,), lambda r, paradigm: (
+        eta_scaling_ok(paradigm, r),
+        f"projected ratio {r['proj_ratio']:.3f} at eta {r['proj_eta']:g}, "
+        f"unprojected ratio {r['unproj_ratio']:.3f} at eta {r['unproj_eta']:g}, "
+        f"drift {r['proj_drift']:.3g} vs {r['unproj_drift_matched']:.3g} unprojected"))
+      for p in pm.PARADIGMS),
+    ("metrics", "metrics_oracle_check", (), lambda r: (
+        r["max_error"] <= 1e-15 and r["hand_case_ok"], f"max formula error {r['max_error']:.2e}")),
+]
+
+
 def verify_all() -> list[dict]:
-    """Run every named property check; one row per property.
+    """Run the check of every entry of `PROPERTIES`; one row per property.
 
     The checks run through one `workers.pool`, `svd_suite` first, and the
-    rows are built here, in a fixed order.  Each row carries the measured
+    rows are built here, in table order.  Each row carries the measured
     numbers so failures are diagnosable from the printout alone.
     """
-    calls = [("svd_suite", ()), ("orthonormalize_suite", ())]
-    for name in ("gradient_check", "orthogonality_check", "eta_scaling_probe"):
-        calls += [(name, (paradigm,)) for paradigm in pm.PARADIGMS]
-    calls.append(("metrics_oracle_check", ()))
+    _, checks, arglists, _ = zip(*PROPERTIES)
     with workers.pool() as run:
-        results = iter(run(_run_check, *zip(*calls)))
+        results = run(_run_check, checks, arglists)
     rows = []
-
-    svd = next(results)
-    rows.append({
-        "name": "svd",
-        "ok": svd["reconstruction"] <= 1e-10 and svd["orthogonality"] <= 1e-10
-        and svd["projector"] <= 1e-9,
-        "detail": (
-            f"recon {svd['reconstruction']:.2e}, factors {svd['orthogonality']:.2e}, "
-            f"projector-vs-lapack {svd['projector']:.2e}"
-        ),
-    })
-
-    ortho = next(results)
-    rows.append({
-        "name": "orthonormalize",
-        "ok": ortho <= 1e-9,
-        "detail": f"max defect {ortho:.2e}",
-    })
-
-    for paradigm in pm.PARADIGMS:
-        err = next(results)
-        rows.append({
-            "name": f"gradients-{paradigm}",
-            "ok": err <= 1e-4,
-            "detail": f"max relative fd error {err:.2e}",
-        })
-
-    for paradigm in pm.PARADIGMS:
-        res = next(results)
-        rows.append({
-            "name": f"orthogonality-{paradigm}",
-            "ok": res["max_overlap"] <= 1e-9 and res["idempotence"] <= 1e-12,
-            "detail": (
-                f"max feature overlap {res['max_overlap']:.2e}, "
-                f"idempotence {res['idempotence']:.2e}"
-            ),
-        })
-
-    for paradigm in pm.PARADIGMS:
-        res = next(results)
-        rows.append({
-            "name": f"eta-scaling-{paradigm}",
-            "ok": eta_scaling_ok(paradigm, res),
-            "detail": (
-                f"projected ratio {res['proj_ratio']:.3f} at eta {res['proj_eta']:g}, "
-                f"unprojected ratio {res['unproj_ratio']:.3f} at eta {res['unproj_eta']:g}, "
-                f"drift {res['proj_drift']:.3g} vs {res['unproj_drift_matched']:.3g} unprojected"
-            ),
-        })
-
-    metrics = next(results)
-    rows.append({
-        "name": "metrics",
-        "ok": metrics["max_error"] <= 1e-15 and metrics["hand_case_ok"],
-        "detail": f"max formula error {metrics['max_error']:.2e}",
-    })
-
+    for (name, _, args, verdict), res in zip(PROPERTIES, results):
+        ok, detail = verdict(res, *args)
+        rows.append({"name": name, "ok": ok, "detail": detail})
     return rows

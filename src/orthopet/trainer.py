@@ -273,9 +273,10 @@ def resume_start(state, paradigm, model_cfg, tasks: int) -> int:
 
     Raises ValueError when the saved run is of another paradigm or
     length, when its paradigm tensors or buffers are not keyed by the
-    routes of this model (naming the missing and extra keys) or an array
+    routes of this model (naming the missing and extra keys), an array
     has a shape the model does not take (naming the key and both shapes),
-    or when it has no task left to run.
+    is not finite float64 or is an empty buffer, an rng state does not
+    load into a `PCG64`, or when it has no task left to run.
     """
     saved = (state["pet"].paradigm, state["matrix"].tasks)
     if saved != (paradigm, tasks):
@@ -291,15 +292,26 @@ def resume_start(state, paradigm, model_cfg, tasks: int) -> int:
                 f"its {what} do not fit a {paradigm} model of depth {model_cfg.depth}: "
                 f"missing {sorted(want - set(have))}, extra {sorted(set(have) - want)}"
             )
-    fits = [("head", state["head"].shape, (model_cfg.dim, model_cfg.num_classes))]
+    fits = [("head", state["head"], (model_cfg.dim, model_cfg.num_classes))]
     for r in routes:
-        fits.append((f"tensor {r.name}", params[r.name].shape,
+        fits.append((f"tensor {r.name}", params[r.name],
                      tuple(getattr(model_cfg, f) for f in r.spec.shape)))
-        rows = buffers[r.site].rows.shape
-        fits.append((f"buffer {r.site}", rows, rows[:1] + (pj.site_width(r, model_cfg),)))
-    for key, have, want in fits:
-        if have != want:
-            raise ValueError(f"its {key} has shape {have}, not {want}")
+        rows = buffers[r.site].rows
+        fits.append((f"buffer {r.site}", rows, rows.shape[:1] + (pj.site_width(r, model_cfg),)))
+    for key, arr, want in fits:
+        if arr.shape != want:
+            raise ValueError(f"its {key} has shape {arr.shape}, not {want}")
+        if arr.dtype != np.float64:
+            raise ValueError(f"its {key} is {arr.dtype}, not float64")
+        if arr.size == 0:
+            raise ValueError(f"its {key} has no rows")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"its {key} holds a value that is not finite")
+    for name, rng_state in sorted(state["rng_states"].items()):
+        try:
+            np.random.PCG64().state = rng_state
+        except (TypeError, ValueError, KeyError, OverflowError) as exc:
+            raise ValueError(f"its rng state {name} does not load into PCG64 ({exc!r})") from exc
     start = state["task_index"] + 1
     if start >= tasks:
         raise ValueError(f"task {start - 1} is the last of {tasks} tasks; every task is already done")
@@ -328,10 +340,7 @@ def continual_run(stream, model_cfg, paradigm, cfg, out_dir=None, config_hash=""
         )
     backbone_entropy = cfg.seed if cfg.backbone_seed is None else cfg.backbone_seed
     w = bb.init_backbone(model_cfg, rng_mod.sub_seed(backbone_entropy, "backbone"))
-    rngs = {
-        "shuffle": rng_mod.generator(cfg.seed, "shuffle"),
-        "sampling": rng_mod.generator(cfg.seed, "sampling"),
-    }
+    rngs = {name: rng_mod.generator(cfg.seed, name) for name in ck.RNG_NAMES}
     with workers.pool() as run:
         if resume is None:
             pet = pm.init_pet(model_cfg, paradigm, rng_mod.sub_seed(cfg.seed, "pet"))

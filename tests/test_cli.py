@@ -292,6 +292,21 @@ def test_ablate_rejects_bad_sweep(tmp_path, capsys):
     assert "config error: --sweep: epsilon must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("paradigm", ["prompt", "prefix", "adapter", "lora"])
+def test_ablate_sweeps_beta_only_over_a_merging_tensor(tmp_path, capsys, monkeypatch, paradigm):
+    """Only a merging tensor's basis reads beta, so a beta sweep of any
+    other paradigm would train identical rows: it exits 2 before training."""
+    monkeypatch.setattr(cli, "cmd_ablate", lambda cfg, key, values: 0)
+    path = _write(tmp_path, BASE)
+    rc = cli.main(["ablate", "--config", path, "--paradigm", paradigm, "--sweep", "beta=0.3,0.9"])
+    if paradigm == "prompt":
+        assert rc == 0
+    else:
+        assert rc == 2
+        assert (f"config error: --sweep: beta only acts on a merging tensor, and {paradigm} has none"
+                in capsys.readouterr().err)
+
+
 @pytest.mark.filterwarnings("ignore::orthopet.projection.EmptyBasisWarning")
 def test_report_round_trip(tmp_path, capsys):
     path = _write(tmp_path, BASE)
@@ -344,6 +359,15 @@ def test_verify_exit_codes(monkeypatch, capsys):
     shown = capsys.readouterr().out
     assert "FAIL metrics: off by 1" in shown
     assert "1 properties failed: metrics" in shown
+
+
+def test_verify_runs_every_property(capsys):
+    """The real suite, checks unstubbed: one PASS row per entry of
+    `eval.PROPERTIES`, in table order."""
+    assert cli.main(["verify"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:-1]] == [f"PASS {p[0]}" for p in cli.ev.PROPERTIES]
+    assert lines[-1] == "all 15 properties hold"
 
 
 def test_readme_commands_parse():
@@ -460,40 +484,95 @@ def test_resume_refuses_a_state_whose_shapes_do_not_fit(uninterrupted, tmp_path,
     assert not (out / "report.jsonl").exists()
 
 
-def _meta_version(version):
-    def edit(members):
+def _members(change):
+    """An edit that rewrites the saved checkpoint's members through `change`."""
+    def edit(src, dest):
+        with np.load(src) as data:
+            members = {name: data[name] for name in data.files}
+        change(members)
+        np.savez(dest, **members)
+    return edit
+
+
+def _meta(key, value=None):
+    """Set meta `key` to `value`, or drop it when `value` is None."""
+    def change(members):
         meta = json.loads(str(members["meta"]))
-        members["meta"] = np.array(json.dumps({**meta, "version": version}, sort_keys=True))
+        if value is None:
+            del meta[key]
+        else:
+            meta[key] = value
+        members["meta"] = np.array(json.dumps(meta, sort_keys=True))
+    return _members(change)
+
+
+def _member(name, value=None):
+    """Set member `name` to `value`, or drop it when `value` is None."""
+    def change(members):
+        if value is None:
+            del members[name]
+        else:
+            members[name] = value
+    return _members(change)
+
+
+def _cut(keep):
+    """An edit that keeps the first `keep` bytes of the saved file."""
+    def edit(src, dest):
+        dest.write_bytes(src.read_bytes()[:keep])
     return edit
 
 
-def _member(name, value):
-    def edit(members):
-        members[name] = value
-    return edit
-
-
-@pytest.mark.parametrize("edit, message", [
-    (_meta_version(5), "unsupported checkpoint version 5"),
-    (_member("head", np.array([{"not": "an array"}], dtype=object)), "allow_pickle"),
-    (_member("buffer/attn_in.0", np.array(1.0)), "its buffer attn_in.0 has shape (), not (rows, width)"),
-    (_member("buffer/attn_in.0", np.zeros(5)), "its buffer attn_in.0 has shape (5,), not (rows, width)"),
-], ids=["version", "pickled", "0-d-buffer", "1-d-buffer"])
-def test_resume_refuses_an_unreadable_checkpoint(uninterrupted, tmp_path, capsys, edit, message):
-    """A checkpoint `load_checkpoint` refuses exits 2 through `--resume:`,
-    naming the file."""
+def _refuse_edited(uninterrupted, tmp_path, capsys, edit, message):
+    """Resume from an edited copy of the lora run's first checkpoint: it
+    exits 2 through `--resume:`, naming the file and `message`."""
     path, full = uninterrupted["lora"]
     out = tmp_path / "out"
     (out / "checkpoints").mkdir(parents=True)
-    with np.load(full / "checkpoints" / "task_0.npz") as data:
-        members = {name: data[name] for name in data.files}
-    edit(members)
-    np.savez(out / "checkpoints" / "task_0.npz", **members)
+    edit(full / "checkpoints" / "task_0.npz", out / "checkpoints" / "task_0.npz")
     assert cli.main(["train", "--config", path, "--out", str(out), "--resume"]) == 2
     err = capsys.readouterr().err
     assert f"--resume: {out / 'checkpoints' / 'task_0.npz'}: " in err
     assert message in err
     assert not (out / "report.jsonl").exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_meta("version", 5), "unsupported checkpoint version 5"),
+    (_member("head", np.array([{"not": "an array"}], dtype=object)), "allow_pickle"),
+    (_member("buffer/attn_in.0", np.array(1.0)), "its buffer attn_in.0 has shape (), not (rows, width)"),
+    (_member("buffer/attn_in.0", np.zeros(5)), "its buffer attn_in.0 has shape (5,), not (rows, width)"),
+    (_cut(0), "it is not a readable .npz file"),
+    (_cut(1000), "it is not a readable .npz file"),
+    (_meta("task_index"), "its meta has no key task_index"),
+    (_member("head"), "it has no member head"),
+    (_meta("rng_states", {"shuffle": {}}), "its meta rng_states has no state for sampling"),
+    (_meta("accuracy_rows", "[[0.5]]"), 'its meta accuracy_rows is "[[0.5]]", not of type list'),
+    (_meta("accuracy_rows", [[0.5, 0.5]]), "its meta accuracy_rows is [[0.5, 0.5]], not task_index + 1 rows"),
+    (_meta("config_hash", 5), "its meta config_hash is 5, not of type str"),
+], ids=["version", "pickled", "0-d-buffer", "1-d-buffer", "empty-file", "truncated-file",
+        "no-task-index", "no-head", "no-sampling-state", "string-accuracy-rows",
+        "ragged-accuracy-rows", "int-config-hash"])
+def test_resume_refuses_an_unreadable_checkpoint(uninterrupted, tmp_path, capsys, edit, message):
+    """A checkpoint `load_checkpoint` refuses exits 2 through `--resume:`,
+    naming the file and what is wrong with it."""
+    _refuse_edited(uninterrupted, tmp_path, capsys, edit, message)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_member("buffer/attn_in.0", np.zeros((0, 16))), "its buffer attn_in.0 has no rows"),
+    (_member("buffer/attn_in.0", np.full((5, 16), np.nan)),
+     "its buffer attn_in.0 holds a value that is not finite"),
+    (_member("pet/lora_v_up.1", np.full((4, 16), np.inf)),
+     "its tensor lora_v_up.1 holds a value that is not finite"),
+    (_member("head", np.zeros((16, 8), dtype=np.int64)), "its head is int64, not float64"),
+    (_meta("rng_states", {"sampling": {"bit_generator": "MT19937"}, "shuffle": {}}),
+     "its rng state sampling does not load into PCG64"),
+], ids=["empty-buffer", "nan-buffer", "inf-tensor", "int-head", "bad-rng-state"])
+def test_resume_refuses_a_state_the_run_cannot_use(uninterrupted, tmp_path, capsys, edit, message):
+    """A loadable state that would fail inside `continual_run` is refused
+    by `trainer.resume_start` before the run starts, naming the key."""
+    _refuse_edited(uninterrupted, tmp_path, capsys, edit, message)
 
 
 def test_resume_refuses_an_empty_directory(tmp_path, capsys):
