@@ -497,7 +497,7 @@ def verify_all() -> list[dict]:
     numbers so failures are diagnosable from the printout alone.
     """
     _, checks, arglists, _ = zip(*PROPERTIES)
-    with workers.pool() as run:
+    with workers.pool(len(PROPERTIES)) as run:
         results = run(_run_check, checks, arglists)
     rows = []
     for (name, _, args, verdict), res in zip(PROPERTIES, results):

@@ -18,9 +18,10 @@ Class visibility is controlled per scenario:
 Masked logits are set to -inf before the softmax so excluded classes get
 exactly zero probability and exactly zero gradient.
 
-A run opens one `workers.pool` for its whole length.  Each rebuild
-factors its matrices there and cuts, completes and merges the bases in
-this process, so bases and warnings are those of an inline rebuild.
+A run opens one `workers.pool` for its whole length, sized to the
+matrices a rebuild factors.  Each rebuild factors them there and cuts,
+completes and merges the bases in this process, so bases and warnings
+are those of an inline rebuild.
 """
 
 from dataclasses import dataclass, field
@@ -341,7 +342,9 @@ def continual_run(stream, model_cfg, paradigm, cfg, out_dir=None, config_hash=""
     backbone_entropy = cfg.seed if cfg.backbone_seed is None else cfg.backbone_seed
     w = bb.init_backbone(model_cfg, rng_mod.sub_seed(backbone_entropy, "backbone"))
     rngs = {name: rng_mod.generator(cfg.seed, name) for name in ck.RNG_NAMES}
-    with workers.pool() as run:
+    routes = pm.routes(paradigm, model_cfg.depth)
+    rebuild_jobs = len({r.site for r in routes}) + sum(r.spec.merge for r in routes)
+    with workers.pool(rebuild_jobs) as run:
         if resume is None:
             pet = pm.init_pet(model_cfg, paradigm, rng_mod.sub_seed(cfg.seed, "pet"))
             head = w.classifier.copy()

@@ -187,6 +187,16 @@ def _jacobi_inputs():
     # nearly every rotation is between near-null columns, as in the rows a
     # LoRA mid site collects.
     cases["rank_deficient_128x16_r8"] = random_matrix(rng, 128, 16, rank=8)
+    # The rarer roots of the scalar step.  Equal norms with dot 1.0 give
+    # zeta == 0, and with dot -1.0 zeta == -0.0, where only that branch
+    # keeps t = 1.  e1 against (3e79, 1e90) gives gamma 3e79, above the
+    # 1e78 tolerance, and zeta about 1.7e100, past the asymptotic cut;
+    # against (1e140, 1e150) it gives zeta 5e159, where only that cut
+    # keeps t from the 0 that an overflowing zeta * zeta gives.
+    cases["zeta_zero_2x2"] = np.array([[1.0, 0.5], [0.5, 1.0]])
+    cases["zeta_negative_zero_2x2"] = np.array([[1.0, -0.5], [0.5, -1.0]])
+    cases["zeta_huge_2x2"] = np.array([[1.0, 3e79], [0.0, 1e90]])
+    cases["zeta_overflow_2x2"] = np.array([[1.0, 1e140], [0.0, 1e150]])
     return cases
 
 
@@ -201,6 +211,24 @@ def _oil_lora_rows(site, tasks):
     with tempfile.TemporaryDirectory() as out:
         tr.continual_run(cfg.stream(), cfg.model_cfg, cfg.paradigm, cfg.train_cfg, out_dir=out)
         return ck.load_checkpoint(ck.task_path(out, tasks - 1))["buffers"][site].rows
+
+
+def _first_zeta(a):
+    alpha, beta = np.sum(a * a, axis=0)
+    return (beta - alpha) / (2.0 * float(a[:, 0] @ a[:, 1]))
+
+
+def test_two_column_inputs_reach_the_rare_roots():
+    for name, sign in (("zeta_zero_2x2", False), ("zeta_negative_zero_2x2", True)):
+        zeta = _first_zeta(JACOBI_INPUTS[name])
+        assert zeta == 0.0 and np.signbit(zeta) == sign, name
+    for name in ("zeta_huge_2x2", "zeta_overflow_2x2"):
+        a = JACOBI_INPUTS[name]
+        gamma = float(a[:, 0] @ a[:, 1])
+        assert gamma > linalg.SVD_SWEEP_TOL * np.sqrt(np.prod(np.sum(a * a, axis=0))), name
+        assert _first_zeta(a) > 1e100, name
+    zeta = float(_first_zeta(JACOBI_INPUTS["zeta_overflow_2x2"]))
+    assert zeta * zeta == float("inf")
 
 
 def _jacobi_input(name):
@@ -249,11 +277,12 @@ def _jacobi_stacks():
             rng.normal(size=(60, 12)),
         ],
     }
-    # Every row count mod 4 of the strided dot, with a copy that rounds
-    # differently.
-    for name in sorted(JACOBI_INPUTS):
-        if name.startswith("rows_"):
-            stacks[name] = [JACOBI_INPUTS[name], 1e-3 * JACOBI_INPUTS[name]]
+    # Every single input runs in a stack too, beside a copy that rounds
+    # differently and one whose zero first column skips its pairs.
+    for name, a in JACOBI_INPUTS.items():
+        zeroed = a.copy()
+        zeroed[:, 0] = 0.0
+        stacks[name] = [a, 1e-3 * a, zeroed]
     return {name: np.stack(mats) for name, mats in stacks.items()}
 
 
@@ -276,6 +305,24 @@ def test_jacobi_stack_matches_reference_per_matrix(name):
         assert np.array_equal(v_new[k], v_ref), k
 
 
+@pytest.mark.parametrize("name", sorted(n for n in JACOBI_INPUTS if n.startswith("rows_")))
+def test_stack_pair_dot_is_the_single_dot(name):
+    """The stack's batched pair dot, `np.matmul` of (B, 1, m) by (B, m, 1)
+    views at stride 2, gives per matrix the bits of `.dot` on those views
+    and of the plain loop's column dot."""
+    stack = JACOBI_STACKS[name]
+    nb, m, n = stack.shape
+    store = np.zeros((n, nb, m + n, 2))
+    store[:, :, :m, 0] = stack.transpose(2, 0, 1)
+    for i in range(n):
+        for j in range(n):
+            x, y = store[i, :, :m, 0], store[j, :, :m, 0]
+            batched = np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
+            for q in range(nb):
+                assert _same_bits(batched[q], np.float64(x[q].dot(y[q]))), (i, j, q)
+                assert _same_bits(batched[q], stack[q][:, i] @ stack[q][:, j]), (i, j, q)
+
+
 def _same_bits(x, y):
     return x.shape == y.shape and x.tobytes() == y.tobytes()
 
@@ -289,8 +336,12 @@ def _svd_stacks():
     tall_deficient = [random_matrix(rng, 12, 8, rank=4), np.zeros((12, 8)),
                       rng.normal(size=(12, 8)), random_matrix(rng, 12, 8, rank=1)]
     wide_deficient = [random_matrix(rng, 8, 12, rank=5), np.zeros((8, 12)), rng.normal(size=(8, 12))]
+    # One class of `eval.svd_suite` as it stacks it: seeds 1000-1099.
+    m, n, rank = SHAPE_CLASSES["wide_rank_deficient"]
+    suite = [random_matrix(np.random.default_rng(1000 + seed), m, n, rank) for seed in range(100)]
     return {"tall": tall, "wide": wide, "tall_rank_deficient": tall_deficient,
-            "wide_rank_deficient": wide_deficient, "one_column": [rng.normal(size=(20, 1)) for _ in range(3)]}
+            "wide_rank_deficient": wide_deficient, "one_column": [rng.normal(size=(20, 1)) for _ in range(3)],
+            "svd_suite_wide_rank_deficient": suite}
 
 
 SVD_STACKS = {name: np.stack(mats) for name, mats in _svd_stacks().items()}

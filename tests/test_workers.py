@@ -80,7 +80,7 @@ def test_pool_and_inline_rebuilds_are_identical(paradigm, full_rank_site):
     layout alone can flip an ablation verdict."""
     pet, buffers = _state(paradigm, full_rank_site)
     want, want_warned = _rebuild(pet, buffers, workers.inline)
-    with workers.pool() as run:
+    with workers.pool(2) as run:
         assert run is not workers.inline
         got, got_warned = _rebuild(pet, buffers, run)
         if full_rank_site:
@@ -107,7 +107,7 @@ def test_workers_call_the_svd_the_parent_bound(monkeypatch):
         return svd(a)
 
     monkeypatch.setattr(linalg, "svd", traced)
-    with workers.pool() as run:
+    with workers.pool(2) as run:
         got, got_warned = _rebuild(pet, buffers, run)
     assert parent not in calls
     assert got_warned == want_warned
@@ -115,17 +115,29 @@ def test_workers_call_the_svd_the_parent_bound(monkeypatch):
 
 
 def _pool_is_inline(_):
-    with workers.pool() as run:
+    with workers.pool(2) as run:
         return run is workers.inline
 
 
 def test_no_pool_on_one_cpu_or_inside_a_worker(monkeypatch):
-    with workers.pool() as run:
+    with workers.pool(2) as run:
         assert run(_pool_is_inline, [0, 1]) == [True, True]
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    with workers.pool() as run:
+    with workers.pool(2) as run:
         assert run is workers.inline
         assert multiprocessing.active_children() == []
+
+
+def test_pool_starts_no_more_workers_than_jobs(monkeypatch):
+    """A fork pool starts all its workers at the first submit, so `jobs`
+    caps them; one job runs inline."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    with workers.pool(3) as run:
+        assert run(abs, [-1, -2]) == [1, 2]
+        assert len(multiprocessing.active_children()) == 3
+    assert multiprocessing.active_children() == []
+    with workers.pool(1) as run:
+        assert run is workers.inline
 
 
 SPEC = dm.ScenarioSpec(scenario="cil", tasks=2, classes_per_task=2, samples_per_class=8,
@@ -152,7 +164,8 @@ def test_no_worker_outlives_a_run(monkeypatch):
     monkeypatch.setattr(tr, "masked_cross_entropy", poisoned)
     with pytest.raises(FloatingPointError, match="poisoned"):
         tr.continual_run(stream, MODEL, "lora", CFG)
-    assert alive == [len(os.sched_getaffinity(0))]
+    jobs = len(tr.init_buffers("lora", MODEL))
+    assert alive == [min(len(os.sched_getaffinity(0)), jobs)]
     assert multiprocessing.active_children() == []
 
 
@@ -199,7 +212,7 @@ def test_workers_exit_when_their_parent_is_killed():
     holder = (
         "import multiprocessing, time\n"
         "from orthopet import workers\n"
-        "with workers.pool() as run:\n"
+        "with workers.pool(2) as run:\n"
         "    run(abs, [1, 2])\n"
         "    print(*(p.pid for p in multiprocessing.active_children()), flush=True)\n"
         "    time.sleep(60)\n"
@@ -209,7 +222,7 @@ def test_workers_exit_when_their_parent_is_killed():
                             env=dict(os.environ, PYTHONPATH=path))
     pids = [int(p) for p in proc.stdout.readline().split()]
     try:
-        assert len(pids) == len(os.sched_getaffinity(0))
+        assert len(pids) == 2
         proc.send_signal(signal.SIGKILL)
         proc.wait()
         deadline = time.monotonic() + 5.0
