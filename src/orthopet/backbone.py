@@ -104,21 +104,17 @@ class FrozenWeights:
     embed: np.ndarray
     layers: list[dict]
     classifier: np.ndarray
-    lnf_g: np.ndarray
-    lnf_b: np.ndarray
 
     def freeze(self) -> None:
         self.embed.flags.writeable = False
         self.classifier.flags.writeable = False
-        self.lnf_g.flags.writeable = False
-        self.lnf_b.flags.writeable = False
         for layer in self.layers:
             for arr in layer.values():
                 arr.flags.writeable = False
 
 
 def init_backbone(cfg: TransformerConfig, seed) -> FrozenWeights:
-    """Gaussian weights with std 1/sqrt(dim), layer-norm at identity.
+    """Gaussian weights with std 1/sqrt(dim); layer-norm has no affine.
 
     Deterministic for a fixed (cfg, seed) and immutable afterwards.
     """
@@ -135,10 +131,6 @@ def init_backbone(cfg: TransformerConfig, seed) -> FrozenWeights:
                 "w_o": rng.normal(0.0, std, size=(d, d)),
                 "w_1": rng.normal(0.0, std, size=(d, cfg.mlp_hidden)),
                 "w_2": rng.normal(0.0, std, size=(cfg.mlp_hidden, d)),
-                "ln1_g": np.ones(d),
-                "ln1_b": np.zeros(d),
-                "ln2_g": np.ones(d),
-                "ln2_b": np.zeros(d),
             }
         )
     w = FrozenWeights(
@@ -146,8 +138,6 @@ def init_backbone(cfg: TransformerConfig, seed) -> FrozenWeights:
         embed=rng.normal(0.0, std, size=(d, d)),
         layers=layers,
         classifier=rng.normal(0.0, std, size=(d, cfg.num_classes)),
-        lnf_g=np.ones(d),
-        lnf_b=np.zeros(d),
     )
     w.freeze()
     return w
@@ -162,10 +152,13 @@ class ActivationTrace:
     where it is the number of prompt rows (the pool reads only the token
     rows, see the module docstring).  A bypass adds its entries under the
     keys its `pet.Insertion` names (y, and the GELU factor of a GELU
-    bypass).  The arrays computed from the query side (`q`, `attn`, `m_in`, `xhat2`,
-    `inv2`, `u`, `gelu_factor`, and the entries of a bypass at `q` or
-    `mlp`) cover rows `query_from:` of the layer's sequence; `a_in`,
-    `xhat1`, `inv1`, `k`, `v` and the entries of a bypass at `v` cover all
+    bypass).  Layer-norm has no affine, so its output is the normalised
+    input that its backward reads: `a_in` and `m_in` in a layer, with the
+    1/sqrt(var + eps) factors `inv1` and `inv2`, and `xhat_f` with `inv_f`
+    after the last block.  The arrays computed from the query side (`q`,
+    `attn`, `m_in`, `inv2`, `u`, `gelu_factor`, and the entries of a bypass
+    at `q` or `mlp`) cover rows `query_from:` of the layer's sequence;
+    `a_in`, `inv1`, `k`, `v` and the entries of a bypass at `v` cover all
     rows.  `xhat_f` and `inv_f` cover the token rows.
     """
 
@@ -182,21 +175,31 @@ class ActivationTrace:
 def _rowmean(x):
     """x.mean(axis=-1, keepdims=True), bit for bit, without the Python
     wrapper `ndarray.mean` goes through on every call."""
-    return np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
+    m = np.add.reduce(x, axis=-1, keepdims=True)
+    m /= x.shape[-1]
+    return m
 
 
-def _layernorm(x, g, b):
-    mu = _rowmean(x)
-    xc = x - mu
-    var = _rowmean(xc * xc)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = xc * inv
-    return xhat * g + b, xhat, inv
+def _layernorm(x):
+    """(xhat, inv): x normalised row by row, and 1 / sqrt(var + LN_EPS)."""
+    xhat = x - _rowmean(x)
+    inv = _rowmean(xhat * xhat)
+    inv += LN_EPS
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    return xhat, inv
 
 
-def _layernorm_backward(dout, xhat, inv, g):
-    dxhat = dout * g
-    return (dxhat - _rowmean(dxhat) - xhat * _rowmean(dxhat * xhat)) * inv
+def _layernorm_backward(dout, xhat, inv):
+    """(dout - mean(dout) - xhat * mean(dout * xhat)) * inv, written into
+    dout."""
+    t = dout * xhat
+    np.multiply(xhat, _rowmean(t), out=t)
+    dout -= _rowmean(dout)
+    dout -= t
+    dout *= inv
+    return dout
 
 
 def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
@@ -210,9 +213,11 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
 
 
 def _softmax_rows(s: np.ndarray) -> np.ndarray:
-    shifted = s - np.maximum.reduce(s, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.add.reduce(e, axis=-1, keepdims=True)
+    """Softmax over the last axis, written into s."""
+    s -= np.maximum.reduce(s, axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= np.add.reduce(s, axis=-1, keepdims=True)
+    return s
 
 
 def forward(w: FrozenWeights, pet: pet_mod.PetState, x: np.ndarray, head: np.ndarray, need_trace: bool = True):
@@ -243,27 +248,31 @@ def forward(w: FrozenWeights, pet: pet_mod.PetState, x: np.ndarray, head: np.nda
     for li, lw in enumerate(w.layers):
         rec = {} if need_trace else None
         query_from = prompt_rows if li == last else 0
-        a_in, xhat1, inv1 = _layernorm(z, lw["ln1_g"], lw["ln1_b"])
+        a_in, inv1 = _layernorm(z)
         a_q = a_in[:, query_from:]
         q = pet_mod.insert(pet, "q", li, a_q @ lw["w_q"], a_q, rec)
         k = pet_mod.insert(pet, "k", li, a_in @ lw["w_k"], a_in, rec)
         v = pet_mod.insert(pet, "v", li, a_in @ lw["w_v"], a_in, rec)
 
         kh = _split_heads(k, cfg.heads)
-        attn = _softmax_rows(_split_heads(q, cfg.heads) @ kh.swapaxes(-1, -2) / scale)
-        z_mid = z[:, query_from:] + _merge_heads(attn @ _split_heads(v, cfg.heads)) @ lw["w_o"]
+        scores = _split_heads(q, cfg.heads) @ kh.swapaxes(-1, -2)
+        scores /= scale
+        attn = _softmax_rows(scores)
+        z_mid = _merge_heads(attn @ _split_heads(v, cfg.heads)) @ lw["w_o"]
+        z_mid += z[:, query_from:]
 
-        m_in, xhat2, inv2 = _layernorm(z_mid, lw["ln2_g"], lw["ln2_b"])
+        m_in, inv2 = _layernorm(z_mid)
         u = m_in @ lw["w_1"]
         gelu_factor = pet_mod.gelu_factor(u)
-        z = z_mid + pet_mod.insert(pet, "mlp", li, pet_mod.gelu(u, gelu_factor) @ lw["w_2"], m_in, rec)
+        z = pet_mod.insert(pet, "mlp", li, pet_mod.gelu(u, gelu_factor) @ lw["w_2"], m_in, rec)
+        z += z_mid
         if need_trace:
-            rec.update(a_in=a_in, xhat1=xhat1, inv1=inv1, attn=attn, k=k, v=v, q=q, m_in=m_in, xhat2=xhat2,
-                       inv2=inv2, u=u, gelu_factor=gelu_factor, query_from=query_from)
+            rec.update(a_in=a_in, inv1=inv1, attn=attn, k=k, v=v, q=q, m_in=m_in, inv2=inv2, u=u,
+                       gelu_factor=gelu_factor, query_from=query_from)
             layers.append(rec)
 
-    z_final, xhat_f, inv_f = _layernorm(z, w.lnf_g, w.lnf_b)
-    pooled = np.add.reduce(z_final, axis=1) / z_final.shape[1]
+    xhat_f, inv_f = _layernorm(z)
+    pooled = np.add.reduce(xhat_f, axis=1) / xhat_f.shape[1]
     # One (1 x dim) @ (dim x classes) product per sample, the same kernel
     # for every batch size.
     logits = np.matmul(pooled[:, None, :], head)[:, 0]
@@ -304,7 +313,7 @@ def backward(trace: ActivationTrace, w: FrozenWeights, pet: pet_mod.PetState, dl
 
     dz_final = np.empty_like(trace.xhat_f)
     dz_final[:] = dpooled[:, None, :] / trace.xhat_f.shape[1]
-    dz = _layernorm_backward(dz_final, trace.xhat_f, trace.inv_f, w.lnf_g)
+    dz = _layernorm_backward(dz_final, trace.xhat_f, trace.inv_f)
 
     for li in reversed(range(cfg.depth)):
         lw = w.layers[li]
@@ -312,19 +321,23 @@ def backward(trace: ActivationTrace, w: FrozenWeights, pet: pet_mod.PetState, dl
         query_from = t["query_from"]
 
         # MLP sub-block: z_out = z_mid + mlp(m_in) [+ bypass(m_in)]
-        du = (dz @ lw["w_2"].T) * pet_mod.gelu_grad(t["u"], t["gelu_factor"])
+        du = pet_mod.gelu_grad(t["u"], t["gelu_factor"])
+        du *= dz @ lw["w_2"].T
         dm_in = du @ lw["w_1"].T
         pet_mod.bypass_grads(pet, "mlp", li, t, t["m_in"], dz, grads, dm_in)
-        dz_mid = dz + _layernorm_backward(dm_in, t["xhat2"], t["inv2"], lw["ln2_g"])
+        dz_mid = _layernorm_backward(dm_in, t["m_in"], t["inv2"])
+        dz_mid += dz
 
         # attention sub-block: z_mid = z_in + o @ w_o
         doh = _split_heads(dz_mid @ lw["w_o"].T, cfg.heads)
         attn = t["attn"]
         kh = _split_heads(t["k"], cfg.heads)
         vh = _split_heads(t["v"], cfg.heads)
-        dattn = doh @ vh.swapaxes(-1, -2)
+        # dscores = attn * (dattn - rowsum(dattn * attn)) / scale, in place
+        dscores = doh @ vh.swapaxes(-1, -2)
         dvh = attn.swapaxes(-1, -2) @ doh
-        dscores = attn * (dattn - np.add.reduce(dattn * attn, axis=-1, keepdims=True))
+        dscores -= np.add.reduce(dscores * attn, axis=-1, keepdims=True)
+        dscores *= attn
         dscores /= scale
         dq = _merge_heads(dscores @ kh)
         dkh = dscores.swapaxes(-1, -2) @ _split_heads(t["q"], cfg.heads)
@@ -343,7 +356,7 @@ def backward(trace: ActivationTrace, w: FrozenWeights, pet: pet_mod.PetState, dl
         pet_mod.bypass_grads(pet, "q", li, t, t["a_in"][:, query_from:], dq, grads, da_q)
         pet_mod.bypass_grads(pet, "v", li, t, t["a_in"], dv, grads, da_in)
 
-        dz = _layernorm_backward(da_in, t["xhat1"], t["inv1"], lw["ln1_g"])
+        dz = _layernorm_backward(da_in, t["a_in"], t["inv1"])
         dz[:, query_from:] += dz_mid
 
     pet_mod.rows_grads(pet, "tokens", None, dz, grads)

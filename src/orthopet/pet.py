@@ -26,11 +26,29 @@ from functools import cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import erf
 
 PROMPT_INIT_STD = 0.02
 _SQRT_2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+# Cephes ndtr.c: erf on |x| <= 1 is x T(x^2) / U(x^2); erfc on 1 < x < 8 is
+# exp(-x^2) P(x) / Q(x), and R(x) / S(x) from 8 on.  U, Q and S are monic.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+# Past sqrt(MAXLOG) = 26.64 cephes' erfc is 0; capping |x| here keeps the
+# Horner sums finite while 1 - erfc still rounds to 1.
+_ERFC_CAP = 27.0
 
 
 def check_paradigm(name: str) -> str:
@@ -39,20 +57,83 @@ def check_paradigm(name: str) -> str:
     return name
 
 
+def _polevl(x: np.ndarray, coef, monic: bool = False) -> np.ndarray:
+    """Cephes `polevl` at x (`p1evl` when `monic`: a leading 1 before
+    `coef`), by Horner's rule in cephes' operation order, in place."""
+    if monic:
+        ans = x + coef[0]
+    else:
+        ans = x * coef[0]
+        ans += coef[1]
+    for c in coef[1 if monic else 2:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def erf(x: np.ndarray) -> np.ndarray:
+    """The error function with the bits of `scipy.special.erf`: a port of
+    Cephes `ndtr.c` `erf`/`erfc`, the algorithm scipy runs.
+
+    Clipped to [-1, 1], x takes the odd rational branch x T(x^2) / U(x^2),
+    which keeps the sign of -0.0.  The entries with |x| > 1 are gathered and
+    get 1 - erfc(|x|) with the sign of x; erfc takes exp(-x^2) from libm,
+    as cephes does, through numpy's complex `exp` (numpy's float64 `exp` is
+    its own SIMD code and rounds some values the other way).
+    """
+    shape = np.shape(x)
+    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    r = np.maximum(x, -1.0)
+    np.minimum(r, 1.0, out=r)
+    z = r * r
+    out = _polevl(z, _ERF_T)
+    out *= r
+    out /= _polevl(z, _ERF_U, monic=True)
+    idx = np.flatnonzero(np.abs(x) > 1.0)
+    if idx.size:
+        xs = x.take(idx)
+        v = np.abs(xs)
+        np.minimum(v, _ERFC_CAP, out=v)
+        p = _polevl(v, _ERFC_P)
+        q = _polevl(v, _ERFC_Q, monic=True)
+        far = np.flatnonzero(v >= 8.0)
+        if far.size:
+            w = v.take(far)
+            p[far] = _polevl(w, _ERFC_R)
+            q[far] = _polevl(w, _ERFC_S, monic=True)
+        p *= np.exp((-v * v).astype(complex)).real
+        p /= q
+        np.subtract(1.0, p, out=p)
+        out[idx] = np.copysign(p, xs, out=p)
+    return out.reshape(shape)
+
+
 def gelu_factor(x: np.ndarray) -> np.ndarray:
-    """1 + erf(x / sqrt 2), the factor GELU and its derivative share."""
-    return 1.0 + erf(x / _SQRT_2)
+    """1 + erf(x / sqrt 2), the factor GELU and its derivative share, with
+    the numpy `erf` above, so the bits are those scipy's erf gives."""
+    factor = erf(x / _SQRT_2)
+    factor += 1.0
+    return factor
 
 
 def gelu(x: np.ndarray, factor: np.ndarray) -> np.ndarray:
     """Exact (erf-based) GELU of x, given its `gelu_factor`; gelu(0) = 0,
     which is what makes a zero-init adapter bypass an exact identity."""
-    return 0.5 * x * factor
+    out = 0.5 * x
+    out *= factor
+    return out
 
 
 def gelu_grad(x: np.ndarray, factor: np.ndarray) -> np.ndarray:
-    """d gelu / dx, given the `gelu_factor` of x."""
-    return 0.5 * factor + x * np.exp(-0.5 * x * x) / _SQRT_2PI
+    """d gelu / dx, given the `gelu_factor` of x: the bits of
+    0.5 * factor + x * exp(-0.5 * x * x) / sqrt(2 pi), computed in place."""
+    out = -0.5 * x
+    out *= x
+    np.exp(out, out=out)
+    out *= x
+    out /= _SQRT_2PI
+    out += 0.5 * factor
+    return out
 
 
 @dataclass
@@ -242,11 +323,13 @@ def _bypass(what: str, w_down: np.ndarray, w_up: np.ndarray, x: np.ndarray, base
     if base.shape != x.shape[:-1] + (w_up.shape[-1],):
         raise ValueError(f"{what}: output shape {base.shape} does not match bypass")
     y = x @ w_down
-    pre = y @ w_up
-    if not act:
-        return base + pre, y, None
-    factor = gelu_factor(pre)
-    return base + gelu(pre, factor), y, factor
+    out = y @ w_up
+    factor = None
+    if act:
+        factor = gelu_factor(out)
+        out = gelu(out, factor)
+    out += base
+    return out, y, factor
 
 
 def apply_adapter(w_down: np.ndarray, w_up: np.ndarray, x: np.ndarray, backbone_out: np.ndarray):

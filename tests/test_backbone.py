@@ -54,10 +54,10 @@ def ref_gelu(x):
     return np.array(flat).reshape(np.shape(x))
 
 
-def ref_layernorm(x, g, b):
+def ref_layernorm(x):
     mu = x.mean(axis=1, keepdims=True)
     var = ((x - mu) ** 2).mean(axis=1, keepdims=True)
-    return (x - mu) / np.sqrt(var + bb.LN_EPS) * g + b
+    return (x - mu) / np.sqrt(var + bb.LN_EPS)
 
 
 def reference_forward(w, pet, x, head):
@@ -70,7 +70,7 @@ def reference_forward(w, pet, x, head):
         z = np.vstack([pet.params["prompt"], z])
         n_prompt = pet.params["prompt"].shape[0]
     for li, lw in enumerate(w.layers):
-        a = ref_layernorm(z, lw["ln1_g"], lw["ln1_b"])
+        a = ref_layernorm(z)
         q = a @ lw["w_q"]
         k = a @ lw["w_k"]
         v = a @ lw["w_v"]
@@ -88,12 +88,12 @@ def reference_forward(w, pet, x, head):
             attn = e / e.sum(axis=1, keepdims=True)
             blocks.append(attn @ v[:, cols])
         z = z + np.hstack(blocks) @ lw["w_o"]
-        m = ref_layernorm(z, lw["ln2_g"], lw["ln2_b"])
+        m = ref_layernorm(z)
         mlp = ref_gelu(m @ lw["w_1"]) @ lw["w_2"]
         if pet.paradigm == "adapter":
             mlp = mlp + ref_gelu(m @ pet.params[f"adapter_down.{li}"] @ pet.params[f"adapter_up.{li}"])
         z = z + mlp
-    z = ref_layernorm(z, w.lnf_g, w.lnf_b)
+    z = ref_layernorm(z)
     return z[n_prompt:].mean(axis=0) @ head
 
 
@@ -558,18 +558,16 @@ def test_update_buffers_reads_every_site_from_one_forward(monkeypatch):
 # does.
 
 
-def _ar_layernorm(x, g, b):
+def _ar_layernorm(x):
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + bb.LN_EPS)
-    xhat = xc * inv
-    return xhat * g + b, xhat, inv
+    return xc * inv, inv
 
 
-def _ar_layernorm_backward(dout, xhat, inv, g):
-    dxhat = dout * g
-    return (dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)) * inv
+def _ar_layernorm_backward(dout, xhat, inv):
+    return (dout - dout.mean(axis=-1, keepdims=True) - xhat * (dout * xhat).mean(axis=-1, keepdims=True)) * inv
 
 
 def _ar_split(x, heads):
@@ -629,7 +627,7 @@ def all_rows_forward(w, pet, xs, head):
         prompt_rows = params["prompt"].shape[0]
     layers = []
     for li, lw in enumerate(w.layers):
-        a_in, xhat1, inv1 = _ar_layernorm(z, lw["ln1_g"], lw["ln1_b"])
+        a_in, inv1 = _ar_layernorm(z)
         q = a_in @ lw["w_q"]
         k = a_in @ lw["w_k"]
         v = a_in @ lw["w_v"]
@@ -643,19 +641,19 @@ def all_rows_forward(w, pet, xs, head):
         kh, vh = _ar_split(k, cfg.heads), _ar_split(v, cfg.heads)
         attn = _ar_softmax(_ar_split(q, cfg.heads) @ kh.swapaxes(-1, -2) / np.sqrt(cfg.head_dim))
         z_mid = z + _ar_merge(attn @ vh) @ lw["w_o"]
-        m_in, xhat2, inv2 = _ar_layernorm(z_mid, lw["ln2_g"], lw["ln2_b"])
+        m_in, inv2 = _ar_layernorm(z_mid)
         u = m_in @ lw["w_1"]
         factor = _ar_gelu_factor(u)
         mlp = (0.5 * u * factor) @ lw["w_2"]
         y_a = adapter_factor = None
         if paradigm == "adapter":
             mlp, y_a, adapter_factor = _ar_bypass(params[f"adapter_down.{li}"], params[f"adapter_up.{li}"], m_in, mlp, True)
-        layers.append(dict(a_in=a_in, xhat1=xhat1, inv1=inv1, attn=attn, q=q, k=k, v=v, m_in=m_in,
-                           xhat2=xhat2, inv2=inv2, u=u, factor=factor, y_q=y_q, y_v=y_v, y_a=y_a,
+        layers.append(dict(a_in=a_in, inv1=inv1, attn=attn, q=q, k=k, v=v, m_in=m_in,
+                           inv2=inv2, u=u, factor=factor, y_q=y_q, y_v=y_v, y_a=y_a,
                            adapter_factor=adapter_factor))
         z = z_mid + mlp
-    z_final, xhat_f, inv_f = _ar_layernorm(z, w.lnf_g, w.lnf_b)
-    pooled = z_final[:, prompt_rows:].mean(axis=1)
+    xhat_f, inv_f = _ar_layernorm(z)
+    pooled = xhat_f[:, prompt_rows:].mean(axis=1)
     logits = np.matmul(pooled[:, None, :], head)[:, 0]
     cache = dict(layers=layers, prompt_rows=prompt_rows, token_rows=xs.shape[1],
                  xhat_f=xhat_f, inv_f=inv_f, pooled=pooled)
@@ -671,7 +669,7 @@ def all_rows_backward(cache, w, pet, dlogits, head):
     prompt_rows, token_rows = cache["prompt_rows"], cache["token_rows"]
     dz_final = np.zeros((dlogits.shape[0], prompt_rows + token_rows, cfg.dim))
     dz_final[:, prompt_rows:] = dpooled[:, None, :] / token_rows
-    dz = _ar_layernorm_backward(dz_final, cache["xhat_f"], cache["inv_f"], w.lnf_g)
+    dz = _ar_layernorm_backward(dz_final, cache["xhat_f"], cache["inv_f"])
     for li in reversed(range(cfg.depth)):
         lw, t = w.layers[li], cache["layers"][li]
         dm_in = np.zeros_like(t["m_in"])
@@ -682,7 +680,7 @@ def all_rows_backward(cache, w, pet, dlogits, head):
             dm_in += dx
         du = (dz @ lw["w_2"].T) * _ar_gelu_grad(t["u"], t["factor"])
         dm_in += du @ lw["w_1"].T
-        dz_mid = dz + _ar_layernorm_backward(dm_in, t["xhat2"], t["inv2"], lw["ln2_g"])
+        dz_mid = dz + _ar_layernorm_backward(dm_in, t["m_in"], t["inv2"])
         doh = _ar_split(dz_mid @ lw["w_o"].T, cfg.heads)
         attn = t["attn"]
         dattn = doh @ _ar_split(t["v"], cfg.heads).swapaxes(-1, -2)
@@ -704,7 +702,7 @@ def all_rows_backward(cache, w, pet, dlogits, head):
                 grads[dn], grads[up], dx = _ar_bypass_backward(params[dn], params[up], t["a_in"], t[f"y_{slot}"],
                                                                dslot, None)
                 da_in += dx
-        dz = dz_mid + _ar_layernorm_backward(da_in, t["xhat1"], t["inv1"], lw["ln1_g"])
+        dz = dz_mid + _ar_layernorm_backward(da_in, t["a_in"], t["inv1"])
     if paradigm == "prompt":
         grads["prompt"] = dz[:, :prompt_rows].sum(axis=0)
     return grads, head_grad

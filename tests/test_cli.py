@@ -1,9 +1,12 @@
 """Config loading, flag overrides, and end-to-end command behaviour."""
 
 import json
+import os
 import re
 import shlex
 import shutil
+import subprocess
+import sys
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -368,6 +371,24 @@ def test_verify_runs_every_property(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in lines[:-1]] == [f"PASS {p[0]}" for p in cli.ev.PROPERTIES]
     assert lines[-1] == "all 15 properties hold"
+
+
+def test_the_commands_do_not_import_scipy():
+    """scipy is a test dependency only: a fresh interpreter that imports the
+    CLI, the verify suite and the trainer and prints `orthopet --help` has
+    not loaded it."""
+    code = ("import sys\n"
+            "import orthopet.cli, orthopet.eval, orthopet.trainer\n"
+            "try:\n"
+            "    orthopet.cli.main(['--help'])\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "usage: orthopet" in done.stdout
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_readme_commands_parse():

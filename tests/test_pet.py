@@ -2,9 +2,11 @@
 
 The GELU oracle below is built from math.erf, elementwise in a python
 loop, so it shares no code with the implementation under test.
+`scipy.special.erf` is the bit oracle of `pet.erf`.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -51,6 +53,27 @@ def test_gelu_grad_matches_finite_differences():
     h = 1e-6
     fd = (gelu_oracle(x + h) - gelu_oracle(x - h)) / (2.0 * h)
     assert np.allclose(pm.gelu_grad(x, pm.gelu_factor(x)), fd, atol=1e-8, rtol=0.0)
+
+
+ERF_EDGES = [0.0, -0.0, 1.0, -1.0, np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0), 8.0, -8.0,
+             np.nextafter(8.0, 0.0), 26.6, 26.7, 27.0, 1e200, -1e300, np.inf, -np.inf, np.nan,
+             5e-324, -5e-324]
+
+
+def test_erf_has_scipys_bits():
+    """pet.erf returns the bits of scipy.special.erf, the sign of zero and
+    NaN included, with no floating-point warning."""
+    rng = np.random.default_rng(2024)
+    draws = [rng.normal(0.0, scale, size=400_000) for scale in (0.3, 1.0, 3.0, 10.0, 40.0)]
+    edges = np.array(ERF_EDGES)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in [*draws, edges, edges.reshape(1, -1, 1), draws[1][:140_000:2].reshape(7, -1).T]:
+            got = pm.erf(x)
+            assert got.shape == x.shape
+            assert np.array_equal(got.view(np.int64), erf(x).view(np.int64))
+        zeros = pm.erf(np.array([0.0, -0.0]))
+    assert zeros.tolist() == [0.0, 0.0] and np.signbit(zeros).tolist() == [False, True]
 
 
 def test_check_paradigm_rejects_unknown():
