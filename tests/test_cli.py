@@ -391,6 +391,23 @@ def test_the_commands_do_not_import_scipy():
     assert done.stdout.splitlines()[-1] == "[]"
 
 
+def test_a_pool_map_imports_no_executor_machinery():
+    """A fresh interpreter that forks a two-worker pool and maps over it
+    has loaded none of the modules a process-pool executor brings."""
+    code = ("import os, sys\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "from orthopet import workers\n"
+            "with workers.pool(2) as run:\n"
+            "    assert run is not workers.inline\n"
+            "    assert run(abs, [-1, -2]) == [1, 2]\n"
+            "names = ('concurrent.futures', 'multiprocessing', 'logging', 'socket', 'subprocess')\n"
+            "print(sorted(m for m in sys.modules if m in names))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]"]
+
+
 def test_readme_commands_parse():
     """Every `orthopet ...` line in a README code block parses, its
     `--sweep` is valid and the configs it names exist."""
