@@ -157,24 +157,27 @@ class PetState:
 
 @dataclass(frozen=True)
 class SiteKind:
-    """Where a site kind's feature rows sit in an ActivationTrace and which
-    TransformerConfig field gives their width.  A per-layer kind names one
-    site per layer (`attn_in.0`, ...) and reads `trace.layers[i][trace_key]`;
-    the embed site reads `trace.x_embed`.
+    """Where a site kind's feature rows sit in an ActivationTrace, which
+    TransformerConfig field gives their width, and the block points whose
+    insertions run before its rows are read at layer 0 (`tokens` runs
+    before every layer; a bypass's y-space follows its own point).  A
+    per-layer kind names one site per layer (`attn_in.0`, ...) and reads
+    `trace.layers[i][trace_key]`; the embed site reads `trace.x_embed`.
     """
 
     trace_key: str
     width: str
+    after: tuple[str, ...]
     per_layer: bool = True
 
 
 SITES = {
-    "embed": SiteKind("x_embed", "dim", per_layer=False),
-    "attn_in": SiteKind("a_in", "dim"),
-    "mlp_in": SiteKind("m_in", "dim"),
-    "adapter_mid": SiteKind("y_a", "rank"),
-    "lora_q_mid": SiteKind("y_q", "rank"),
-    "lora_v_mid": SiteKind("y_v", "rank"),
+    "embed": SiteKind("x_embed", "dim", (), per_layer=False),
+    "attn_in": SiteKind("a_in", "dim", ("tokens",)),
+    "mlp_in": SiteKind("m_in", "dim", ("tokens", "q", "k", "v")),
+    "adapter_mid": SiteKind("y_a", "rank", ("tokens", "q", "k", "v", "mlp")),
+    "lora_q_mid": SiteKind("y_q", "rank", ("tokens", "q")),
+    "lora_v_mid": SiteKind("y_v", "rank", ("tokens", "v")),
 }
 
 
@@ -263,6 +266,18 @@ def routes(paradigm: str, depth: int) -> list[Route]:
                 name, site = layer_key(spec.name, at), layer_key(spec.site, at)
                 out.append(Route(name, site, name if spec.merge else site, spec, at))
     return out
+
+
+def fixed_sites(paradigm: str) -> list[str]:
+    """The sites of a paradigm whose rows none of its tensors can change,
+    sorted: the embed site, and each layer-0 site none of whose `after`
+    points the paradigm enters.  Every later layer reads the paradigm's
+    layer-0 insertions.  A fixed site's rows are known before a task
+    trains."""
+    specs = PARADIGM_TENSORS[check_paradigm(paradigm)]
+    points = {s.point for s in specs}
+    return sorted({layer_key(s.site, 0 if SITES[s.site].per_layer else None)
+                   for s in specs if points.isdisjoint(SITES[s.site].after)})
 
 
 _INITS = {

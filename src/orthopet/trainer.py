@@ -19,9 +19,17 @@ Masked logits are set to -inf before the softmax so excluded classes get
 exactly zero probability and exactly zero gradient.
 
 A run opens one `workers.pool` for its whole length, sized to the
-matrices a rebuild factors.  Each rebuild factors them there and cuts,
-completes and merges the bases in this process, so bases and warnings
-are those of an inline rebuild.
+matrices a rebuild factors (`rebuild_jobs`), and pipelines each rebuild
+with the task.  The rows of a fixed site (`pet.fixed_sites`: upstream of
+every insertion of the paradigm) do not depend on any trainable tensor,
+so once the sampling set is drawn they are sampled and the SVD of each
+fixed site's buffer with them is dealt to the pool, and the task trains
+while it runs.  After training the sampling set is sampled again, every
+fixed site's rows must have the same bits as before, and the other
+matrices are dealt; evaluation and the checkpoint run while they are
+factored.  `rebuild_bases` then waits for every factor and cuts,
+completes and merges the bases in this process, in job order, so bases
+and warnings are those of an inline rebuild.
 """
 
 from dataclasses import dataclass, field
@@ -237,33 +245,57 @@ def init_buffers(paradigm, model_cfg) -> dict:
     }
 
 
-def update_buffers(w, pet, sampling_set, buffers):
-    """Append freshly sampled site features to every buffer."""
-    for site, rows in pj.sample_features(w, pet, sampling_set).items():
+def update_buffers(w, pet, sampling_set, buffers, fixed=None):
+    """Append freshly sampled site features to every buffer.  `fixed` maps
+    sites to rows sampled before the task trained; the new rows of each
+    must have those bits, or this raises naming the site."""
+    new = pj.sample_features(w, pet, sampling_set)
+    for site, rows in (fixed or {}).items():
+        if new[site].shape != rows.shape or new[site].tobytes() != rows.tobytes():
+            raise RuntimeError(f"site {site} is fixed, but training changed its rows")
+    for site, rows in new.items():
         buffers[site].add(rows)
 
 
-def rebuild_bases(pet, buffers, proj_cfg, model_cfg, run) -> dict:
+def rebuild_jobs(paradigm, depth) -> list[str]:
+    """The keys of the matrices a rebuild factors, in dealing order: every
+    site of the paradigm, sorted, for its buffer rows, then each merging
+    tensor for its own rows."""
+    routes = pm.routes(paradigm, depth)
+    return sorted({r.site for r in routes}) + [r.name for r in routes if r.spec.merge]
+
+
+def deal_factors(run, keys, pet, rows) -> tuple:
+    """`(keys, wait)`: `pj.svd_factors` of each key's matrix, dealt through
+    `run.start` without waiting.  A site key factors `rows[site]`, a tensor
+    key the tensor's rows."""
+    return keys, run.start(pj.svd_factors, [rows[key] if key in rows else pet.params[key] for key in keys])
+
+
+def rebuild_bases(pet, buffers, proj_cfg, model_cfg, run, dealt=()) -> dict:
     """Null-space basis per site, plus a merged basis per merging tensor.
 
     Prompt gradients must avoid both the stored input features and the
     span of the frozen previous prompt, so the embed-site basis is merged
-    with a basis built from the current prompt rows.  Every matrix is
-    factored through `run` (see `workers.pool`): the site buffers in sorted
-    order, then the rows of each merging tensor.  The bases are cut,
-    completed and merged here, in that order, so any `EmptyBasisWarning`
-    is raised in this process.
+    with a basis built from the current prompt rows.  Every matrix of
+    `rebuild_jobs` is factored through `run` (see `workers.pool`): those
+    of `dealt`, `deal_factors` pairs, were dealt before this call and the
+    rest are dealt here.  The bases are cut, completed and merged here, in
+    job order, so any `EmptyBasisWarning` is raised in this process.
     """
-    sites = sorted(buffers)
-    merging = [r for r in pm.routes(pet.paradigm, model_cfg.depth) if r.spec.merge]
-    factors = run(pj.svd_factors, [buffers[site].rows for site in sites]
-                  + [pet.params[r.name] for r in merging])
-    bases = {site: pj.build_basis(f, proj_cfg.epsilon, site) for site, f in zip(sites, factors)}
-    for r, f in zip(merging, factors[len(sites):]):
+    jobs = rebuild_jobs(pet.paradigm, model_cfg.depth)
+    done = {key for keys, _ in dealt for key in keys}
+    rest = deal_factors(run, [key for key in jobs if key not in done], pet,
+                        {site: b.rows for site, b in buffers.items()})
+    factors = {}
+    for keys, wait in (*dealt, rest):
+        factors.update(zip(keys, wait()))
+    bases = {site: pj.build_basis(factors[site], proj_cfg.epsilon, site) for site in sorted(buffers)}
+    for r in [r for r in pm.routes(pet.paradigm, model_cfg.depth) if r.spec.merge]:
         if pet.params[r.name].shape[0] == 0:
             bases[r.basis] = bases[r.site]
         else:
-            own = pj.build_basis(f, proj_cfg.epsilon, r.name)
+            own = pj.build_basis(factors[r.name], proj_cfg.epsilon, r.name)
             bases[r.basis] = pj.merge_bases(bases[r.site], own, proj_cfg.beta)
     return bases
 
@@ -329,7 +361,9 @@ def continual_run(stream, model_cfg, paradigm, cfg, out_dir=None, config_hash=""
     the saved one: the backbone is re-initialised from its seed, the
     bases are rebuilt from the restored buffers and paradigm tensors, and
     info covers only the tasks run here.  Every rebuild, that one included,
-    factors on the run's one `workers.pool`.
+    factors on the run's one `workers.pool`; each task's rebuild is dealt
+    in two parts, the fixed sites before the task trains and the rest
+    before it is evaluated (see the module docstring).
     """
     pm.check_paradigm(paradigm)
     if len(stream) == 0:
@@ -342,9 +376,9 @@ def continual_run(stream, model_cfg, paradigm, cfg, out_dir=None, config_hash=""
     backbone_entropy = cfg.seed if cfg.backbone_seed is None else cfg.backbone_seed
     w = bb.init_backbone(model_cfg, rng_mod.sub_seed(backbone_entropy, "backbone"))
     rngs = {name: rng_mod.generator(cfg.seed, name) for name in ck.RNG_NAMES}
-    routes = pm.routes(paradigm, model_cfg.depth)
-    rebuild_jobs = len({r.site for r in routes}) + sum(r.spec.merge for r in routes)
-    with workers.pool(rebuild_jobs) as run:
+    jobs = rebuild_jobs(paradigm, model_cfg.depth)
+    fixed = pm.fixed_sites(paradigm)
+    with workers.pool(len(jobs)) as run:
         if resume is None:
             pet = pm.init_pet(model_cfg, paradigm, rng_mod.sub_seed(cfg.seed, "pet"))
             head = w.classifier.copy()
@@ -366,21 +400,27 @@ def continual_run(stream, model_cfg, paradigm, cfg, out_dir=None, config_hash=""
             k = min(cfg.proj.sample_count, max(task.n_train - 1, 0))
             sampling_set = task.train_x[perm[:k]]
             train_rows = (task.train_x[perm[k:]], task.train_y[perm[k:]])
+            before = {site: rows for site, rows in pj.sample_features(w, pet, sampling_set).items()
+                      if site in fixed}
+            dealt = [deal_factors(run, sorted(before), pet, {
+                site: np.vstack([buffers[site].rows, rows]) for site, rows in before.items()})]
             use_bases = bases if (cfg.projection and t > 0) else None
             curve = train_task(
                 w, pet, head, task, cfg, use_bases,
                 seen_classes=seen, shuffle_rng=rngs["shuffle"], train_rows=train_rows,
             )
             info["loss_curves"].append(curve)
+            update_buffers(w, pet, sampling_set, buffers, before)
+            dealt.append(deal_factors(run, [key for key in jobs if key not in before], pet,
+                                      {site: b.rows for site, b in buffers.items()}))
             for i in range(t + 1):
                 matrix.set(t, i, evaluate_task(w, pet, head, stream[i], cfg.scenario, seen))
-            update_buffers(w, pet, sampling_set, buffers)
-            bases = rebuild_bases(pet, buffers, cfg.proj, model_cfg, run)
-            info["basis_sizes"].append({key: b.shape[1] for key, b in sorted(bases.items())})
             if out_dir is not None:
                 ck.save_checkpoint(
                     ck.task_path(out_dir, t),
                     config_hash=config_hash, task_index=t, pet=pet, head=head,
                     buffers=buffers, matrix=matrix, rngs=rngs,
                 )
+            bases = rebuild_bases(pet, buffers, cfg.proj, model_cfg, run, dealt)
+            info["basis_sizes"].append({key: b.shape[1] for key, b in sorted(bases.items())})
         return matrix, info

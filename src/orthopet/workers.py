@@ -1,44 +1,80 @@
 """An ordered map over forked worker processes, for work whose bits do not
 depend on the process that runs it.
 
-`pool(jobs)` yields `run(fn, *iterables)`, which returns `list(map(fn,
-*iterables))` for maps of `jobs` jobs.  Its first map forks one worker
-per usable CPU, but no more workers than jobs, and the workers live until
-the block ends.  It runs inline instead when that leaves fewer than two
-workers (one usable CPU, a platform that cannot tell, or a single job) or
-the caller is itself a worker, so pools never nest.
+`pool(jobs)` yields `run`.  `run.start(fn, *iterables)` deals the jobs of
+`map(fn, *iterables)` and returns at once with a `wait()` that gives
+`list(map(fn, *iterables))`; `run(fn, *iterables)` starts and waits.  The
+first map forks one worker per usable CPU, but no more workers than
+`jobs`, and the workers live until the block ends.  The pool runs inline
+instead when that leaves fewer than two workers (one usable CPU, a
+platform that cannot tell, or a single job) or the caller is itself a
+worker, so pools never nest; an inline map computes, and raises a job's
+exception, at `start`.
 
 Each worker reads jobs from its own job pipe and writes their outcomes to
 its own result pipe.  A job is the pickle of `(fn, args)`, so `fn` crosses
 by its qualified name and must be a module-level function; the outcome is
-the pickle of the result or of the exception `fn` raised.  Arrays cross in
-band with their bytes, shape and C or Fortran order.  Jobs are dealt in
-input order, each to whichever worker is idle, and results come back in
-input order.  After a job raises, no further job is dealt; once the jobs
-in flight finish, the exception of the lowest-index failing job is raised
-here.
+the pickle of the result, or of the exception `fn` raised with its
+formatted traceback.  Arrays cross in band with their bytes, shape and C
+or Fortran order.  The jobs of several maps can be in flight at once.
+Jobs are dealt in start order and within a map in input order, each to
+whichever worker is idle, whenever this process is in `start` or `wait`:
+a job left over at `start` waits for a later call.  After a job of a map
+raises, no further job of that map is dealt; once its jobs in flight
+finish, its `wait` raises the exception of its lowest-index failing job,
+chained to the worker's traceback.
 
 A worker exits at EOF on its job pipe.  It also runs a daemon thread
 blocked on a third pipe whose write end only the parent holds, and exits
 at once, mid-job too, when that pipe reads EOF: when the block ends, when
-a map is interrupted, and when the parent dies, even by SIGKILL.
+a map is interrupted, and when the parent dies, even by SIGKILL.  A map
+still in flight when its workers stop raises `ChildProcessError` at its
+`wait`.
 """
 
 import contextlib
+import functools
 import os
 import pickle
+import select
 import threading
 
 _worker = False  # set in a forked worker, whose pools then run inline
 
 
-def inline(fn, *iterables) -> list:
-    return list(map(fn, *iterables))
+class WorkerTraceback(Exception):
+    """The traceback, as text, of a job's exception in its worker; chained
+    as the `__cause__` of that exception where its map is waited on."""
+
+
+class _Run:
+    """A pool's map: `run(fn, *iterables)` is `run.start(fn, *iterables)()`."""
+
+    def __call__(self, fn, *iterables) -> list:
+        return self.start(fn, *iterables)()
+
+
+class _Inline(_Run):
+    def start(self, fn, *iterables):
+        """Compute the map now, raising what a job raises; its `wait`
+        returns the list."""
+        results = list(map(fn, *iterables))
+        return lambda: results
+
+
+inline = _Inline()
 
 
 def _exit_at_eof(fd):
     os.read(fd, 1)
     os._exit(1)
+
+
+def _failure(exc) -> tuple:
+    """The outcome of a job that raised `exc`, which is being handled."""
+    import traceback  # only a failing job needs it
+
+    return False, (exc, traceback.format_exc())
 
 
 def _serve(jobs_fd, results_fd, life_fd):
@@ -55,11 +91,11 @@ def _serve(jobs_fd, results_fd, life_fd):
             try:
                 outcome = True, fn(*args)
             except Exception as exc:
-                outcome = False, exc
+                outcome = _failure(exc)
             try:
                 data = pickle.dumps(outcome, 5)
             except Exception as exc:  # the result or exception would not pickle
-                data = pickle.dumps((False, exc), 5)
+                data = pickle.dumps(_failure(exc), 5)
             results.write(data)
             results.flush()
 
@@ -93,45 +129,113 @@ def _fork(procs, workers):
         workers.append((pid, open(jobs_w, "wb"), open(results_r, "rb"), life_w))
 
 
-def _deal(workers, fn, arglists) -> list:
-    """`(ok, result or exception)` of each job dealt, in input order; no job
-    is dealt after one that failed."""
-    import select
+class _Map:
+    """A started map: its jobs' arguments until dealt, the `(ok, result or
+    (exception, traceback))` of each job back, and its dealing state."""
 
-    outcomes = [None] * len(arglists)
-    idle, busy, dealt = list(workers), {}, 0
-    poll = select.poll()
-    while busy or dealt < len(arglists):
-        while idle and dealt < len(arglists):
-            worker = idle.pop()
-            _, jobs, results, _ = worker
-            pickle.dump((fn, arglists[dealt]), jobs, 5)
-            jobs.flush()
-            busy[results.fileno()] = worker, dealt
-            poll.register(results, select.POLLIN)
-            dealt += 1
-        for fd, _ in poll.poll():
-            worker, i = busy.pop(fd)
-            poll.unregister(fd)
-            try:
-                outcomes[i] = pickle.load(worker[2])
-            except EOFError:
-                raise ChildProcessError(f"worker {worker[0]} exited during a job") from None
-            if not outcomes[i][0]:
-                del arglists[dealt:]
-            idle.append(worker)
-    return outcomes[:dealt]
+    def __init__(self, fn, arglists):
+        self.fn, self.arglists = fn, arglists
+        self.outcomes = [None] * len(arglists)
+        self.dealt = self.out = 0
+        self.failed = False
+        self.lost = None  # the error its `wait` raises if its pool stopped first
+
+    def dealable(self) -> bool:
+        return not self.failed and self.dealt < len(self.arglists)
+
+    def done(self) -> bool:
+        return self.lost is not None or (self.out == 0 and not self.dealable())
+
+    def result(self) -> list:
+        if self.lost is not None:
+            raise self.lost
+        for ok, value in self.outcomes[:self.dealt]:
+            if not ok:
+                exc, text = value
+                exc.__cause__ = WorkerTraceback(text)
+                raise exc
+        return [value for _, value in self.outcomes]
 
 
-def _stop(workers):
-    """End and reap every worker, busy or not, and empty `workers`."""
-    while workers:
-        pid, jobs, results, life = workers.pop()
-        os.close(life)
-        with contextlib.suppress(OSError):  # a job left half-written
-            jobs.close()
-        results.close()
-        os.waitpid(pid, 0)
+class _Pool(_Run):
+    def __init__(self, procs):
+        self.procs = procs
+        self.workers, self.idle = [], []  # workers as `_fork` appends them
+        self.busy = {}  # result fd -> (worker, map, job index)
+        self.maps = []  # started maps with jobs left to deal, in start order
+        self.poll = select.poll()
+
+    def start(self, fn, *iterables):
+        m = _Map(fn, list(zip(*iterables)))
+        if m.arglists:
+            self.maps.append(m)
+            self._advance(block=False)
+        return functools.partial(self._wait, m)
+
+    def _wait(self, m) -> list:
+        while not m.done():
+            self._advance(block=True)
+        return m.result()
+
+    def _advance(self, block):
+        """Deal to idle workers and take in outcomes: every outcome already
+        back, or with `block` at least one."""
+        try:
+            if not self.workers:
+                _fork(self.procs, self.workers)
+                self.idle = list(self.workers)
+            self._deal()
+            while ready := self.poll.poll(None if block else 0):
+                for fd, _ in ready:
+                    self._take(fd)
+                self._deal()
+                if block:
+                    return
+        except BaseException as exc:
+            self.stop(exc)
+            raise
+
+    def _deal(self):
+        self.maps = [m for m in self.maps if m.dealable()]
+        for m in self.maps:
+            while self.idle and m.dealable():
+                worker = self.idle.pop()
+                i = m.dealt
+                pickle.dump((m.fn, m.arglists[i]), worker[1], 5)
+                worker[1].flush()
+                m.arglists[i] = None
+                m.dealt += 1
+                m.out += 1
+                self.busy[worker[2].fileno()] = worker, m, i
+                self.poll.register(worker[2], select.POLLIN)
+
+    def _take(self, fd):
+        worker, m, i = self.busy.pop(fd)
+        self.poll.unregister(fd)
+        try:
+            m.outcomes[i] = pickle.load(worker[2])
+        except EOFError:
+            raise ChildProcessError(f"worker {worker[0]} exited during a job") from None
+        m.out -= 1
+        m.failed = m.failed or not m.outcomes[i][0]
+        self.idle.append(worker)
+
+    def stop(self, exc=None):
+        """End and reap every worker, busy or not; each map still in flight
+        then fails at its `wait`, with `exc` as the cause."""
+        lost = ChildProcessError("the pool stopped before this map finished")
+        lost.__cause__ = exc
+        for m in self.maps + [m for _, m, _ in self.busy.values()]:
+            m.lost = lost
+        self.maps, self.idle, self.busy = [], [], {}
+        self.poll = select.poll()
+        while self.workers:
+            pid, jobs, results, life = self.workers.pop()
+            os.close(life)
+            with contextlib.suppress(OSError):  # a job left half-written
+                jobs.close()
+            results.close()
+            os.waitpid(pid, 0)
 
 
 @contextlib.contextmanager
@@ -143,23 +247,8 @@ def pool(jobs: int):
     if procs < 2 or _worker:
         yield inline
         return
-    workers = []
-
-    def run(fn, *iterables) -> list:
-        arglists = list(zip(*iterables))
-        try:
-            if arglists and not workers:
-                _fork(procs, workers)
-            outcomes = _deal(workers, fn, arglists)
-        except BaseException:
-            _stop(workers)
-            raise
-        for ok, value in outcomes:
-            if not ok:
-                raise value
-        return [value for _, value in outcomes]
-
+    run = _Pool(procs)
     try:
         yield run
     finally:
-        _stop(workers)
+        run.stop()

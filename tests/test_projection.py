@@ -399,6 +399,29 @@ def test_sample_features_counts_and_widths():
     assert empty["adapter_mid.1"].shape == (0, CFG.rank)
 
 
+def test_fixed_sites_lists():
+    assert {p: pm.fixed_sites(p) for p in pm.PARADIGMS} == {
+        "prompt": ["embed"], "prefix": ["attn_in.0"], "adapter": ["mlp_in.0"], "lora": ["attn_in.0"]}
+
+
+@pytest.mark.parametrize("paradigm", pm.PARADIGMS)
+def test_fixed_sites_are_those_no_tensor_reaches(paradigm):
+    """Two pets whose every tensor differs give bit-identical rows on
+    exactly the sites `pm.fixed_sites` names, so every other site of the
+    paradigm differs (a prompt pet has the embed site alone)."""
+    w = bb.init_backbone(CFG, 50)
+    xs = np.random.default_rng(51).normal(size=(3, CFG.seq_len, CFG.dim))
+    rng = np.random.default_rng(52)
+    feats = []
+    for _ in range(2):
+        pet = pm.init_pet(CFG, paradigm, 53)
+        pet.params = {k: rng.normal(size=v.shape) for k, v in pet.params.items()}
+        feats.append(pj.sample_features(w, pet, xs))
+    same = sorted(site for site in feats[0] if feats[0][site].tobytes() == feats[1][site].tobytes())
+    assert same == pm.fixed_sites(paradigm)
+    assert len(feats[0]) > len(same) or paradigm == "prompt"
+
+
 def test_trimmed_site_rows_are_refused_by_name():
     """The last block of a prompt trace computes its query side only for
     the token rows, so its mlp_in site has fewer rows per sample than a

@@ -7,6 +7,7 @@ where none is wanted, and leave no process behind.  The pool's pipes must
 carry any result whole and in order, and a job's exception back here.
 """
 
+import json
 import os
 import signal
 import subprocess
@@ -19,6 +20,7 @@ import numpy as np
 import pytest
 
 import orthopet.backbone as bb
+import orthopet.cli as cli
 import orthopet.data as dm
 import orthopet.eval as ev
 import orthopet.linalg as linalg
@@ -231,8 +233,47 @@ def test_a_job_exception_is_raised_here():
         with pytest.raises(LookupError, match="^job 1$") as raised:
             run(_fail_at, jobs, [failing] * 6, [{1: 0.5}] * 6)
         assert type(raised.value) is LookupError
+        cause = raised.value.__cause__
+        assert isinstance(cause, workers.WorkerTraceback)
+        assert "in _fail_at" in str(cause) and "LookupError: job 1" in str(cause)
         assert run(_fail_at, jobs, [{}] * 6, [{}] * 6) == list(jobs)
     assert _children() == []
+
+
+@needs_two_cpus
+@reads_proc
+def test_started_maps_are_in_flight_at_once():
+    """`start` returns before its jobs finish; each map's `wait` gives its
+    results in input order whichever map is waited on first, and a job's
+    exception surfaces at its own map's `wait`."""
+    with workers.pool(2) as run:
+        began = time.monotonic()
+        slow = run.start(_fail_at, range(4), [{}] * 4, [{0: 1.0}] * 4)
+        failing = run.start(_fail_at, range(3), [{1: ValueError("job 1")}] * 3, [{}] * 3)
+        fast = run.start(pow, [2, 3], [3, 2])
+        assert time.monotonic() - began < 0.9
+        assert fast() == [8, 9]
+        with pytest.raises(ValueError, match="^job 1$"):
+            failing()
+        assert slow() == [0, 1, 2, 3]
+        assert slow() == [0, 1, 2, 3]
+        assert run(abs, [-1]) == [1]
+        unwaited = run.start(_fail_at, [0], [{}], [{0: 60.0}])
+    assert _children() == []
+    with pytest.raises(ChildProcessError, match="stopped before this map finished"):
+        unwaited()
+
+
+def test_an_inline_map_computes_at_start():
+    """The inline `start` runs every job, and raises a job's exception,
+    before it returns."""
+    calls = []
+    wait = workers.inline.start(calls.append, [1, 2])
+    assert calls == [1, 2]
+    assert wait() == [None, None]
+    with pytest.raises(KeyError, match="job 1"):
+        workers.inline.start(_fail_at, range(2), [{1: KeyError("job 1")}] * 2, [{}] * 2)
+    assert workers.inline(abs, [-3]) == [3]
 
 
 SPEC = dm.ScenarioSpec(scenario="cil", tasks=2, classes_per_task=2, samples_per_class=8,
@@ -260,7 +301,7 @@ def test_no_worker_outlives_a_run(monkeypatch):
     monkeypatch.setattr(tr, "masked_cross_entropy", poisoned)
     with pytest.raises(FloatingPointError, match="poisoned"):
         tr.continual_run(stream, MODEL, "lora", CFG)
-    jobs = len(tr.init_buffers("lora", MODEL))
+    jobs = len(tr.rebuild_jobs("lora", MODEL.depth))
     assert alive == [min(len(os.sched_getaffinity(0)), jobs)]
     assert _children() == []
 
@@ -344,3 +385,73 @@ def test_workers_exit_when_their_parent_is_killed():
 @reads_proc
 def test_workers_exit_mid_job_when_their_parent_is_killed():
     _kill_pool_holder("mid-job")
+
+
+@needs_two_cpus
+@reads_proc
+@pytest.mark.filterwarnings("ignore::orthopet.projection.EmptyBasisWarning")
+def test_a_site_wrongly_marked_fixed_fails_the_run(monkeypatch):
+    """A site whose rows training changes, if marked fixed, would be
+    factored from stale rows; the run refuses, naming the site."""
+    stream = dm.gen_stream(SPEC, dm.make_tokenizer(64, MODEL.seq_len, MODEL.dim, 0), 0)
+    monkeypatch.setattr(pm, "fixed_sites", lambda paradigm: ["attn_in.0", "lora_q_mid.0"])
+    with pytest.raises(RuntimeError, match="^site lora_q_mid.0 is fixed, but training changed its rows$"):
+        tr.continual_run(stream, MODEL, "lora", CFG)
+    assert _children() == []
+
+
+@reads_proc
+@pytest.mark.filterwarnings("ignore::orthopet.projection.EmptyBasisWarning")
+@pytest.mark.parametrize("when", ["before", "after"])
+def test_a_failing_rebuild_job_fails_the_run(monkeypatch, when):
+    """A prompt run deals its embed-site SVD before the task trains and the
+    SVD of the prompt's own rows after; either one failing fails the run
+    with its own exception and leaves no worker behind."""
+    stream = dm.gen_stream(SPEC, dm.make_tokenizer(64, MODEL.seq_len, MODEL.dim, 0), 0)
+    svd = linalg.svd
+
+    def failing(a):
+        if (a.shape[0] == MODEL.prompt_len) == (when == "after"):
+            raise ArithmeticError(f"svd {when} training")
+        return svd(a)
+
+    monkeypatch.setattr(linalg, "svd", failing)
+    with pytest.raises(ArithmeticError, match=f"^svd {when} training$") as raised:
+        tr.continual_run(stream, MODEL, "prompt", CFG)
+    if len(os.sched_getaffinity(0)) > 1:
+        assert "in failing" in str(raised.value.__cause__)
+    assert _children() == []
+
+
+TINY = {
+    "model": {"dim": 16, "depth": 2, "heads": 2, "mlp_ratio": 2.0, "seq_len": 4,
+              "num_classes": 4, "prompt_len": 4, "rank": 4},
+    "data": {"scenario": "cil", "tasks": 2, "classes_per_task": 2, "samples_per_class": 20,
+             "feature_dim": 64, "noise": 0.1, "separation": 4.0},
+    "train": {"epochs": 2, "batch_size": 8, "lr": 0.05, "optimizer": "adam", "seed": 0,
+              "backbone_seed": 0},
+    "projection": {"epsilon": 0.02, "sample_count": 8},
+}
+
+
+def _train_outputs(tmp_path, paradigm, name):
+    config = tmp_path / f"{paradigm}.json"
+    config.write_text(json.dumps({"paradigm": paradigm, **TINY}))
+    out = tmp_path / name
+    assert cli.main(["train", "--config", str(config), "--out", str(out)]) == 0
+    return {str(path.relative_to(out)): path.read_bytes()
+            for path in sorted(out.rglob("*")) if path.is_file()}
+
+
+@needs_two_cpus
+@pytest.mark.filterwarnings("ignore::orthopet.projection.EmptyBasisWarning")
+@pytest.mark.parametrize("paradigm", ["prompt", "lora"])
+def test_pooled_and_inline_runs_write_the_same_bytes(tmp_path, monkeypatch, paradigm):
+    """The reports and every checkpoint of a pipelined run on a pool are
+    those of the same run computed inline."""
+    pooled = _train_outputs(tmp_path, paradigm, "pooled")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    inline = _train_outputs(tmp_path, paradigm, "inline")
+    assert sorted(pooled) == ["checkpoints/task_0.npz", "checkpoints/task_1.npz",
+                              "report.jsonl", "report.txt"]
+    assert pooled == inline
