@@ -220,12 +220,17 @@ def _softmax_rows(s: np.ndarray) -> np.ndarray:
     return s
 
 
-def forward(w: FrozenWeights, pet: pet_mod.PetState, x: np.ndarray, head: np.ndarray, need_trace: bool = True):
+def forward(w: FrozenWeights, pet: pet_mod.PetState, x: np.ndarray, head: np.ndarray, need_trace: bool = True,
+            blocks: int | None = None):
     """Run a batch of tokenized samples (batch x seq_len x dim) through the network.
 
     Returns ((batch, classes) logits, trace); trace is None when
     need_trace is False.  `head` is a (dim, classes) classifier: the
     trainer's mutable copy, or `w.classifier` where no head trains.
+    With `blocks` below the depth only the first `blocks` blocks run, with
+    the bits of a full pass, and the result is (None, trace) with their
+    layers alone, a trace to read feature sites from that `backward`
+    refuses.
 
     The head, and any paradigm tensor, may instead be per-sample: a
     (batch, dim, classes) head or a (batch, ...) tensor gives each sample
@@ -245,7 +250,7 @@ def forward(w: FrozenWeights, pet: pet_mod.PetState, x: np.ndarray, head: np.nda
 
     layers = []
     last = len(w.layers) - 1
-    for li, lw in enumerate(w.layers):
+    for li, lw in enumerate(w.layers[:blocks]):
         rec = {} if need_trace else None
         query_from = prompt_rows if li == last else 0
         a_in, inv1 = _layernorm(z)
@@ -270,6 +275,8 @@ def forward(w: FrozenWeights, pet: pet_mod.PetState, x: np.ndarray, head: np.nda
             rec.update(a_in=a_in, inv1=inv1, attn=attn, k=k, v=v, q=q, m_in=m_in, inv2=inv2, u=u,
                        gelu_factor=gelu_factor, query_from=query_from)
             layers.append(rec)
+    if blocks is not None and blocks < len(w.layers):
+        return None, ActivationTrace(x_embed, layers, None, None, None, None, pet, pet.version)
 
     xhat_f, inv_f = _layernorm(z)
     pooled = np.add.reduce(xhat_f, axis=1) / xhat_f.shape[1]

@@ -17,7 +17,6 @@ were one JSON document each and are rejected by version.
 """
 
 import json
-import os
 import zipfile
 from pathlib import Path
 
@@ -65,15 +64,7 @@ def save_checkpoint(path, *, config_hash, task_index, pet, head, buffers, matrix
     arrays.update((_BUFFER + site, buf.rows) for site, buf in sorted(buffers.items()))
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    # Write beside the target and rename over it, so an interrupted write
-    # leaves the previous checkpoint at `path` untouched.
-    tmp = path.with_name(f".{path.name}.tmp")
-    try:
-        _write_npz(tmp, arrays)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    mt.write_replacing(path, lambda tmp: _write_npz(tmp, arrays))
     return path
 
 

@@ -73,8 +73,11 @@ class TaskDataset:
     test_y: np.ndarray
 
     def __post_init__(self):
+        # Not `np.unique`: its first call imports `numpy.ma` (numpy 2.x
+        # `_unique1d` calls `np.ma.is_masked`), 1.6 MB and 12-15 ms in a
+        # process that never loaded it, and a forked worker inherits it.
         for y in (self.train_y, self.test_y):
-            if y.size and not set(np.unique(y)) <= set(self.classes):
+            if not set(y.ravel().tolist()) <= set(self.classes):
                 raise ValueError(f"task {self.task_id}: labels outside declared classes")
 
     @property

@@ -19,7 +19,7 @@ pass/fail row per property.
 
 import warnings
 from dataclasses import replace
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 
@@ -51,6 +51,10 @@ def ablation_sweep(stream, model_cfg, paradigm, base_cfg, key, values, seeds) ->
     seeds vary only initialization and batch order.  Rows report seed-mean
     avg_acc / forgetting / new_acc and the seed-mean raw basis column
     count after the final rebuild, with the per-seed values under `per_seed`.
+
+    The (value, seed) runs are one map over a `workers.pool`; each run
+    rebuilds inline in its worker, as pools never nest, and the warnings
+    it raised are raised again here, in run order.
     """
     if key not in SWEEP_KEYS:
         raise ValueError(f"sweep key must be one of {SWEEP_KEYS}, got {key!r}")
@@ -58,21 +62,31 @@ def ablation_sweep(stream, model_cfg, paradigm, base_cfg, key, values, seeds) ->
         raise ValueError("sweep needs at least two values")
     if len(seeds) < 1:
         raise ValueError("sweep needs at least one seed")
-    rows = []
+    cfgs = [replace(base_cfg, seed=seed, projection=value) if key == "projection"
+            else replace(base_cfg, seed=seed, proj=replace(base_cfg.proj, **{key: value}))
+            for value in values for seed in seeds]
+    with workers.pool(len(cfgs)) as run:
+        runs = iter(run(partial(_sweep_run, stream, model_cfg, paradigm), cfgs))
+    rows, shown = [], {}  # `shown`: the warnings registry of this sweep
     for value in values:
         per_seed = []
         for seed in seeds:
-            if key == "projection":
-                cfg = replace(base_cfg, seed=seed, projection=value)
-            else:
-                cfg = replace(base_cfg, seed=seed, proj=replace(base_cfg.proj, **{key: value}))
-            matrix, info = tr.continual_run(stream, model_cfg, paradigm, cfg)
-            summary = mt.summarize(matrix)
-            total = site_basis_total(info["basis_sizes"][-1], paradigm, model_cfg.depth)
+            summary, total, caught = next(runs)
+            for message, category, filename, lineno in caught:
+                warnings.warn_explicit(message, category, filename, lineno, registry=shown)
             per_seed.append({"seed": seed, **{k: summary[k] for k in mt.METRICS}, "basis_columns": total})
         means = {k: float(np.mean([r[k] for r in per_seed])) for k in (*mt.METRICS, "basis_columns")}
         rows.append({key: value, **means, "per_seed": per_seed})
     return rows
+
+
+def _sweep_run(stream, model_cfg, paradigm, cfg) -> tuple:
+    """One run of `ablation_sweep`: its summary, its site basis total
+    after the final rebuild and the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        matrix, info = tr.continual_run(stream, model_cfg, paradigm, cfg)
+    total = site_basis_total(info["basis_sizes"][-1], paradigm, model_cfg.depth)
+    return mt.summarize(matrix), total, [(w.message, w.category, w.filename, w.lineno) for w in caught]
 
 
 def seed_range(row: dict, key: str) -> tuple[float, float]:

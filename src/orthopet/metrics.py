@@ -8,11 +8,14 @@ sign the printed formula would produce.
 
 Reports are line-delimited JSON with sorted keys and no timestamps so a
 rerun of the same config and seed is byte-identical; a text rendering
-sits next to the machine file for humans.
+sits next to the machine file for humans.  Each file is written beside
+its target and renamed over it, so an interrupted write leaves the
+previous file whole.
 """
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -105,14 +108,22 @@ def emit_report(records: list[dict], path) -> Path:
         if vals:
             summary[f"mean_{key}"] = float(np.mean(vals))
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        for r in runs:
-            fh.write(json.dumps(r, sort_keys=True) + "\n")
-        fh.write(json.dumps(summary, sort_keys=True) + "\n")
-    text_path = path.with_suffix(".txt")
-    with open(text_path, "w") as fh:
-        fh.write(render_report(runs, summary))
+    lines = "".join(json.dumps(r, sort_keys=True) + "\n" for r in [*runs, summary])
+    write_replacing(path, lambda tmp: tmp.write_text(lines))
+    write_replacing(path.with_suffix(".txt"), lambda tmp: tmp.write_text(render_report(runs, summary)))
     return path
+
+
+def write_replacing(path: Path, write) -> None:
+    """`write(tmp)` a file beside `path`, then rename it over `path`; if
+    anything fails, `path` keeps its previous bytes and no `tmp` is left."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def sweep_label(value) -> str:
@@ -137,14 +148,18 @@ def render_report(runs: list[dict], summary: dict) -> str:
 
 
 def load_report(path) -> tuple[list[dict], dict]:
-    """Parse a report file back into (run records, summary record)."""
+    """Parse a report file back into (run records, summary record); a line
+    that is not a report record raises ValueError naming `path:lineno`."""
     runs, summary = [], None
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: not JSON ({exc})") from None
             if not isinstance(rec, dict) or "record" not in rec:
                 raise ValueError(f"{path}:{lineno}: not a report record")
             if rec["record"] == "summary":

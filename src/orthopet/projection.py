@@ -21,7 +21,8 @@ table (`pet.PARADIGM_TENSORS`) and is passed to `project`.
 
 Sites are named by the routes of a pet (`pet.routes`): a route carries its
 site's kind and layer, and the width and trace rows of a site are read
-from it.  `sample_features` serves every site of a pet's routes.
+from it.  `sample_features` serves every site of a pet's routes, or some
+of them with a forward that stops after the last block they read.
 """
 
 import warnings
@@ -175,20 +176,21 @@ def _site_rows(trace: bb.ActivationTrace, route: pm.Route) -> np.ndarray:
     return layer[key]
 
 
-def sample_features(w: bb.FrozenWeights, pet, sampling_set) -> dict:
-    """Feature rows at every site of `pet`'s routes for every sample in
-    the sampling set.
+def sample_features(w: bb.FrozenWeights, pet, sampling_set, only=None) -> dict:
+    """Feature rows at every site of `pet`'s routes, or at the sites in
+    `only`, for every sample in the sampling set.
 
-    One traced forward per CHUNK_ROWS samples serves every site; each
-    sample contributes all its token rows, in sample order.  Returns site
-    -> rows of shape (n, width), sites in route order; the caller adds
-    them to the site buffers.
+    One traced forward per CHUNK_ROWS samples serves every site, and stops
+    after the last block a site reads; each sample contributes all its
+    token rows, in sample order.  Returns site -> rows of shape (n, width),
+    sites in route order; the caller adds them to the site buffers.
     """
-    sites = {r.site: r for r in pm.routes(pet.paradigm, w.cfg.depth)}
+    sites = {r.site: r for r in pm.routes(pet.paradigm, w.cfg.depth) if only is None or r.site in only}
+    blocks = 1 + max((r.layer for r in sites.values() if r.layer is not None), default=-1)
     collected = {site: [] for site in sites}
     xs = np.asarray(sampling_set, dtype=np.float64)
     for start in range(0, len(xs), bb.CHUNK_ROWS):
-        _, trace = bb.forward(w, pet, xs[start:start + bb.CHUNK_ROWS], w.classifier)
+        _, trace = bb.forward(w, pet, xs[start:start + bb.CHUNK_ROWS], w.classifier, blocks=blocks)
         for site, r in sites.items():
             rows = _site_rows(trace, r)
             collected[site].append(rows.reshape(-1, rows.shape[-1]))

@@ -22,14 +22,15 @@ A run opens one `workers.pool` for its whole length, sized to the
 matrices a rebuild factors (`rebuild_jobs`), and pipelines each rebuild
 with the task.  The rows of a fixed site (`pet.fixed_sites`: upstream of
 every insertion of the paradigm) do not depend on any trainable tensor,
-so once the sampling set is drawn they are sampled and the SVD of each
-fixed site's buffer with them is dealt to the pool, and the task trains
-while it runs.  After training the sampling set is sampled again, every
-fixed site's rows must have the same bits as before, and the other
-matrices are dealt; evaluation and the checkpoint run while they are
-factored.  `rebuild_bases` then waits for every factor and cuts,
-completes and merges the bases in this process, in job order, so bases
-and warnings are those of an inline rebuild.
+so once the sampling set is drawn they are sampled, by a forward that
+stops after layer 0, and the SVD of each fixed site's buffer with them is
+dealt to the pool, and the task trains while it runs.  After training
+the sampling set is sampled again, every fixed site's rows must have the
+same bits as before, and the other matrices are dealt; evaluation and
+the checkpoint run while they are factored.  `rebuild_bases` then waits
+for every factor and cuts, completes and merges the bases in this
+process, in job order, so bases and warnings are those of an inline
+rebuild.
 """
 
 from dataclasses import dataclass, field
@@ -400,8 +401,7 @@ def continual_run(stream, model_cfg, paradigm, cfg, out_dir=None, config_hash=""
             k = min(cfg.proj.sample_count, max(task.n_train - 1, 0))
             sampling_set = task.train_x[perm[:k]]
             train_rows = (task.train_x[perm[k:]], task.train_y[perm[k:]])
-            before = {site: rows for site, rows in pj.sample_features(w, pet, sampling_set).items()
-                      if site in fixed}
+            before = pj.sample_features(w, pet, sampling_set, fixed)
             dealt = [deal_factors(run, sorted(before), pet, {
                 site: np.vstack([buffers[site].rows, rows]) for site, rows in before.items()})]
             use_bases = bases if (cfg.projection and t > 0) else None

@@ -408,6 +408,38 @@ def test_a_pool_map_imports_no_executor_machinery():
     assert done.stdout.splitlines() == ["[]"]
 
 
+def test_no_process_loads_numpy_ma(tmp_path):
+    """A fresh interpreter trains a tiny prompt and a tiny LoRA config and
+    runs a data-generating `verify` check, each on a two-worker pool: no
+    process loads `numpy.ma` (numpy's `unique` would, at its first call).
+    Every rebuild job checks its worker after its SVD."""
+    paths = [_write(tmp_path, _base(paradigm=p), name=f"{p}.json") for p in ("prompt", "lora")]
+    code = ("import os, sys\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "import orthopet.cli as cli, orthopet.eval as ev, orthopet.projection as pj\n"
+            "from orthopet import workers\n"
+            "factor = pj.svd_factors\n"
+            "def checked(rows):\n"
+            "    out = factor(rows)\n"
+            "    assert 'numpy.ma' not in sys.modules, 'a rebuild worker loaded numpy.ma'\n"
+            "    return out\n"
+            "def check(paradigm):\n"
+            "    ev.orthogonality_check(paradigm)\n"
+            "    return 'numpy.ma' in sys.modules\n"
+            "pj.svd_factors = checked\n"
+            "for path in sys.argv[1:]:\n"
+            "    assert cli.main(['train', '--config', path, '--out', path + '.out']) == 0\n"
+            "with workers.pool(2) as run:\n"
+            "    assert run is not workers.inline\n"
+            "    print('workers', run(check, ['prefix', 'lora']))\n"
+            "print('parent', 'numpy.ma' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code, *paths],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-2:] == ["workers [False, False]", "parent False"]
+
+
 def test_readme_commands_parse():
     """Every `orthopet ...` line in a README code block parses, its
     `--sweep` is valid and the configs it names exist."""

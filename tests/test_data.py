@@ -168,3 +168,23 @@ def test_task_dataset_rejects_labels_outside_classes():
     with pytest.raises(ValueError, match="labels outside declared classes"):
         dm.TaskDataset(task_id=0, classes=[0, 1], train_x=x, train_y=np.array([0, 2]),
                        test_x=x, test_y=np.array([0, 1]))
+
+
+def _task(train_y, test_y, classes=(0, 1)):
+    x = np.zeros((len(train_y), 4, 8))
+    return dm.TaskDataset(task_id=3, classes=list(classes), train_x=x, train_y=np.asarray(train_y),
+                          test_x=np.zeros((len(test_y), 4, 8)), test_y=np.asarray(test_y))
+
+
+def test_task_dataset_label_check():
+    """Empty splits pass; a label outside `classes`, or a NaN, is refused
+    by the same message on either split; int64 labels match Python-int
+    classes, as float labels of the same value do."""
+    assert _task(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)).n_train == 0
+    _task(np.array([1, 0, 1], dtype=np.int64), np.array([0], dtype=np.int64))
+    _task(np.array([1.0, 0.0]), np.array([0.0]))
+    _task(np.array([5, 7], dtype=np.int64), np.array([7], dtype=np.int64), classes=(5, 6, 7))
+    for train_y, test_y in (([0, 1], [0, 2]), ([-1], [0]), ([0.5], [0]), ([0.0, np.nan], [0.0]),
+                            ([0], [np.nan])):
+        with pytest.raises(ValueError, match="^task 3: labels outside declared classes$"):
+            _task(np.array(train_y), np.array(test_y))

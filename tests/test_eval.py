@@ -1,6 +1,8 @@
 """Sweep runner contract and the runtime property-check suite."""
 
+import os
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -82,6 +84,32 @@ def test_projection_sweep_equals_direct_runs():
                                                                  MODEL.depth)})
         assert row["per_seed"] == direct
     assert rows[0]["per_seed"] != rows[1]["per_seed"]
+
+
+def _sweep_and_warnings():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rows = ev.ablation_sweep(STREAM, MODEL, "lora", CFG, "epsilon", [1e-4, 0.9], [0, 1])
+    return rows, [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="a pool starts only with two usable CPUs")
+def test_pooled_and_inline_sweeps_are_equal(monkeypatch):
+    """Every run of a pooled sweep runs in a worker, and the rows and the
+    warnings raised here, in order, are those of the sweep run inline."""
+    parent, run = os.getpid(), tr.continual_run
+
+    def in_a_worker(*args, **kwargs):
+        assert os.getpid() != parent
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(tr, "continual_run", in_a_worker)
+    pooled = _sweep_and_warnings()
+    monkeypatch.setattr(tr, "continual_run", run)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    inline = _sweep_and_warnings()
+    assert pooled == inline
+    assert any(category is pj.EmptyBasisWarning for category, *_ in inline[1])
 
 
 def test_site_basis_total_excludes_merged_prompt_key():

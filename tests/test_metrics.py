@@ -1,5 +1,8 @@
 """Metric formulas against brute-force oracles, plus report round-trips."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -178,3 +181,40 @@ def test_load_report_rejects_garbage(tmp_path):
     p.write_text('{"record": "run"}\n')
     with pytest.raises(ValueError, match="missing summary"):
         mt.load_report(p)
+
+
+def test_a_failed_report_write_keeps_the_previous_files(tmp_path, monkeypatch):
+    """A write that fails after its temporary file is written, or a record
+    that will not serialize, leaves report.jsonl and report.txt with their
+    previous bytes and no temporary file."""
+    records = [{"seed": 0, "avg_acc": 0.5, "forgetting": 0.25, "new_acc": 1.0}]
+    path = mt.emit_report(records, tmp_path / "report.jsonl")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert sorted(before) == ["report.jsonl", "report.txt"]
+    written = []
+
+    def fail(src, dst):
+        written.append(Path(src).read_text())
+        raise OSError("disk full")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(mt.os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            mt.emit_report([{**records[0], "seed": 1}], path)
+    assert len(written) == 1 and '"seed": 1' in written[0]
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        mt.emit_report([{**records[0], "seed": 1}, {"seed": object()}], path)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_a_truncated_report_is_refused_by_file_and_line(tmp_path):
+    records = [{"seed": s, "avg_acc": 0.5, "forgetting": 0.25, "new_acc": 1.0} for s in (0, 1)]
+    path = mt.emit_report(records, tmp_path / "report.jsonl")
+    text = path.read_text()
+    path.write_text(text[:-9])
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:3: not JSON"):
+        mt.load_report(path)
+    path.write_text(text.replace('"seed": 1', '"seed": 1,,', 1))
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: not JSON"):
+        mt.load_report(path)

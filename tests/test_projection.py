@@ -408,18 +408,44 @@ def test_fixed_sites_lists():
 def test_fixed_sites_are_those_no_tensor_reaches(paradigm):
     """Two pets whose every tensor differs give bit-identical rows on
     exactly the sites `pm.fixed_sites` names, so every other site of the
-    paradigm differs (a prompt pet has the embed site alone)."""
+    paradigm differs (a prompt pet has the embed site alone).  Read alone,
+    by a forward that stops early, the fixed sites give the same rows."""
     w = bb.init_backbone(CFG, 50)
     xs = np.random.default_rng(51).normal(size=(3, CFG.seq_len, CFG.dim))
     rng = np.random.default_rng(52)
+    fixed = pm.fixed_sites(paradigm)
     feats = []
     for _ in range(2):
         pet = pm.init_pet(CFG, paradigm, 53)
         pet.params = {k: rng.normal(size=v.shape) for k, v in pet.params.items()}
         feats.append(pj.sample_features(w, pet, xs))
+        early = pj.sample_features(w, pet, xs, fixed)
+        assert list(early) == fixed
+        for site, rows in early.items():
+            assert rows.shape == feats[-1][site].shape and rows.tobytes() == feats[-1][site].tobytes()
     same = sorted(site for site in feats[0] if feats[0][site].tobytes() == feats[1][site].tobytes())
-    assert same == pm.fixed_sites(paradigm)
+    assert same == fixed
     assert len(feats[0]) > len(same) or paradigm == "prompt"
+
+
+def test_a_forward_that_stops_early_traces_only_its_blocks():
+    """`blocks` below the depth gives no logits and the first layers of the
+    full trace, bit for bit, which `backward` refuses."""
+    w = bb.init_backbone(CFG, 54)
+    xs = np.random.default_rng(55).normal(size=(2, CFG.seq_len, CFG.dim))
+    pet = pm.init_pet(CFG, "adapter", 56)
+    _, full = bb.forward(w, pet, xs, w.classifier)
+    for blocks in range(CFG.depth):
+        logits, trace = bb.forward(w, pet, xs, w.classifier, blocks=blocks)
+        assert logits is None and len(trace.layers) == blocks
+        assert trace.x_embed.tobytes() == full.x_embed.tobytes()
+        for got, want in zip(trace.layers, full.layers):
+            assert got.keys() == want.keys()
+            assert all(np.array_equal(got[k], want[k]) for k in got)
+        with pytest.raises(ValueError, match="incomplete activation trace"):
+            bb.backward(trace, w, pet, np.zeros((2, CFG.num_classes)), w.classifier)
+    logits, trace = bb.forward(w, pet, xs, w.classifier, blocks=CFG.depth)
+    assert logits.tobytes() == full.logits.tobytes()
 
 
 def test_trimmed_site_rows_are_refused_by_name():
