@@ -13,7 +13,8 @@ bit from the buffers and the paradigm tensors).
 
 A save replaces the file at its path atomically, and the same state
 always gives the same file bytes.  Only version 4 loads; versions 1-3
-were one JSON document each and are rejected by version.
+were one JSON document each and are rejected by version.  A load checks
+the file against the run that resumes from it, once, member by member.
 """
 
 import json
@@ -97,11 +98,25 @@ _META = {"version": int, "config_hash": str, "task_index": int, "paradigm": str,
 RNG_NAMES = ("sampling", "shuffle")
 
 
-def load_checkpoint(path) -> dict:
-    """The state saved at `path`.  A file that is no readable `.npz`, of
-    another version, or without a member or meta key a resume needs, a
-    meta value of the wrong JSON type, a pickled member or a buffer member
-    that is not 2-D raises ValueError naming what is wrong."""
+def _under(prefix, members) -> dict:
+    """The members whose names start with `prefix`, keyed without it."""
+    return {k[len(prefix):]: v for k, v in members.items() if k.startswith(prefix)}
+
+
+def load_checkpoint(path, paradigm, model_cfg, tasks: int) -> dict:
+    """The state saved at `path`, checked against the `paradigm` run of
+    `tasks` tasks on a `model_cfg` model that resumes from it; the state
+    `trainer.continual_run(resume=...)` takes as it is.
+
+    Raises ValueError naming what is wrong: a file that is no readable
+    `.npz` or of another version; a missing member or meta key, a meta
+    that is not JSON or holds a value of the wrong JSON type; a saved run
+    of another paradigm or length; paradigm tensors or buffers not keyed
+    by the routes of this model (naming the missing and extra keys); a
+    member that is pickled or no array, has a shape the model does not
+    take (naming the key and both shapes), is not finite float64 or is an
+    empty buffer; or an rng state that does not load into a `PCG64`.
+    """
     path = Path(path)
     legacy = _legacy_version(path)
     if legacy is not None:
@@ -115,17 +130,15 @@ def load_checkpoint(path) -> dict:
                 if member not in data.files:
                     raise ValueError(f"it has no member {member}")
             meta = json.loads(str(data["meta"]))
-            if not isinstance(meta, dict):
-                raise ValueError("its meta is not a JSON object")
-            if meta.get("version") != CHECKPOINT_VERSION:
-                raise ValueError(f"unsupported checkpoint version {meta.get('version')!r}")
-            params = {k[len(_PET):]: data[k] for k in data.files if k.startswith(_PET)}
-            buffers = {
-                k[len(_BUFFER):]: data[k] for k in data.files if k.startswith(_BUFFER)
-            }
-            head = data["head"]
+            arrays = {k: data[k] for k in data.files if k == "head" or k.startswith((_PET, _BUFFER))}
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"its meta is not JSON ({exc})") from exc
     except (EOFError, zipfile.BadZipFile) as exc:
         raise ValueError(f"it is not a readable .npz file ({exc})") from exc
+    if not isinstance(meta, dict):
+        raise ValueError("its meta is not a JSON object")
+    if meta.get("version") != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {meta.get('version')!r}")
     for key, kind in _META.items():
         if key not in meta:
             raise ValueError(f"its meta has no key {key}")
@@ -142,9 +155,44 @@ def load_checkpoint(path) -> dict:
     missing = sorted(set(RNG_NAMES) - set(meta["rng_states"]))
     if missing:
         raise ValueError(f"its meta rng_states has no state for {', '.join(missing)}")
-    for site, rows in buffers.items():
-        if rows.ndim != 2:
-            raise ValueError(f"its buffer {site} has shape {rows.shape}, not (rows, width)")
+    saved = (meta["paradigm"], meta["matrix_tasks"])
+    if saved != (paradigm, tasks):
+        raise ValueError(
+            f"it holds a {saved[0]} run of {saved[1]} tasks, not a {paradigm} run of {tasks} tasks"
+        )
+
+    # The array members this run takes: member -> (its name in a message,
+    # its shape); a buffer takes any number of rows.
+    want = {"head": ("head", (model_cfg.dim, model_cfg.num_classes))}
+    for r in pm.routes(paradigm, model_cfg.depth):
+        want[_PET + r.name] = (f"tensor {r.name}", tuple(getattr(model_cfg, f) for f in r.spec.shape))
+        want[_BUFFER + r.site] = (f"buffer {r.site}", (None, pj.site_width(r, model_cfg)))
+    for what, prefix in (("tensors", _PET), ("buffers", _BUFFER)):
+        have, need = set(_under(prefix, arrays)), set(_under(prefix, want))
+        if have != need:
+            raise ValueError(
+                f"its {what} do not fit a {paradigm} model of depth {model_cfg.depth}: "
+                f"missing {sorted(need - have)}, extra {sorted(have - need)}"
+            )
+    for member, (what, shape) in want.items():
+        arr = arrays[member]
+        if not isinstance(arr, np.ndarray):
+            raise ValueError(f"its {what} is not an array")
+        if shape[0] is None:
+            shape = arr.shape[:1] + shape[1:] if arr.ndim == 2 else "(rows, width)"
+        if arr.shape != shape:
+            raise ValueError(f"its {what} has shape {arr.shape}, not {shape}")
+        if arr.dtype != np.float64:
+            raise ValueError(f"its {what} is {arr.dtype}, not float64")
+        if arr.size == 0:
+            raise ValueError(f"its {what} has no rows")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"its {what} holds a value that is not finite")
+    for name, rng_state in sorted(meta["rng_states"].items()):
+        try:
+            np.random.PCG64().state = rng_state
+        except (TypeError, ValueError, KeyError, OverflowError) as exc:
+            raise ValueError(f"its rng state {name} does not load into PCG64 ({exc!r})") from exc
 
     matrix = mt.AccuracyMatrix(tasks=meta["matrix_tasks"])
     for j, row in enumerate(acc_rows):
@@ -154,11 +202,11 @@ def load_checkpoint(path) -> dict:
         "version": meta["version"],
         "config_hash": meta["config_hash"],
         "task_index": meta["task_index"],
-        "pet": pm.PetState(paradigm=meta["paradigm"], params=params, version=meta["pet_version"]),
-        "head": head,
+        "pet": pm.PetState(paradigm=paradigm, params=_under(_PET, arrays), version=meta["pet_version"]),
+        "head": arrays["head"],
         "buffers": {
             site: pj.FeatureBuffer(site=site, width=rows.shape[1], rows=rows)
-            for site, rows in buffers.items()
+            for site, rows in _under(_BUFFER, arrays).items()
         },
         "matrix": matrix,
         "rng_states": meta["rng_states"],

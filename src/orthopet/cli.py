@@ -198,12 +198,12 @@ def _parse_sweep(text: str):
 
 
 def _resume_state(ckpt_dir: Path, config_hash: str, paradigm: str, model_cfg, tasks: int) -> dict:
-    """The last checkpoint under `ckpt_dir`, checked against this run."""
+    """The last checkpoint under `ckpt_dir`, checked against this run, with a task left to run."""
     path = ck.last_task_path(ckpt_dir)
     if path is None:
         raise ConfigError(f"--resume: no task_<t>.npz checkpoint under {ckpt_dir}")
     try:
-        state = ck.load_checkpoint(path)
+        state = ck.load_checkpoint(path, paradigm, model_cfg, tasks)
     except ValueError as exc:
         raise ConfigError(f"--resume: {path}: {exc}") from exc
     if state["config_hash"] != config_hash:
@@ -211,10 +211,9 @@ def _resume_state(ckpt_dir: Path, config_hash: str, paradigm: str, model_cfg, ta
             f"--resume: {path} was written by config {state['config_hash'][:12]}, "
             f"not by this config {config_hash[:12]}"
         )
-    try:
-        tr.resume_start(state, paradigm, model_cfg, tasks)
-    except ValueError as exc:
-        raise ConfigError(f"--resume: {path}: {exc}") from exc
+    if state["task_index"] + 1 >= tasks:
+        raise ConfigError(f"--resume: {path}: task {state['task_index']} is the last of {tasks} "
+                          "tasks; every task is already done")
     return state
 
 

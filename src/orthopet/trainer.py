@@ -301,70 +301,19 @@ def rebuild_bases(pet, buffers, proj_cfg, model_cfg, run, dealt=()) -> dict:
     return bases
 
 
-def resume_start(state, paradigm, model_cfg, tasks: int) -> int:
-    """The task a `paradigm` run of `tasks` tasks on a `model_cfg` model
-    resumes at from `state`.
-
-    Raises ValueError when the saved run is of another paradigm or
-    length, when its paradigm tensors or buffers are not keyed by the
-    routes of this model (naming the missing and extra keys), an array
-    has a shape the model does not take (naming the key and both shapes),
-    is not finite float64 or is an empty buffer, an rng state does not
-    load into a `PCG64`, or when it has no task left to run.
-    """
-    saved = (state["pet"].paradigm, state["matrix"].tasks)
-    if saved != (paradigm, tasks):
-        raise ValueError(
-            f"it holds a {saved[0]} run of {saved[1]} tasks, not a {paradigm} run of {tasks} tasks"
-        )
-    routes = pm.routes(paradigm, model_cfg.depth)
-    params, buffers = state["pet"].params, state["buffers"]
-    for what, have, want in (("tensors", params, {r.name for r in routes}),
-                             ("buffers", buffers, {r.site for r in routes})):
-        if set(have) != want:
-            raise ValueError(
-                f"its {what} do not fit a {paradigm} model of depth {model_cfg.depth}: "
-                f"missing {sorted(want - set(have))}, extra {sorted(set(have) - want)}"
-            )
-    fits = [("head", state["head"], (model_cfg.dim, model_cfg.num_classes))]
-    for r in routes:
-        fits.append((f"tensor {r.name}", params[r.name],
-                     tuple(getattr(model_cfg, f) for f in r.spec.shape)))
-        rows = buffers[r.site].rows
-        fits.append((f"buffer {r.site}", rows, rows.shape[:1] + (pj.site_width(r, model_cfg),)))
-    for key, arr, want in fits:
-        if arr.shape != want:
-            raise ValueError(f"its {key} has shape {arr.shape}, not {want}")
-        if arr.dtype != np.float64:
-            raise ValueError(f"its {key} is {arr.dtype}, not float64")
-        if arr.size == 0:
-            raise ValueError(f"its {key} has no rows")
-        if not np.isfinite(arr).all():
-            raise ValueError(f"its {key} holds a value that is not finite")
-    for name, rng_state in sorted(state["rng_states"].items()):
-        try:
-            np.random.PCG64().state = rng_state
-        except (TypeError, ValueError, KeyError, OverflowError) as exc:
-            raise ValueError(f"its rng state {name} does not load into PCG64 ({exc!r})") from exc
-    start = state["task_index"] + 1
-    if start >= tasks:
-        raise ValueError(f"task {start - 1} is the last of {tasks} tasks; every task is already done")
-    return start
-
-
 def continual_run(stream, model_cfg, paradigm, cfg, out_dir=None, config_hash="", resume=None):
     """Run the full task sequence; returns (AccuracyMatrix, info dict).
 
     info carries per-task loss curves and, after each rebuild, the basis
     column count per site.  With ``out_dir`` set, a checkpoint is written
-    after every task.  ``resume``, a state returned by
-    `checkpoint.load_checkpoint`, continues the run from the task after
-    the saved one: the backbone is re-initialised from its seed, the
-    bases are rebuilt from the restored buffers and paradigm tensors, and
-    info covers only the tasks run here.  Every rebuild, that one included,
-    factors on the run's one `workers.pool`; each task's rebuild is dealt
-    in two parts, the fixed sites before the task trains and the rest
-    before it is evaluated (see the module docstring).
+    after every task.  ``resume``, a state `checkpoint.load_checkpoint`
+    returned for this run, with a task left to run, continues the run from
+    the task after the saved one: the backbone is re-initialised from its
+    seed, the bases are rebuilt from the restored buffers and paradigm
+    tensors, and info covers only the tasks run here.  Every rebuild, that
+    one included, factors on the run's one `workers.pool`; each task's
+    rebuild is dealt in two parts, the fixed sites before the task trains
+    and the rest before it is evaluated (see the module docstring).
     """
     pm.check_paradigm(paradigm)
     if len(stream) == 0:
@@ -388,7 +337,7 @@ def continual_run(stream, model_cfg, paradigm, cfg, out_dir=None, config_hash=""
             bases = None
             start = 0
         else:
-            start = resume_start(resume, paradigm, model_cfg, len(stream))
+            start = resume["task_index"] + 1
             pet, head, buffers, matrix = resume["pet"], resume["head"], resume["buffers"], resume["matrix"]
             for name, g in rngs.items():
                 g.bit_generator.state = resume["rng_states"][name]

@@ -56,21 +56,34 @@ def _save(path, *, config_hash="h", task_index=1, state=None):
                               head=head, buffers=buffers, matrix=matrix, rngs=rngs)
 
 
-def _rewrite_meta(path, **changes):
+def _load(path):
+    """The handmade state saved at `path`, loaded for the run it was saved from."""
+    return ck.load_checkpoint(path, "adapter", MODEL, 3)
+
+
+def _rewrite(path, change, dest=None):
+    """Pass the members of the checkpoint at `path` through `change` and
+    write them to `dest`, or back to `path`."""
     with np.load(path, allow_pickle=False) as data:
         arrays = {key: data[key] for key in data.files}
-    meta = json.loads(str(arrays["meta"]))
-    meta.update(changes)
-    arrays["meta"] = np.array(json.dumps(meta))
-    with open(path, "wb") as fh:
+    change(arrays)
+    with open(dest or path, "wb") as fh:
         np.savez(fh, **arrays)
+
+
+def _rewrite_meta(path, **changes):
+    def change(arrays):
+        meta = json.loads(str(arrays["meta"]))
+        meta.update(changes)
+        arrays["meta"] = np.array(json.dumps(meta))
+    _rewrite(path, change)
 
 
 def test_round_trip_exact(tmp_path):
     pet, head, buffers, matrix, rngs = state = _handmade_state()
     path = tmp_path / "task_1.npz"
     assert _save(path, config_hash="abc123", state=state) == path
-    got = ck.load_checkpoint(path)
+    got = _load(path)
 
     assert got["version"] == 4
     assert got["config_hash"] == "abc123"
@@ -96,7 +109,7 @@ def test_round_trip_exact(tmp_path):
 def test_resave_is_byte_identical(tmp_path):
     first, second = tmp_path / "a.npz", tmp_path / "b.npz"
     _save(first)
-    got = ck.load_checkpoint(first)
+    got = _load(first)
     rngs = {name: rng_mod.generator(0, name) for name in got["rng_states"]}
     for name, g in rngs.items():
         g.bit_generator.state = got["rng_states"][name]
@@ -131,7 +144,7 @@ def test_two_task_buffer_round_trips(tmp_path):
     path = _save(tmp_path / "task_1.npz", state=(pet, head, buffers, matrix, rngs))
     with np.load(path, allow_pickle=False) as data:
         assert data["buffer/mlp_in.1"].shape == (5, MODEL.dim)
-    got = ck.load_checkpoint(path)["buffers"]["mlp_in.1"]
+    got = _load(path)["buffers"]["mlp_in.1"]
     assert got.width == MODEL.dim
     assert np.array_equal(got.rows, rows)
 
@@ -142,7 +155,7 @@ def test_rebuilt_bases_match_the_saved_state(tmp_path):
     pet, _, buffers, _, _ = state = _handmade_state()
     with pytest.warns(pj.EmptyBasisWarning):
         before = tr.rebuild_bases(pet, buffers, PROJ, MODEL, workers.inline)
-    got = ck.load_checkpoint(_save(tmp_path / "d.npz", state=state))
+    got = _load(_save(tmp_path / "d.npz", state=state))
     with pytest.warns(pj.EmptyBasisWarning):
         after = tr.rebuild_bases(got["pet"], got["buffers"], PROJ, MODEL, workers.inline)
     assert before["mlp_in.0"].shape == (MODEL.dim, 0)
@@ -153,7 +166,7 @@ def test_rebuilt_bases_match_the_saved_state(tmp_path):
 
 def test_generator_state_round_trips(tmp_path):
     _, _, _, _, rngs = state = _handmade_state()
-    got = ck.load_checkpoint(_save(tmp_path / "g.npz", state=state))
+    got = _load(_save(tmp_path / "g.npz", state=state))
     for name, saved in rngs.items():
         restored = rng_mod.generator(0, name)
         restored.bit_generator.state = got["rng_states"][name]
@@ -184,13 +197,13 @@ def _legacy_json(path, version):
 def test_version_2_checkpoint_rejected(tmp_path):
     path = _legacy_json(tmp_path / "task_0.json", 2)
     with pytest.raises(ValueError, match="unsupported checkpoint version 2"):
-        ck.load_checkpoint(path)
+        _load(path)
 
 
 def test_version_3_json_checkpoint_rejected(tmp_path):
     path = _legacy_json(tmp_path / "task_0.json", 3)
     with pytest.raises(ValueError, match=r"unsupported checkpoint version 3 .*only version 4"):
-        ck.load_checkpoint(path)
+        _load(path)
 
 
 def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
@@ -212,40 +225,23 @@ def test_unsupported_version_rejected(tmp_path):
     path = _save(tmp_path / "task_0.npz", task_index=0)
     _rewrite_meta(path, version=ck.CHECKPOINT_VERSION + 1)
     with pytest.raises(ValueError, match="unsupported checkpoint version 5"):
-        ck.load_checkpoint(path)
+        _load(path)
 
 
 def test_pickled_members_are_refused(tmp_path):
     path = _save(tmp_path / "task_0.npz", task_index=0)
-    with np.load(path, allow_pickle=False) as data:
-        arrays = {key: data[key] for key in data.files}
-    arrays["head"] = np.array([{"not": "an array"}], dtype=object)
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+    _rewrite(path, lambda arrays: arrays.update(head=np.array([{"not": "an array"}], dtype=object)))
     with pytest.raises(ValueError, match="allow_pickle"):
-        ck.load_checkpoint(path)
+        _load(path)
 
 
 @pytest.mark.parametrize("rows", [np.array(1.0), np.zeros(5), np.zeros((1, 5, 16))],
                          ids=["0-d", "1-d", "3-d"])
 def test_buffer_members_must_be_2d(tmp_path, rows):
     path = _save(tmp_path / "task_0.npz", task_index=0)
-    with np.load(path, allow_pickle=False) as data:
-        arrays = {key: data[key] for key in data.files}
-    arrays["buffer/mlp_in.0"] = rows
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+    _rewrite(path, lambda arrays: arrays.update({"buffer/mlp_in.0": rows}))
     with pytest.raises(ValueError, match=re.escape(f"its buffer mlp_in.0 has shape {rows.shape}, not (rows, width)")):
-        ck.load_checkpoint(path)
-
-
-def test_empty_rows_buffer_round_trips(tmp_path):
-    pet, head, buffers, matrix, rngs = _handmade_state()
-    buffers["mlp_in.0"] = pj.FeatureBuffer(site="mlp_in.0", width=MODEL.dim)
-    path = _save(tmp_path / "c.npz", task_index=0, state=(pet, head, buffers, matrix, rngs))
-    got = ck.load_checkpoint(path)["buffers"]["mlp_in.0"]
-    assert got.rows.shape == (0, MODEL.dim)
-    assert got.width == MODEL.dim
+        _load(path)
 
 
 @pytest.mark.filterwarnings("ignore::orthopet.projection.EmptyBasisWarning")
@@ -261,7 +257,7 @@ def test_run_emits_loadable_checkpoints(tmp_path):
                                     out_dir=tmp_path, config_hash="deadbeef")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["task_0.npz", "task_1.npz"]
     for t in range(spec.tasks):
-        state = ck.load_checkpoint(tmp_path / f"task_{t}.npz")
+        state = ck.load_checkpoint(tmp_path / f"task_{t}.npz", "adapter", MODEL, spec.tasks)
         assert state["config_hash"] == "deadbeef"
         assert state["task_index"] == t
         assert state["pet"].paradigm == "adapter"
@@ -269,44 +265,35 @@ def test_run_emits_loadable_checkpoints(tmp_path):
         for j in range(t + 1):
             for i in range(j + 1):
                 assert 0.0 <= vals[j, i] <= 1.0
-    final = ck.load_checkpoint(tmp_path / "task_1.npz")
+    final = ck.load_checkpoint(tmp_path / "task_1.npz", "adapter", MODEL, spec.tasks)
     filled = np.isfinite(matrix.values)
     assert np.array_equal(final["matrix"].values[filled], matrix.values[filled])
 
 
-def _keyed(part, drop=None, add=None):
-    """A state edit: drop the key `drop` from the state's `part` ("buffers"
-    or the paradigm tensors, "params"), and add `add` holding the dropped
-    value, or else the value of the first key."""
-    def edit(state):
-        keys = state["pet"].params if part == "params" else state["buffers"]
-        value = keys.pop(drop) if drop else next(iter(keys.values()))
+def _keyed(prefix, drop=None, add=None):
+    """A member edit: drop the member `prefix + drop`, and add `prefix +
+    add` holding the dropped value, or else the value of the first member
+    under `prefix` ("pet/" or "buffer/")."""
+    def edit(arrays):
+        value = arrays.pop(prefix + drop) if drop else next(
+            v for k, v in arrays.items() if k.startswith(prefix))
         if add:
-            keys[add] = value
+            arrays[prefix + add] = value
     return edit
 
 
-def _reshaped(key, shape):
-    """A state edit: put zeros of `shape` in place of the head ("head"), a
-    paradigm tensor, or the rows of a buffer ("buffer/<site>")."""
-    def edit(state):
-        if key == "head":
-            state["head"] = np.zeros(shape)
-        elif key.startswith("buffer/"):
-            site = key[len("buffer/"):]
-            state["buffers"][site] = pj.FeatureBuffer(site, shape[1], np.zeros(shape))
-        else:
-            state["pet"].params[key] = np.zeros(shape)
-    return edit
+def _reshaped(member, shape):
+    """A member edit: zeros of `shape` in place of `member`."""
+    return lambda arrays: arrays.update({member: np.zeros(shape)})
 
 
 @pytest.mark.filterwarnings("ignore::orthopet.projection.EmptyBasisWarning")
 def test_resume_state_must_fit_the_run(tmp_path):
-    """`continual_run` refuses a state from another paradigm or stream
+    """`load_checkpoint` refuses a state from another paradigm or stream
     length, one whose tensors or buffers are not keyed by the routes of the
-    model (naming the missing and extra keys), one whose tensors, head or
-    buffer rows have shapes the model does not take (naming the key and
-    both shapes), and one with no task left to run."""
+    model (naming the missing and extra keys), and one whose tensors, head
+    or buffer rows have shapes the model does not take (naming the key and
+    both shapes)."""
     spec = dm.ScenarioSpec(scenario="cil", tasks=2, classes_per_task=2,
                            samples_per_class=12, feature_dim=64, noise=0.1,
                            separation=4.0)
@@ -318,34 +305,32 @@ def test_resume_state_must_fit_the_run(tmp_path):
     other = "holds a lora run of 2 tasks, not a {} run of {} tasks"
     unfit = "its {} do not fit a {} model of depth {}: missing {}, extra {}"
     lora_layer_1 = [r.name for r in pm.routes("lora", 2) if r.layer == 1]
-    for saved, t, paradigm, tasks, model, edit, match in (
-        ("lora", 0, "prompt", 2, MODEL, None, other.format("prompt", 2)),
-        ("lora", 0, "lora", 1, MODEL, None, other.format("lora", 1)),
-        ("lora", 1, "lora", 2, MODEL, None, "task 1 is the last of 2 tasks; every task is already done"),
-        ("prompt", 0, "prompt", 2, MODEL, _keyed("buffers", drop="embed"),
+    for saved, paradigm, tasks, model, edit, match in (
+        ("lora", "prompt", 2, MODEL, None, other.format("prompt", 2)),
+        ("lora", "lora", 1, MODEL, None, other.format("lora", 1)),
+        ("prompt", "prompt", 2, MODEL, _keyed("buffer/", drop="embed"),
          unfit.format("buffers", "prompt", 2, ["embed"], [])),
-        ("prompt", 0, "prompt", 2, MODEL, _keyed("buffers", add="attn_in.0"),
+        ("prompt", "prompt", 2, MODEL, _keyed("buffer/", add="attn_in.0"),
          unfit.format("buffers", "prompt", 2, [], ["attn_in.0"])),
-        ("lora", 0, "lora", 2, MODEL, _keyed("params", drop="lora_v_up.1", add="lora_v_up.2"),
+        ("lora", "lora", 2, MODEL, _keyed("pet/", drop="lora_v_up.1", add="lora_v_up.2"),
          unfit.format("tensors", "lora", 2, ["lora_v_up.1"], ["lora_v_up.2"])),
-        ("lora", 0, "lora", 2, replace(MODEL, depth=1), None,
+        ("lora", "lora", 2, replace(MODEL, depth=1), None,
          unfit.format("tensors", "lora", 1, [], lora_layer_1)),
-        ("lora", 0, "lora", 2, MODEL, _reshaped("buffer/attn_in.0", (5, 8)),
+        ("lora", "lora", 2, MODEL, _reshaped("buffer/attn_in.0", (5, 8)),
          "its buffer attn_in.0 has shape (5, 8), not (5, 16)"),
-        ("lora", 0, "lora", 2, MODEL, _reshaped("lora_q_up.0", (16, 16)),
+        ("lora", "lora", 2, MODEL, _reshaped("pet/lora_q_up.0", (16, 16)),
          "its tensor lora_q_up.0 has shape (16, 16), not (4, 16)"),
-        ("lora", 0, "lora", 2, MODEL, _reshaped("head", (16, 5)),
+        ("lora", "lora", 2, MODEL, _reshaped("head", (16, 5)),
          "its head has shape (16, 5), not (16, 4)"),
-        ("prompt", 0, "prompt", 2, MODEL, _reshaped("prompt", (4,)),
+        ("prompt", "prompt", 2, MODEL, _reshaped("pet/prompt", (4,)),
          "its tensor prompt has shape (4,), not (4, 16)"),
-        ("lora", 0, "lora", 2, replace(MODEL, rank=8), None,
+        ("lora", "lora", 2, replace(MODEL, rank=8), None,
          "its tensor lora_q_down.0 has shape (16, 4), not (16, 8)"),
     ):
-        state = ck.load_checkpoint(ck.task_path(tmp_path / saved, t))
-        if edit:
-            edit(state)
+        path = tmp_path / "edited.npz"
+        _rewrite(ck.task_path(tmp_path / saved, 0), edit or (lambda arrays: None), path)
         with pytest.raises(ValueError, match=re.escape(match)):
-            tr.continual_run(stream[:tasks], model, paradigm, cfg, resume=state)
+            ck.load_checkpoint(path, paradigm, model, tasks)
     assert ck.last_task_path(tmp_path / "lora") == tmp_path / "lora" / "task_1.npz"
 
 

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+import zipfile
 from dataclasses import fields
 from pathlib import Path
 
@@ -364,11 +365,13 @@ def test_verify_exit_codes(monkeypatch, capsys):
     assert "1 properties failed: metrics" in shown
 
 
-def test_verify_runs_every_property(capsys):
+def test_verify_runs_every_property(verify_stdout):
     """The real suite, checks unstubbed: one PASS row per entry of
-    `eval.PROPERTIES`, in table order."""
-    assert cli.main(["verify"]) == 0
-    lines = capsys.readouterr().out.splitlines()
+    `eval.PROPERTIES`, in table order.  `test_golden` hashes the same
+    stdout."""
+    code, out = verify_stdout
+    assert code == 0
+    lines = out.splitlines()
     assert [line.split(":")[0] for line in lines[:-1]] == [f"PASS {p[0]}" for p in cli.ev.PROPERTIES]
     assert lines[-1] == "all 15 properties hold"
 
@@ -586,6 +589,16 @@ def _member(name, value=None):
     return _members(change)
 
 
+def _junk(name):
+    """An edit that replaces the bytes of member `name` with bytes that are
+    no `.npy` array, which `np.load` hands back as they are."""
+    def edit(src, dest):
+        with zipfile.ZipFile(src) as old, zipfile.ZipFile(dest, "w") as new:
+            for info in old.infolist():
+                new.writestr(info, b"junk" if info.filename == f"{name}.npy" else old.read(info))
+    return edit
+
+
 def _cut(keep):
     """An edit that keeps the first `keep` bytes of the saved file."""
     def edit(src, dest):
@@ -620,9 +633,14 @@ def _refuse_edited(uninterrupted, tmp_path, capsys, edit, message):
     (_meta("accuracy_rows", "[[0.5]]"), 'its meta accuracy_rows is "[[0.5]]", not of type list'),
     (_meta("accuracy_rows", [[0.5, 0.5]]), "its meta accuracy_rows is [[0.5, 0.5]], not task_index + 1 rows"),
     (_meta("config_hash", 5), "its meta config_hash is 5, not of type str"),
+    (_member("meta", np.array("not json")), "its meta is not JSON (Expecting value"),
+    (_junk("head"), "its head is not an array"),
+    (_junk("pet/lora_q_up.0"), "its tensor lora_q_up.0 is not an array"),
+    (_junk("buffer/attn_in.0"), "its buffer attn_in.0 is not an array"),
 ], ids=["version", "pickled", "0-d-buffer", "1-d-buffer", "empty-file", "truncated-file",
         "no-task-index", "no-head", "no-sampling-state", "string-accuracy-rows",
-        "ragged-accuracy-rows", "int-config-hash"])
+        "ragged-accuracy-rows", "int-config-hash", "meta-not-json", "junk-head",
+        "junk-tensor", "junk-buffer"])
 def test_resume_refuses_an_unreadable_checkpoint(uninterrupted, tmp_path, capsys, edit, message):
     """A checkpoint `load_checkpoint` refuses exits 2 through `--resume:`,
     naming the file and what is wrong with it."""
@@ -640,8 +658,8 @@ def test_resume_refuses_an_unreadable_checkpoint(uninterrupted, tmp_path, capsys
      "its rng state sampling does not load into PCG64"),
 ], ids=["empty-buffer", "nan-buffer", "inf-tensor", "int-head", "bad-rng-state"])
 def test_resume_refuses_a_state_the_run_cannot_use(uninterrupted, tmp_path, capsys, edit, message):
-    """A loadable state that would fail inside `continual_run` is refused
-    by `trainer.resume_start` before the run starts, naming the key."""
+    """A state that would fail inside `continual_run` is refused by
+    `load_checkpoint` before the run starts, naming the key."""
     _refuse_edited(uninterrupted, tmp_path, capsys, edit, message)
 
 

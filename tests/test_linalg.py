@@ -210,7 +210,8 @@ def _oil_lora_rows(site, tasks):
     cfg.spec = replace(cfg.spec, tasks=tasks)
     with tempfile.TemporaryDirectory() as out:
         tr.continual_run(cfg.stream(), cfg.model_cfg, cfg.paradigm, cfg.train_cfg, out_dir=out)
-        return ck.load_checkpoint(ck.task_path(out, tasks - 1))["buffers"][site].rows
+        with np.load(ck.task_path(out, tasks - 1)) as saved:
+            return saved[f"buffer/{site}"]
 
 
 def _first_zeta(a):

@@ -431,6 +431,6 @@ def test_three_task_stream_runs_resumes_and_repeats(scenario, paradigm, tmp_path
     again, _ = tr.continual_run(stream, model, paradigm, cfg)
     assert again.values.tobytes() == matrix.values.tobytes()
     for t in range(spec.tasks - 1):
-        state = ck.load_checkpoint(ck.task_path(tmp_path, t))
+        state = ck.load_checkpoint(ck.task_path(tmp_path, t), paradigm, model, spec.tasks)
         resumed, _ = tr.continual_run(stream, model, paradigm, cfg, resume=state)
         assert resumed.values.tobytes() == matrix.values.tobytes(), t
