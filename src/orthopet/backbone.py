@@ -76,8 +76,8 @@ class TransformerConfig:
             raise ValueError(f"dim {self.dim} not divisible by heads {self.heads}")
         if self.num_classes < 2:
             raise ValueError("need at least two classes")
-        if not np.isfinite(self.mlp_ratio):
-            raise ValueError(f"mlp_ratio must be finite, got {self.mlp_ratio}")
+        if not np.isfinite(self.dim * self.mlp_ratio):
+            raise ValueError(f"mlp_ratio must be finite, as must dim * mlp_ratio, got {self.mlp_ratio}")
         if int(self.dim * self.mlp_ratio) < 1:
             raise ValueError("mlp hidden size must be positive")
         if self.prompt_len < 0 or self.prefix_len < 0 or self.rank < 1:

@@ -12,9 +12,10 @@ task) and projection bases (`trainer.rebuild_bases` derives them bit for
 bit from the buffers and the paradigm tensors).
 
 A save replaces the file at its path atomically, and the same state
-always gives the same file bytes.  Only version 4 loads; versions 1-3
-were one JSON document each and are rejected by version.  A load checks
-the file against the run that resumes from it, once, member by member.
+always gives the same file bytes.  Only version 4 loads; a file that is
+no `.npz`, the JSON of versions 1-3 included, is refused as unreadable.
+A load opens the file once and checks it against the run that resumes
+from it, member by member.
 """
 
 import json
@@ -82,15 +83,6 @@ def _write_npz(path: Path, arrays: dict) -> None:
                 np.lib.format.write_array(out, np.asanyarray(arr), allow_pickle=False)
 
 
-def _legacy_version(path: Path):
-    """The version a pre-4 JSON checkpoint names, or None for other files."""
-    with open(path, "rb") as fh:
-        if fh.read(1) != b"{":
-            return None
-    with open(path) as fh:
-        return json.load(fh).get("version")
-
-
 # The keys of `meta` and the JSON type of each; a bool is no int here.
 _META = {"version": int, "config_hash": str, "task_index": int, "paradigm": str,
          "pet_version": int, "accuracy_rows": list, "matrix_tasks": int, "rng_states": dict}
@@ -117,15 +109,10 @@ def load_checkpoint(path, paradigm, model_cfg, tasks: int) -> dict:
     take (naming the key and both shapes), is not finite float64 or is an
     empty buffer; or an rng state that does not load into a `PCG64`.
     """
-    path = Path(path)
-    legacy = _legacy_version(path)
-    if legacy is not None:
-        raise ValueError(
-            f"unsupported checkpoint version {legacy!r} (a JSON checkpoint); "
-            f"only version {CHECKPOINT_VERSION} .npz checkpoints load"
-        )
+    # Not `np.load`: it hands back a bare `.npy` as an array, and leaks its
+    # file when the zip reader fails.
     try:
-        with np.load(path, allow_pickle=False) as data:
+        with open(path, "rb") as fh, np.lib.npyio.NpzFile(fh, allow_pickle=False) as data:
             for member in ("meta", "head"):
                 if member not in data.files:
                     raise ValueError(f"it has no member {member}")
@@ -133,7 +120,9 @@ def load_checkpoint(path, paradigm, model_cfg, tasks: int) -> dict:
             arrays = {k: data[k] for k in data.files if k == "head" or k.startswith((_PET, _BUFFER))}
     except json.JSONDecodeError as exc:
         raise ValueError(f"its meta is not JSON ({exc})") from exc
-    except (EOFError, zipfile.BadZipFile) as exc:
+    # zipfile raises RuntimeError for an encrypted member, and its subclass
+    # NotImplementedError for a zip version or method it does not read.
+    except (OSError, EOFError, RuntimeError, zipfile.BadZipFile) as exc:
         raise ValueError(f"it is not a readable .npz file ({exc})") from exc
     if not isinstance(meta, dict):
         raise ValueError("its meta is not a JSON object")
@@ -199,7 +188,6 @@ def load_checkpoint(path, paradigm, model_cfg, tasks: int) -> dict:
         for i, acc in enumerate(row):
             matrix.set(j, i, acc)
     return {
-        "version": meta["version"],
         "config_hash": meta["config_hash"],
         "task_index": meta["task_index"],
         "pet": pm.PetState(paradigm=paradigm, params=_under(_PET, arrays), version=meta["pet_version"]),

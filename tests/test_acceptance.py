@@ -23,6 +23,7 @@ import pytest
 
 import orthopet.cli as cli
 import orthopet.eval as ev
+import orthopet.metrics as mt
 import orthopet.pet as pm
 
 pytestmark = pytest.mark.filterwarnings(
@@ -139,8 +140,9 @@ def test_criterion_6_oil_single_epoch():
                     "; ".join(details) + " (projection on vs off, seed means)")
 
 
-def test_criterion_7_basis_size_sweep():
-    rows = _sweep(_config("ablation_lora.json"), "epsilon", [0.6, 0.15, 1e-4])
+def test_criterion_7_basis_size_sweep(ablation_report):
+    rows, _ = mt.load_report(ablation_report)
+    assert [r["value"] for r in rows] == [0.6, 0.15, 1e-4]
     cols = [r["basis_columns"] for r in rows]
     fgt = [r["forgetting"] for r in rows]
     new = [r["new_acc"] for r in rows]

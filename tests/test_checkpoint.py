@@ -2,6 +2,8 @@
 
 import json
 import re
+import struct
+import zipfile
 from dataclasses import replace
 
 import numpy as np
@@ -85,7 +87,6 @@ def test_round_trip_exact(tmp_path):
     assert _save(path, config_hash="abc123", state=state) == path
     got = _load(path)
 
-    assert got["version"] == 4
     assert got["config_hash"] == "abc123"
     assert got["task_index"] == 1
     assert got["pet"].paradigm == "adapter"
@@ -196,14 +197,62 @@ def _legacy_json(path, version):
 
 def test_version_2_checkpoint_rejected(tmp_path):
     path = _legacy_json(tmp_path / "task_0.json", 2)
-    with pytest.raises(ValueError, match="unsupported checkpoint version 2"):
+    with pytest.raises(ValueError, match="it is not a readable .npz file"):
         _load(path)
 
 
 def test_version_3_json_checkpoint_rejected(tmp_path):
     path = _legacy_json(tmp_path / "task_0.json", 3)
-    with pytest.raises(ValueError, match=r"unsupported checkpoint version 3 .*only version 4"):
+    with pytest.raises(ValueError, match="it is not a readable .npz file"):
         _load(path)
+
+
+def _zip_header_offsets(path) -> list:
+    """The offsets of every byte of the zip file at `path` that is no
+    member data: each local header with its name and extra field, the
+    central directory and the end records."""
+    with zipfile.ZipFile(path) as zf:
+        infos, start = zf.infolist(), zf.start_dir
+    data = path.read_bytes()
+    offsets = []
+    for info in infos:
+        name_len, extra_len = struct.unpack_from("<HH", data, info.header_offset + 26)
+        offsets += range(info.header_offset, info.header_offset + 30 + name_len + extra_len)
+    return offsets + list(range(start, len(data)))
+
+
+def test_a_corrupt_checkpoint_loads_or_raises_value_error(tmp_path):
+    """Every byte of a depth-1 prompt checkpoint's zip headers flipped, in
+    all its bits and in its lowest bit, and the file cut at every 7th
+    byte: each load returns or raises ValueError, never another error,
+    and leaves no file open (warnings are errors)."""
+    model = replace(MODEL, depth=1)
+    rng = np.random.default_rng(3)
+    buffers = tr.init_buffers("prompt", model)
+    for buf in buffers.values():
+        buf.add(rng.normal(size=(3, buf.width)))
+    matrix = mt.AccuracyMatrix(tasks=2)
+    matrix.set(0, 0, 0.5)
+    rngs = {name: rng_mod.generator(0, name) for name in ck.RNG_NAMES}
+    path = ck.save_checkpoint(tmp_path / "task_0.npz", config_hash="h", task_index=0,
+                              pet=pm.init_pet(model, "prompt", 2),
+                              head=rng.normal(size=(model.dim, model.num_classes)),
+                              buffers=buffers, matrix=matrix, rngs=rngs)
+    saved = path.read_bytes()
+    corrupt = [saved[:keep] for keep in range(0, len(saved), 7)]
+    for at in _zip_header_offsets(path):
+        for mask in (0xFF, 0x01):
+            flipped = bytearray(saved)
+            flipped[at] ^= mask
+            corrupt.append(bytes(flipped))
+    refused = 0
+    for data in corrupt:
+        path.write_bytes(data)
+        try:
+            ck.load_checkpoint(path, "prompt", model, 2)
+        except ValueError:
+            refused += 1
+    assert refused > len(corrupt) // 2
 
 
 def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):

@@ -135,6 +135,22 @@ def test_non_finite_float_values_exit_2(tmp_path, capsys, key, value):
     assert f"config error: {key.split('.')[1]} must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ratio", [1e308, -1e308])
+def test_an_mlp_ratio_whose_hidden_size_overflows_exits_2(tmp_path, capsys, ratio):
+    """A finite mlp_ratio can still make dim * mlp_ratio infinite."""
+    assert cli.main(["train", "--config", _write(tmp_path, _base(**{"model.mlp_ratio": ratio}))]) == 2
+    assert "config error: mlp_ratio must be finite, as must dim * mlp_ratio" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["train"], ["ablate", "--sweep", "epsilon=0.1,0.2"]],
+                         ids=["train", "ablate"])
+def test_a_config_that_is_not_utf8_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "run.json"
+    path.write_bytes(b'{"paradigm": "\xff\xfe"}')
+    assert cli.main([*command, "--config", str(path)]) == 2
+    assert f"config error: {path}: not valid JSON ('utf-8' codec can't decode" in capsys.readouterr().err
+
+
 WRONG_TYPES = [
     ("train.projection", "off", 'train.projection: must be true or false, got "off"'),
     ("train.batch_size", True, "train.batch_size: must be an integer, got true"),
@@ -606,6 +622,26 @@ def _cut(keep):
     return edit
 
 
+def _replace(write):
+    """An edit that puts what `write(dest)` makes in place of the saved file."""
+    return lambda src, dest: write(dest)
+
+
+def _bare_head(src, dest):
+    """The saved head's `.npy` member on its own, outside any zip."""
+    with zipfile.ZipFile(src) as zf:
+        dest.write_bytes(zf.read("head.npy"))
+
+
+def _flip_zip_version(src, dest):
+    """Flip every bit of the version the first central directory entry
+    needs to extract."""
+    data = bytearray(src.read_bytes())
+    with zipfile.ZipFile(src) as zf:
+        data[zf.start_dir + 6] ^= 0xFF
+    dest.write_bytes(bytes(data))
+
+
 def _refuse_edited(uninterrupted, tmp_path, capsys, edit, message):
     """Resume from an edited copy of the lora run's first checkpoint: it
     exits 2 through `--resume:`, naming the file and `message`."""
@@ -637,10 +673,16 @@ def _refuse_edited(uninterrupted, tmp_path, capsys, edit, message):
     (_junk("head"), "its head is not an array"),
     (_junk("pet/lora_q_up.0"), "its tensor lora_q_up.0 is not an array"),
     (_junk("buffer/attn_in.0"), "its buffer attn_in.0 is not an array"),
+    (_bare_head, "it is not a readable .npz file (File is not a zip file)"),
+    (_replace(Path.mkdir), "it is not a readable .npz file ([Errno 21] Is a directory"),
+    (_flip_zip_version, "it is not a readable .npz file (zip file version 21.0)"),
+    (_replace(lambda dest: dest.write_text("plain text\n")), "it is not a readable .npz file"),
+    (_replace(lambda dest: dest.write_text("{garbage")), "it is not a readable .npz file"),
 ], ids=["version", "pickled", "0-d-buffer", "1-d-buffer", "empty-file", "truncated-file",
         "no-task-index", "no-head", "no-sampling-state", "string-accuracy-rows",
         "ragged-accuracy-rows", "int-config-hash", "meta-not-json", "junk-head",
-        "junk-tensor", "junk-buffer"])
+        "junk-tensor", "junk-buffer", "bare-npy", "directory", "zip-version", "plain-text",
+        "brace-garbage"])
 def test_resume_refuses_an_unreadable_checkpoint(uninterrupted, tmp_path, capsys, edit, message):
     """A checkpoint `load_checkpoint` refuses exits 2 through `--resume:`,
     naming the file and what is wrong with it."""

@@ -1,6 +1,6 @@
 """The shipped outputs, bit for bit: the sha256 of both shipped configs'
-`report.jsonl` and checkpoints, and of `orthopet verify` stdout, against
-`golden_sha256.json`.
+`report.jsonl` and checkpoints, of criterion 7's `ablation.jsonl` and of
+`orthopet verify` stdout, against `golden_sha256.json`.
 
 The bits depend on numpy's dispatch, so the golden values are keyed by a
 dispatch signature: numpy's version, its BLAS and the SIMD extensions it
@@ -51,3 +51,7 @@ def test_shipped_train_outputs_match_golden(config, tmp_path):
 
 def test_verify_stdout_matches_golden(verify_stdout):
     assert hashlib.sha256(verify_stdout[1].encode()).hexdigest() == _golden("verify")
+
+
+def test_criterion_7_ablation_matches_golden(ablation_report):
+    assert _sha256(ablation_report) == _golden("ablation.jsonl")
