@@ -10,15 +10,26 @@ report byte for byte.  `train --resume` continues a stopped run from its
 last checkpoint and gives the same report bytes.  `ablate --sweep`
 takes a key of `eval.SWEEP_KEYS`: `epsilon` or `beta` with numbers, or
 `projection=on,off` to compare the two arms; `beta` only for a paradigm
-with a merging tensor, the one basis it weighs.
+with a merging tensor, the one basis it weighs.  Importing this module
+keeps OpenSSL's `_hashlib` out of the process unless it is already
+loaded, so `hashlib` runs on CPython's builtin hashes.
 
 Exit codes: 0 success, 1 runtime failure, 2 invalid config or usage.
 """
 
+# numpy.random imports secrets, hmac and so `_hashlib`, which maps
+# OpenSSL's libcrypto (3.4 MB resident) for a sha256 and a
+# compare_digest that CPython's builtin `_sha256` and `_operator` give
+# bit for bit.  A None entry makes `import _hashlib` fail, and hashlib,
+# hmac and secrets fall back as on a build without OpenSSL.  The CLI owns
+# its process; setdefault leaves a host's loaded `_hashlib` alone.
+import sys
+
+sys.modules.setdefault("_hashlib", None)
+
 import argparse
 import hashlib
 import json
-import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -99,6 +110,10 @@ def _section(raw: dict, name: str, cls):
         if type(value) not in wanted + ((int,) if float in wanted else ()):
             names = " or ".join(_JSON_NAMES[t] for t in wanted)
             raise ConfigError(f"{name}.{key}: must be {names}, got {json.dumps(value)}")
+        # numpy indexes and sizes arrays with int64; a larger integer
+        # overflows a float product or an array shape.
+        if type(value) is int and not -2**63 <= value < 2**63:
+            raise ConfigError(f"{name}.{key}: integer out of the 64-bit range [-2**63, 2**63)")
     return dict(body)
 
 

@@ -19,6 +19,9 @@ from . import rng as rng_mod
 
 SCENARIOS = ("cil", "til", "dil", "oil")
 TRAIN_FRACTION = 0.8
+# Largest noise and separation: generated values stay near this scale,
+# and their squares, which layernorm and the SVDs sum, stay finite.
+MAX_SCALE = 1e100
 
 
 @dataclass
@@ -43,10 +46,10 @@ class ScenarioSpec:
             raise ValueError("samples_per_class must be >= 5 for an 80/20 split")
         if self.feature_dim < 1:
             raise ValueError("feature_dim must be >= 1")
-        if self.noise < 0.0 or not math.isfinite(self.noise):
-            raise ValueError(f"noise must be finite and >= 0, got {self.noise}")
-        if self.separation <= 0.0 or not math.isfinite(self.separation):
-            raise ValueError(f"separation must be finite and > 0, got {self.separation}")
+        if not 0.0 <= self.noise <= MAX_SCALE:
+            raise ValueError(f"noise must be finite and in [0, {MAX_SCALE:g}], got {self.noise}")
+        if not 0.0 < self.separation <= MAX_SCALE:
+            raise ValueError(f"separation must be finite and in (0, {MAX_SCALE:g}], got {self.separation}")
         if not math.isfinite(self.shift):
             raise ValueError(f"shift must be finite, got {self.shift}")
 

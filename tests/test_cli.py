@@ -151,6 +151,36 @@ def test_a_config_that_is_not_utf8_exits_2(tmp_path, capsys, command):
     assert f"config error: {path}: not valid JSON ('utf-8' codec can't decode" in capsys.readouterr().err
 
 
+TOO_LARGE = [
+    ("model.dim", 10**400, "model.dim: integer out of the 64-bit range"),
+    ("data.feature_dim", 10**400, "data.feature_dim: integer out of the 64-bit range"),
+    ("data.noise", 1e308, "noise must be finite and in [0, 1e+100], got 1e+308"),
+    ("data.separation", 1e308, "separation must be finite and in (0, 1e+100], got 1e+308"),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", [["train"], ["ablate", "--sweep", "epsilon=0.1,0.2"]],
+                         ids=["train", "ablate"])
+@pytest.mark.parametrize("key,value,message", TOO_LARGE, ids=[k for k, _, _ in TOO_LARGE])
+def test_values_too_large_to_run_exit_2(tmp_path, capsys, command, key, value, message):
+    """A size beyond int64 overflows `dim * mlp_ratio` or an array shape, and
+    a noise or separation of 1e308 overflows the samples or the logits:
+    each is refused by name before any data is generated."""
+    path = _write(tmp_path, _base(**{key: value}))
+    assert cli.main([*command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.filterwarnings("ignore::orthopet.projection.EmptyBasisWarning")
+def test_the_largest_noise_and_separation_train_cleanly(tmp_path):
+    """At the bound, samples, logits and SVDs stay finite: no overflow warning."""
+    doc = _base(**{"data.noise": cli.dm.MAX_SCALE, "data.separation": cli.dm.MAX_SCALE})
+    assert cli.main(["train", "--config", _write(tmp_path, doc), "--out", str(tmp_path / "out")]) == 0
+
+
 WRONG_TYPES = [
     ("train.projection", "off", 'train.projection: must be true or false, got "off"'),
     ("train.batch_size", True, "train.batch_size: must be an integer, got true"),
@@ -392,6 +422,14 @@ def test_verify_runs_every_property(verify_stdout):
     assert lines[-1] == "all 15 properties hold"
 
 
+def _fresh(code, *args, timeout=60):
+    """Run `code` in a fresh interpreter that imports orthopet from this
+    checkout, with `args` as its `sys.argv[1:]`."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          env=env, capture_output=True, text=True, timeout=timeout)
+
+
 def test_the_commands_do_not_import_scipy():
     """scipy is a test dependency only: a fresh interpreter that imports the
     CLI, the verify suite and the trainer and prints `orthopet --help` has
@@ -403,8 +441,7 @@ def test_the_commands_do_not_import_scipy():
             "except SystemExit as exc:\n"
             "    assert exc.code == 0, exc.code\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    done = _fresh(code)
     assert done.returncode == 0, done.stderr
     assert "usage: orthopet" in done.stdout
     assert done.stdout.splitlines()[-1] == "[]"
@@ -421,42 +458,94 @@ def test_a_pool_map_imports_no_executor_machinery():
             "    assert run(abs, [-1, -2]) == [1, 2]\n"
             "names = ('concurrent.futures', 'multiprocessing', 'logging', 'socket', 'subprocess')\n"
             "print(sorted(m for m in sys.modules if m in names))\n")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    done = _fresh(code)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == ["[]"]
 
 
-def test_no_process_loads_numpy_ma(tmp_path):
+def _every_process(tmp_path, loaded, then=""):
     """A fresh interpreter trains a tiny prompt and a tiny LoRA config and
-    runs a data-generating `verify` check, each on a two-worker pool: no
-    process loads `numpy.ma` (numpy's `unique` would, at its first call).
-    Every rebuild job checks its worker after its SVD."""
+    runs a data-generating `verify` check, each on a two-worker pool, then
+    runs `then`.  `loaded` is an expression that is true in a process
+    holding what no orthopet process may hold: every rebuild job asserts
+    it false after its SVD, and the output ends with `workers [...]`, its
+    value in each check's worker, and `parent ...`, its value in the
+    parent, before what `then` prints."""
     paths = [_write(tmp_path, _base(paradigm=p), name=f"{p}.json") for p in ("prompt", "lora")]
     code = ("import os, sys\n"
             "os.sched_getaffinity = lambda pid: {0, 1}\n"
             "import orthopet.cli as cli, orthopet.eval as ev, orthopet.projection as pj\n"
             "from orthopet import workers\n"
+            "def loaded():\n"
+            f"    return {loaded}\n"
             "factor = pj.svd_factors\n"
             "def checked(rows):\n"
             "    out = factor(rows)\n"
-            "    assert 'numpy.ma' not in sys.modules, 'a rebuild worker loaded numpy.ma'\n"
+            f"    assert not loaded(), 'a rebuild worker: ' + {loaded!r}\n"
             "    return out\n"
             "def check(paradigm):\n"
             "    ev.orthogonality_check(paradigm)\n"
-            "    return 'numpy.ma' in sys.modules\n"
+            "    return loaded()\n"
             "pj.svd_factors = checked\n"
             "for path in sys.argv[1:]:\n"
             "    assert cli.main(['train', '--config', path, '--out', path + '.out']) == 0\n"
             "with workers.pool(2) as run:\n"
             "    assert run is not workers.inline\n"
             "    print('workers', run(check, ['prefix', 'lora']))\n"
-            "print('parent', 'numpy.ma' in sys.modules)\n")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", code, *paths],
-                          env=env, capture_output=True, text=True, timeout=120)
+            "print('parent', loaded())\n"
+            + then)
+    return _fresh(code, *paths, timeout=120)
+
+
+def test_no_process_loads_numpy_ma(tmp_path):
+    """No process loads `numpy.ma` (numpy's `unique` would, at its first
+    call): not the parent, a rebuild worker or a `verify` check's worker."""
+    done = _every_process(tmp_path, "'numpy.ma' in sys.modules")
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-2:] == ["workers [False, False]", "parent False"]
+
+
+SHA256_ABC = "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+
+
+def test_no_process_maps_libcrypto(tmp_path):
+    """numpy.random imports secrets, hmac and `_hashlib`, which maps
+    OpenSSL's libcrypto; importing `orthopet.cli` first keeps it out of the
+    parent, every rebuild worker and every `verify` check's worker, and
+    `hashlib` still gives sha256's bits."""
+    held = ("sys.modules.get('_hashlib') is not None "
+            "or any('libcrypto' in line for line in open('/proc/self/maps'))")
+    done = _every_process(tmp_path, held, then="import hashlib\nprint(hashlib.sha256(b'abc').hexdigest())\n")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-3:] == ["workers [False, False]", "parent False", SHA256_ABC]
+
+
+def test_the_hashlib_guard_leaves_a_loaded_hashlib_alone():
+    """A host that loaded OpenSSL's `_hashlib` keeps it, with the functions
+    only OpenSSL gives, after it imports `orthopet.cli`."""
+    code = ("import hashlib, sys\n"
+            "import orthopet.cli\n"
+            "assert sys.modules['_hashlib'].__name__ == '_hashlib'\n"
+            "assert hashlib.pbkdf2_hmac.__module__ == '_hashlib' and hasattr(hashlib, 'scrypt')\n")
+    done = _fresh(code)
+    assert done.returncode == 0, done.stderr
+
+
+def test_config_hashes_do_not_depend_on_the_hashlib_guard():
+    """Every shipped config hashes the same with the builtin sha256, where
+    the guard took effect, as with OpenSSL's, where `hashlib` came first."""
+    code = ("import json, sys\n"
+            "from pathlib import Path\n"
+            "if sys.argv[1] == 'openssl':\n"
+            "    import hashlib\n"
+            "import orthopet.cli as cli\n"
+            "assert (sys.modules['_hashlib'] is None) == (sys.argv[1] == 'builtin')\n"
+            "print(json.dumps({p.name: cli.load_config(p).config_hash()\n"
+            "                  for p in sorted(Path(sys.argv[2]).glob('*.json'))}))\n")
+    for side in ("builtin", "openssl"):
+        done = _fresh(code, side, str(CONFIGS))
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == SHIPPED_CONFIG_HASHES, side
 
 
 def test_readme_commands_parse():
