@@ -12,7 +12,9 @@ takes a key of `eval.SWEEP_KEYS`: `epsilon` or `beta` with numbers, or
 `projection=on,off` to compare the two arms; `beta` only for a paradigm
 with a merging tensor, the one basis it weighs.  Importing this module
 keeps OpenSSL's `_hashlib` out of the process unless it is already
-loaded, so `hashlib` runs on CPython's builtin hashes.
+loaded, so `hashlib` runs on CPython's builtin hashes, and sets
+`OPENBLAS_NUM_THREADS=1` unless it is already set, so that OpenBLAS,
+loaded after it, starts no thread.
 
 Exit codes: 0 success, 1 runtime failure, 2 invalid config or usage.
 """
@@ -23,9 +25,15 @@ Exit codes: 0 success, 1 runtime failure, 2 invalid config or usage.
 # bit for bit.  A None entry makes `import _hashlib` fail, and hashlib,
 # hmac and secrets fall back as on a build without OpenSSL.  The CLI owns
 # its process; setdefault leaves a host's loaded `_hashlib` alone.
+import os
 import sys
 
 sys.modules.setdefault("_hashlib", None)
+# The worker pool forks this process.  A fork while other threads run is
+# unsafe (a lock one of them holds stays held in the child), and Python
+# 3.12 and later warn about it.  OpenBLAS starts a thread per extra core
+# when numpy loads unless this is set first; a host's setting is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
 import hashlib

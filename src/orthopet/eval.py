@@ -280,7 +280,7 @@ def orthogonality_check(paradigm: str, epsilon: float = 1e-10) -> dict:
     pet = pm.init_pet(cfg, paradigm, rng_mod.sub_seed(5, "pet"))
     head = w.classifier.copy()
     buffers = tr.init_buffers(paradigm, cfg)
-    tr.update_buffers(w, pet, stream[0].train_x[:8], buffers)
+    tr.update_buffers(w, pet, stream[0].tokens("train", slice(8)), buffers)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", pj.EmptyBasisWarning)
         bases = {site: pj.build_basis(pj.svd_factors(buffers[site].rows), epsilon, site)
@@ -288,7 +288,7 @@ def orthogonality_check(paradigm: str, epsilon: float = 1e-10) -> dict:
     routes = pm.routes(paradigm, cfg.depth)
     for r in routes:
         bases.setdefault(r.basis, bases[r.site])
-    grads = _mean_batch_grads(w, pet, head, stream[1].train_x[:8], stream[1].train_y[:8], seen=4)
+    grads = _mean_batch_grads(w, pet, head, stream[1].tokens("train", slice(8)), stream[1].train_y[:8], seen=4)
     projected = tr.project_grads(pet, grads, bases, cfg.depth)
     overlaps = [_rel_overlap(buffers[r.site].rows, projected[r.name], r.spec.axis) for r in routes]
 
@@ -344,14 +344,14 @@ def _probe_state(paradigm: str):
     tr.train_task(w, pet, head, stream[0], train_cfg, bases=None,
                   seen_classes=2, shuffle_rng=np.random.default_rng(0))
     buffers = tr.init_buffers(paradigm, cfg)
-    tr.update_buffers(w, pet, stream[0].train_x[:32], buffers)
+    tr.update_buffers(w, pet, stream[0].tokens("train", slice(32)), buffers)
     with warnings.catch_warnings():
         # A full-rank bottleneck buffer is a legitimate operating point
         # here; the affected factor simply stays frozen.
         warnings.simplefilter("ignore", pj.EmptyBasisWarning)
         bases = tr.rebuild_bases(pet, buffers, PROBE_PROJ, cfg, workers.inline)
-    probes = stream[0].test_x[:16]
-    batch = (stream[1].train_x[:16], stream[1].train_y[:16])
+    probes = stream[0].tokens("test", slice(16))
+    batch = (stream[1].tokens("train", slice(16)), stream[1].train_y[:16])
     return w, pet, head, bases, probes, batch
 
 

@@ -176,7 +176,7 @@ def evaluate_task(w, pet, head, task, scenario, seen_classes) -> float:
     correct = 0
     for start in range(0, task.n_test, bb.CHUNK_ROWS):
         rows = slice(start, start + bb.CHUNK_ROWS)
-        logits, _ = bb.forward(w, pet, task.test_x[rows], head=head, need_trace=False)
+        logits, _ = bb.forward(w, pet, task.tokens("test", rows), head=head, need_trace=False)
         predicted = np.argmax(np.where(mask, logits, -np.inf), axis=1)
         correct += int(np.count_nonzero(predicted == task.test_y[rows]))
     return correct / task.n_test
@@ -198,16 +198,17 @@ def train_task(w, pet, head, task, cfg, bases=None, *, seen_classes=None,
 
     ``bases=None`` disables projection entirely (the baseline path);
     passing identity bases instead must give the same trajectory.
-    ``train_rows`` overrides the training split, e.g. to hold out the
-    feature-sampling slice.
+    ``train_rows``, an index array into the task's training split,
+    overrides it, e.g. to hold out the feature-sampling slice.  Each step
+    tokenizes only its batch.
     """
     opt = OptimizerState(cfg.optimizer)
     if seen_classes is None:
         seen_classes = max(task.classes) + 1
     if shuffle_rng is None:
         shuffle_rng = rng_mod.generator(cfg.seed, "shuffle")
-    xs, ys = (task.train_x, task.train_y) if train_rows is None else train_rows
-    n = xs.shape[0]
+    rows = np.arange(task.n_train) if train_rows is None else np.asarray(train_rows)
+    n = rows.size
     if n == 0:
         raise ValueError(f"task {task.task_id}: no training rows")
     mask = logit_mask(cfg.scenario, "train", head.shape[1], seen_classes, task.classes)
@@ -216,13 +217,13 @@ def train_task(w, pet, head, task, cfg, bases=None, *, seen_classes=None,
         order = shuffle_rng.permutation(n)
         total = 0.0
         for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            logits, trace = bb.forward(w, pet, xs[idx], head=head)
-            losses, dlogits = masked_cross_entropy(logits, mask, ys[idx])
+            idx = rows[order[start:start + cfg.batch_size]]
+            logits, trace = bb.forward(w, pet, task.tokens("train", idx), head=head)
+            losses, dlogits = masked_cross_entropy(logits, mask, task.train_y[idx])
             finite = np.isfinite(losses)
             if not finite.all():
                 raise FloatingPointError(
-                    f"non-finite loss on task {task.task_id}, epoch {epoch}, sample {idx[np.argmin(finite)]}"
+                    f"non-finite loss on task {task.task_id}, epoch {epoch}, train row {idx[np.argmin(finite)]}"
                 )
             for loss in losses.tolist():
                 total += loss
@@ -348,15 +349,14 @@ def continual_run(stream, model_cfg, paradigm, cfg, out_dir=None, config_hash=""
             seen = max(max(s.classes) for s in stream[: t + 1]) + 1
             perm = rngs["sampling"].permutation(task.n_train)
             k = min(cfg.proj.sample_count, max(task.n_train - 1, 0))
-            sampling_set = task.train_x[perm[:k]]
-            train_rows = (task.train_x[perm[k:]], task.train_y[perm[k:]])
+            sampling_set = task.tokens("train", perm[:k])
             before = pj.sample_features(w, pet, sampling_set, fixed)
             dealt = [deal_factors(run, sorted(before), pet, {
                 site: np.vstack([buffers[site].rows, rows]) for site, rows in before.items()})]
             use_bases = bases if (cfg.projection and t > 0) else None
             curve = train_task(
                 w, pet, head, task, cfg, use_bases,
-                seen_classes=seen, shuffle_rng=rngs["shuffle"], train_rows=train_rows,
+                seen_classes=seen, shuffle_rng=rngs["shuffle"], train_rows=perm[k:],
             )
             info["loss_curves"].append(curve)
             update_buffers(w, pet, sampling_set, buffers, before)

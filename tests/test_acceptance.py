@@ -17,14 +17,19 @@ same step.  Every paradigm's unprojected ratio must sit in 1.6-2.4.
 
 import json
 import time
+import warnings
+from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import orthopet.cli as cli
 import orthopet.eval as ev
 import orthopet.metrics as mt
 import orthopet.pet as pm
+from orthopet import workers
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::orthopet.projection.EmptyBasisWarning")
@@ -48,6 +53,28 @@ def _sweep(run, key, values):
     """`ev.ablation_sweep` over SEEDS on one config's benchmark."""
     return ev.ablation_sweep(run.stream(), run.model_cfg, run.paradigm, run.train_cfg,
                              key, values, SEEDS)
+
+
+def _projection_sweep(run, shipped_run, config) -> list[dict]:
+    """`_sweep(run, "projection", [True, False])`'s rows, except that the
+    seed-0 projection-on run is the shipped train of `config`, the same
+    stream, config and seed: `shipped_run` trains it on the sweep's pool if
+    no test did yet, and its report gives that run's summary."""
+    assert run.train_cfg.seed == SEEDS[0] and run.train_cfg.projection
+    cells = [(True, seed) for seed in SEEDS[1:]] + [(False, seed) for seed in SEEDS]
+    cfgs = [replace(run.train_cfg, seed=seed, projection=value) for value, seed in cells]
+    with workers.pool(len(cfgs) + 1) as pool:
+        shipped = shipped_run.start(config, pool)
+        runs = pool.start(partial(ev._sweep_run, run.stream(), run.model_cfg, run.paradigm), cfgs)
+        (shipped_record,), _ = mt.load_report(shipped() / "report.jsonl")
+        runs = runs()
+    per_seed = {True: [shipped_record], False: []}
+    for (value, _), (summary, _, caught) in zip(cells, runs):
+        for message, category, filename, lineno in caught:
+            warnings.warn_explicit(message, category, filename, lineno)
+        per_seed[value].append(summary)
+    return [{**{k: float(np.mean([r[k] for r in per_seed[value]])) for k in mt.METRICS},
+             "per_seed": per_seed[value]} for value in (True, False)]
 
 
 def _seed_ranges(rows, key, sep) -> str:
@@ -115,9 +142,9 @@ def test_criterion_4_step_size_scaling():
     ))
 
 
-def test_criterion_5_cil_forgetting_reduction():
+def test_criterion_5_cil_forgetting_reduction(shipped_run):
     t0 = time.perf_counter()
-    rows = _sweep(_config("cil_prompt.json"), "projection", [True, False])
+    rows = _projection_sweep(_config("cil_prompt.json"), shipped_run, "cil_prompt.json")
     elapsed = time.perf_counter() - t0
     on, off = rows
     reduction = 1.0 - on["forgetting"] / off["forgetting"]
@@ -128,10 +155,12 @@ def test_criterion_5_cil_forgetting_reduction():
     ))
 
 
-def test_criterion_6_oil_single_epoch():
+def test_criterion_6_oil_single_epoch(shipped_run):
     details, ok = [], True
     for paradigm in ("adapter", "lora"):
-        rows = _sweep(_config("oil_lora.json", paradigm=paradigm), "projection", [True, False])
+        run = _config("oil_lora.json", paradigm=paradigm)
+        rows = (_projection_sweep(run, shipped_run, "oil_lora.json") if paradigm == "lora"
+                else _sweep(run, "projection", [True, False]))
         on, off = rows
         ok = ok and on["forgetting"] < off["forgetting"]
         details.append(f"{paradigm} forgetting {_on_off(rows, 'forgetting')}, "

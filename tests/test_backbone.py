@@ -502,12 +502,17 @@ def test_evaluate_task_chunks_keep_row_order():
     classes = list(range(CFG.num_classes))
     shifted = (predicted + np.arange(ODD_ROWS) % 2) % CFG.num_classes
 
+    # an identity tokenizer, whose tokens of a row are exactly its xs
+    tok = dm.Tokenizer(seq_len=xs.shape[1], token_width=xs.shape[2], dim=xs.shape[2], matrix=np.eye(xs.shape[2]))
+    raws = xs.reshape(ODD_ROWS, -1)
+
     def task(labels):
-        return dm.TaskDataset(task_id=0, classes=classes, train_x=xs[:0], train_y=labels[:0],
-                              test_x=xs, test_y=labels)
+        return dm.TaskDataset(task_id=0, classes=classes, tokenizer=tok, train_raw=raws[:0],
+                              train_y=labels[:0], test_raw=raws, test_y=labels)
 
     # "dil" masks nothing, so each row's prediction is its plain argmax
     assert ODD_ROWS % bb.CHUNK_ROWS != 0
+    assert task(predicted).tokens("test").tobytes() == xs.tobytes()
     assert tr.evaluate_task(w, pet, head, task(predicted), "dil", None) == 1.0
     expected = np.count_nonzero(shifted == predicted) / ODD_ROWS
     assert 0.0 < expected < 1.0

@@ -422,10 +422,11 @@ def test_verify_runs_every_property(verify_stdout):
     assert lines[-1] == "all 15 properties hold"
 
 
-def _fresh(code, *args, timeout=60):
+def _fresh(code, *args, timeout=60, environ=os.environ):
     """Run `code` in a fresh interpreter that imports orthopet from this
-    checkout, with `args` as its `sys.argv[1:]`."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    checkout, with `args` as its `sys.argv[1:]` and `environ` as its
+    environment."""
+    env = {**environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
     return subprocess.run([sys.executable, "-c", code, *args],
                           env=env, capture_output=True, text=True, timeout=timeout)
 
@@ -546,6 +547,38 @@ def test_config_hashes_do_not_depend_on_the_hashlib_guard():
         done = _fresh(code, side, str(CONFIGS))
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout) == SHIPPED_CONFIG_HASHES, side
+
+
+@pytest.mark.parametrize("setting", [None, "2"])
+def test_the_cli_forks_without_openblas_threads(setting, tmp_path):
+    """Importing `orthopet.cli` before numpy sets `OPENBLAS_NUM_THREADS=1`
+    unless the environment already sets it, so a train's process has one
+    thread at every fork of its two-worker pool; an explicit setting is
+    kept, and OpenBLAS starts that many threads.  (OpenBLAS stops its
+    threads before a fork, so a later fork can see fewer.)"""
+    code = ("import os, sys\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "import orthopet.cli as cli\n"
+            "threads, fork = [], os.fork\n"
+            "def counted():\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        threads.append(next(int(line.split()[1]) for line in fh if line.startswith('Threads:')))\n"
+            "    return fork()\n"
+            "os.fork = counted\n"
+            "assert cli.main(['train', '--config', sys.argv[1], '--out', sys.argv[1] + '.out']) == 0\n"
+            "print(os.environ['OPENBLAS_NUM_THREADS'], *threads)\n")
+    environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if setting is not None:
+        environ["OPENBLAS_NUM_THREADS"] = setting
+    done = _fresh(code, _write(tmp_path, _base(paradigm="lora")), environ=environ, timeout=120)
+    assert done.returncode == 0, done.stderr
+    kept, *threads = done.stdout.splitlines()[-1].split()
+    if setting is None:
+        assert (kept, threads) == ("1", ["1", "1"])
+    else:
+        assert kept == setting and len(threads) == 2
+        if len(os.sched_getaffinity(0)) >= 2:
+            assert max(map(int, threads)) == 2
 
 
 def test_readme_commands_parse():

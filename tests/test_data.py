@@ -76,6 +76,25 @@ def test_tokenizer_linearity_zero_and_determinism():
         tok.tokenize_batch(np.array([[np.inf] + [0.0] * 15]))
 
 
+@pytest.mark.parametrize("feature_dim, seq_len, dim", [(64, 4, 32), (16, 4, 8), (128, 4, 32)])
+def test_tokens_of_a_subset_have_the_bits_of_the_whole_split(feature_dim, seq_len, dim):
+    """A stream keeps raw draws and tokenizes only the rows asked for; the
+    tokens of any subset of rows, in any order, are the same rows of the
+    whole split's tokens, bit for bit (64 -> 4 x 32 is the shipped
+    configs' shape)."""
+    spec = spec_for(tasks=2, samples_per_class=50, feature_dim=feature_dim)
+    task = dm.gen_stream(spec, dm.make_tokenizer(feature_dim, seq_len, dim, 0), seed=3)[1]
+    gen = np.random.default_rng(0)
+    for split, n in (("train", task.n_train), ("test", task.n_test)):
+        whole = task.tokens(split)
+        assert whole.tobytes() == task.tokenizer.tokenize_batch(getattr(task, f"{split}_raw")).tobytes()
+        for _ in range(600):
+            rows = gen.choice(n, size=int(gen.integers(1, min(n, 40) + 1)), replace=bool(gen.integers(2)))
+            assert task.tokens(split, rows).tobytes() == whole[rows].tobytes()
+        for rows in (slice(8), slice(5, None, 3), np.arange(n)[::-1]):
+            assert task.tokens(split, rows).tobytes() == whole[rows].tobytes()
+
+
 def test_split_classes_shapes_and_balance():
     spec = spec_for()
     tok = tok_for(spec)
@@ -84,8 +103,10 @@ def test_split_classes_shapes_and_balance():
     for t, task in enumerate(stream):
         assert task.task_id == t
         assert task.classes == [2 * t, 2 * t + 1]
-        assert task.train_x.shape == (2 * 16, 4, 8)
-        assert task.test_x.shape == (2 * 4, 4, 8)
+        assert task.train_raw.shape == (2 * 16, 16)
+        assert task.test_raw.shape == (2 * 4, 16)
+        assert task.tokens("train").shape == (2 * 16, 4, 8)
+        assert task.tokens("test").shape == (2 * 4, 4, 8)
         for cls in task.classes:
             assert int((task.train_y == cls).sum()) == 16
             assert int((task.test_y == cls).sum()) == 4
@@ -97,9 +118,9 @@ def test_split_classes_deterministic():
     a = dm.gen_stream(spec, tok, seed=9)
     b = dm.gen_stream(spec, tok, seed=9)
     c = dm.gen_stream(spec, tok, seed=10)
-    assert np.array_equal(a[0].train_x, b[0].train_x)
+    assert np.array_equal(a[0].tokens("train"), b[0].tokens("train"))
     assert np.array_equal(a[3].test_y, b[3].test_y)
-    assert not np.array_equal(a[0].train_x, c[0].train_x)
+    assert not np.array_equal(a[0].tokens("train"), c[0].tokens("train"))
 
 
 def test_split_classes_zero_noise_collapses_clusters():
@@ -107,7 +128,7 @@ def test_split_classes_zero_noise_collapses_clusters():
     tok = tok_for(spec)
     task = dm.gen_stream(spec, tok, seed=1)[0]
     for cls in task.classes:
-        rows = task.train_x[task.train_y == cls]
+        rows = task.tokens("train", task.train_y == cls)
         assert np.abs(rows - rows[0]).max() == 0.0
 
 
@@ -115,7 +136,7 @@ def test_split_classes_probe_accuracy():
     spec = spec_for(samples_per_class=50)
     tok = tok_for(spec)
     task = dm.gen_stream(spec, tok, seed=11)[0]
-    acc = nearest_centroid_accuracy(task.train_x, task.train_y, task.test_x, task.test_y)
+    acc = nearest_centroid_accuracy(task.tokens("train"), task.train_y, task.tokens("test"), task.test_y)
     assert acc >= 0.99
 
 
@@ -131,11 +152,11 @@ def test_domain_shift_zero_angle_reproduces_means():
     spec = spec_for("dil", noise=0.0, shift=0.0, samples_per_class=6, classes_per_task=3)
     tok = tok_for(spec)
     stream = dm.gen_stream(spec, tok, seed=13)
-    base = {c: stream[0].train_x[stream[0].train_y == c][0] for c in stream[0].classes}
+    base = {c: stream[0].tokens("train", stream[0].train_y == c)[0] for c in stream[0].classes}
     for task in stream[1:]:
         assert task.classes == stream[0].classes
         for c in task.classes:
-            rows = task.train_x[task.train_y == c]
+            rows = task.tokens("train", task.train_y == c)
             assert np.abs(rows - base[c]).max() <= 1e-12
 
 
@@ -145,7 +166,8 @@ def test_domain_shift_probe_degrades_with_angle():
         spec = spec_for("dil", classes_per_task=4, samples_per_class=40, shift=shift, tasks=2)
         tok = tok_for(spec, seed=5)
         stream = dm.gen_stream(spec, tok, seed=17)
-        accs.append(nearest_centroid_accuracy(stream[0].train_x, stream[0].train_y, stream[1].test_x, stream[1].test_y))
+        accs.append(nearest_centroid_accuracy(stream[0].tokens("train"), stream[0].train_y,
+                                              stream[1].tokens("test"), stream[1].test_y))
     assert all(accs[i + 1] <= accs[i] + 0.02 for i in range(len(accs) - 1))
     assert accs[-1] < accs[0] - 0.2
 
@@ -164,16 +186,16 @@ def test_scenario_routing():
 
 
 def test_task_dataset_rejects_labels_outside_classes():
-    x = np.zeros((2, 4, 8))
+    raw = np.zeros((2, 16))
     with pytest.raises(ValueError, match="labels outside declared classes"):
-        dm.TaskDataset(task_id=0, classes=[0, 1], train_x=x, train_y=np.array([0, 2]),
-                       test_x=x, test_y=np.array([0, 1]))
+        dm.TaskDataset(task_id=0, classes=[0, 1], tokenizer=dm.make_tokenizer(16, 4, 8, 0),
+                       train_raw=raw, train_y=np.array([0, 2]), test_raw=raw, test_y=np.array([0, 1]))
 
 
 def _task(train_y, test_y, classes=(0, 1)):
-    x = np.zeros((len(train_y), 4, 8))
-    return dm.TaskDataset(task_id=3, classes=list(classes), train_x=x, train_y=np.asarray(train_y),
-                          test_x=np.zeros((len(test_y), 4, 8)), test_y=np.asarray(test_y))
+    return dm.TaskDataset(task_id=3, classes=list(classes), tokenizer=dm.make_tokenizer(16, 4, 8, 0),
+                          train_raw=np.zeros((len(train_y), 16)), train_y=np.asarray(train_y),
+                          test_raw=np.zeros((len(test_y), 16)), test_y=np.asarray(test_y))
 
 
 def test_task_dataset_label_check():

@@ -16,8 +16,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import orthopet.cli as cli
-
 HERE = Path(__file__).resolve().parent
 GOLDEN = json.loads((HERE / "golden_sha256.json").read_text())
 
@@ -39,14 +37,12 @@ def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-@pytest.mark.filterwarnings("ignore::orthopet.projection.EmptyBasisWarning")
 @pytest.mark.parametrize("config", ["cil_prompt.json", "oil_lora.json"])
-def test_shipped_train_outputs_match_golden(config, tmp_path):
+def test_shipped_train_outputs_match_golden(config, shipped_run):
     want = _golden(config)
-    assert cli.main(["train", "--config", str(HERE.parent / "configs" / config),
-                     "--out", str(tmp_path)]) == 0
-    files = [tmp_path / "report.jsonl", *sorted((tmp_path / "checkpoints").glob("*.npz"))]
-    assert {str(f.relative_to(tmp_path)): _sha256(f) for f in files} == want
+    out = shipped_run(config)
+    files = [out / "report.jsonl", *sorted((out / "checkpoints").glob("*.npz"))]
+    assert {str(f.relative_to(out)): _sha256(f) for f in files} == want
 
 
 def test_verify_stdout_matches_golden(verify_stdout):

@@ -263,20 +263,18 @@ def test_train_rows_override_and_empty_rejection():
     w, pet, head = _fresh("adapter")
     cfg = tr.TrainConfig(epochs=1, batch_size=4, lr=0.01, optimizer="sgd",
                          scenario="cil", seed=0)
-    rows = (task.train_x[:6], task.train_y[:6])
-    tr.train_task(w, pet, head, task, cfg, seen_classes=2, train_rows=rows)
-    empty = (task.train_x[:0], task.train_y[:0])
+    tr.train_task(w, pet, head, task, cfg, seen_classes=2, train_rows=np.arange(6))
     with pytest.raises(ValueError, match="no training rows"):
-        tr.train_task(w, pet, head, task, cfg, seen_classes=2, train_rows=empty)
+        tr.train_task(w, pet, head, task, cfg, seen_classes=2, train_rows=np.arange(0))
 
 
 @pytest.mark.parametrize("k", [0, 2])
 def test_non_finite_loss_names_its_sample(k, monkeypatch):
-    """The per-batch finite check names the sample at the first non-finite
-    batch position, idx[k]; a finite epoch's mean loss is the in-order
-    Python-float sum of the per-sample losses over n."""
+    """The per-batch finite check names the task's training row at the
+    first non-finite batch position, rows[idx[k]]; a finite epoch's mean
+    loss is the in-order Python-float sum of the per-sample losses over n."""
     task = _stream()[0]
-    rows = (task.train_x[:10], task.train_y[:10])
+    rows = np.arange(3, 13)
     cfg = tr.TrainConfig(epochs=1, batch_size=4, lr=0.01, optimizer="sgd", scenario="cil", seed=0)
     order = np.random.default_rng(5).permutation(10)
     seen_losses = []
@@ -306,7 +304,7 @@ def test_non_finite_loss_names_its_sample(k, monkeypatch):
     poisoned.batches = 0
     monkeypatch.setattr(tr, "masked_cross_entropy", poisoned)
     w, pet, head = _fresh("prompt")
-    with pytest.raises(FloatingPointError, match=rf"task 0, epoch 0, sample {order[4 + k]}$"):
+    with pytest.raises(FloatingPointError, match=rf"task 0, epoch 0, train row {rows[order[4 + k]]}$"):
         tr.train_task(w, pet, head, task, cfg, seen_classes=2, train_rows=rows,
                       shuffle_rng=np.random.default_rng(5))
 
@@ -390,7 +388,7 @@ def test_projection_with_buffered_probes_freezes_first_task_accuracy():
     a_11 = tr.evaluate_task(w, pet, head, stream[0], "til", seen_classes=2)
 
     buffers = tr.init_buffers("prompt", model)
-    probes = np.concatenate([stream[0].train_x, stream[0].test_x])
+    probes = np.concatenate([stream[0].tokens("train"), stream[0].tokens("test")])
     tr.update_buffers(w, pet, probes, buffers)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", pj.EmptyBasisWarning)
