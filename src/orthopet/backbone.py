@@ -220,13 +220,15 @@ def _softmax_rows(s: np.ndarray) -> np.ndarray:
     return s
 
 
-def forward(w: FrozenWeights, pet: pet_mod.PetState, x: np.ndarray, head: np.ndarray, need_trace: bool = True,
-            blocks: int | None = None):
+def forward(w: FrozenWeights, pet: pet_mod.PetState, x: np.ndarray, head: np.ndarray | None,
+            need_trace: bool = True, blocks: int | None = None):
     """Run a batch of tokenized samples (batch x seq_len x dim) through the network.
 
     Returns ((batch, classes) logits, trace); trace is None when
     need_trace is False.  `head` is a (dim, classes) classifier: the
     trainer's mutable copy, or `w.classifier` where no head trains.
+    With `head` None the pass stops at the pool and returns ((batch, dim)
+    pooled vectors, None): it computes no logits and checks none.
     With `blocks` below the depth only the first `blocks` blocks run, with
     the bits of a full pass, and the result is (None, trace) with their
     layers alone, a trace to read feature sites from that `backward`
@@ -240,7 +242,7 @@ def forward(w: FrozenWeights, pet: pet_mod.PetState, x: np.ndarray, head: np.nda
     cfg = w.cfg
     if x.ndim != 3 or x.shape[-1] != cfg.dim:
         raise ValueError(f"token batch must be (batch, seq_len, {cfg.dim}), got {x.shape}")
-    if head.ndim != 2 and (head.ndim != 3 or head.shape[0] != x.shape[0]):
+    if head is not None and head.ndim != 2 and (head.ndim != 3 or head.shape[0] != x.shape[0]):
         raise ValueError(f"head must be (dim, classes) or ({x.shape[0]}, dim, classes), got {head.shape}")
     scale = math.sqrt(cfg.head_dim)
 
@@ -280,15 +282,29 @@ def forward(w: FrozenWeights, pet: pet_mod.PetState, x: np.ndarray, head: np.nda
 
     xhat_f, inv_f = _layernorm(z)
     pooled = np.add.reduce(xhat_f, axis=1) / xhat_f.shape[1]
-    # One (1 x dim) @ (dim x classes) product per sample, the same kernel
-    # for every batch size.
-    logits = np.matmul(pooled[:, None, :], head)[:, 0]
-    if not np.all(np.isfinite(logits)):
-        raise FloatingPointError("non-finite logits in forward pass")
+    if head is None:
+        return pooled, None
+    logits = head_logits(pooled, head)
     trace = None
     if need_trace:
         trace = ActivationTrace(x_embed, layers, xhat_f, inv_f, pooled, logits, pet, pet.version)
     return logits, trace
+
+
+def head_logits(pooled: np.ndarray, head: np.ndarray) -> np.ndarray:
+    """(batch, classes) logits of (batch, dim) pooled vectors: one
+    (1 x dim) @ (dim x classes) product per sample, the same kernel for
+    every batch size.  Raises FloatingPointError on a non-finite logit."""
+    logits = np.matmul(pooled[:, None, :], head)[:, 0]
+    if not np.all(np.isfinite(logits)):
+        raise FloatingPointError("non-finite logits in forward pass")
+    return logits
+
+
+def head_gradient(pooled: np.ndarray, dlogits: np.ndarray) -> np.ndarray:
+    """d(loss)/d(head) of a shared head, summed over the batch in sample
+    order."""
+    return (pooled[:, :, None] * dlogits[:, None, :]).sum(axis=0)
 
 
 def backward(trace: ActivationTrace, w: FrozenWeights, pet: pet_mod.PetState, dlogits: np.ndarray, head: np.ndarray):
@@ -315,7 +331,7 @@ def backward(trace: ActivationTrace, w: FrozenWeights, pet: pet_mod.PetState, dl
         raise ValueError(f"dlogits shape {dlogits.shape} does not match traced logits {trace.logits.shape}")
 
     grads = {}
-    head_grad = (trace.pooled[:, :, None] * dlogits[:, None, :]).sum(axis=0)
+    head_grad = head_gradient(trace.pooled, dlogits)
     dpooled = np.matmul(head, dlogits[:, :, None])[..., 0]
 
     dz_final = np.empty_like(trace.xhat_f)

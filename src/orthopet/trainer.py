@@ -7,7 +7,10 @@ per-site buffers, which keep every sampled row, and rebuilds the
 projection bases from them.  From the second task onward, raw gradients
 are projected onto the stored feature null space before the optimizer
 sees them, so optimizer moments accumulate already-projected directions.
-The head is never projected.
+The head is never projected.  When every basis has zero columns the
+projected gradients are exact zeros and no paradigm tensor can move: that
+task trains the head alone on pooled vectors computed once per row, with
+the bits of the full path (see `train_task`).
 
 Class visibility is controlled per scenario:
 
@@ -33,6 +36,7 @@ process, in job order, so bases and warnings are those of an inline
 rebuild.
 """
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -191,16 +195,50 @@ def project_grads(pet, grads, bases, depth) -> dict:
     }
 
 
+def frozen(pet, bases, depth) -> bool:
+    """Whether `bases` leaves every paradigm tensor frozen: each route's
+    basis is one `project` takes for the tensor's gradient, with zero
+    columns, so every projected gradient is exact +0.0 zeros."""
+    return bases is not None and all(
+        r.basis in bases and bases[r.basis].shape == (pet.params[r.name].shape[r.spec.axis], 0)
+        for r in pm.routes(pet.paradigm, depth)
+    )
+
+
+def pooled_rows(w, pet, task, rows):
+    """The pooled vectors of the task's training `rows`, in forwards of
+    CHUNK_ROWS rows, which compute and check no logits.  None when a
+    chunk's rows cannot be tokenized (an index out of range, a row the
+    tokenizer refuses): the task then takes the full path, which raises at
+    the step that reads the row."""
+    chunks = []
+    for start in range(0, rows.size, bb.CHUNK_ROWS):
+        try:
+            x = task.tokens("train", rows[start:start + bb.CHUNK_ROWS])
+        except (IndexError, ValueError):
+            return None
+        chunks.append(bb.forward(w, pet, x, None, need_trace=False)[0])
+    return np.concatenate(chunks)
+
+
 def train_task(w, pet, head, task, cfg, bases=None, *, seen_classes=None,
                shuffle_rng=None, train_rows=None) -> list[float]:
     """Train on one task with a fresh optimizer; returns the per-epoch
     mean loss curve.
 
-    ``bases=None`` disables projection entirely (the baseline path);
-    passing identity bases instead must give the same trajectory.
+    ``bases=None`` disables projection entirely (the baseline path).
     ``train_rows``, an index array into the task's training split,
     overrides it, e.g. to hold out the feature-sampling slice.  Each step
     tokenizes only its batch.
+
+    When every basis has zero columns (`frozen`) the paradigm tensors
+    cannot move, and the task trains the head alone: each training row's
+    pooled vector is computed once (`pooled_rows`), and a step computes
+    only the logits, the loss and the head gradient of its rows, with no
+    backbone pass and no projection.  The result has the bits of the full
+    path: a zero-column basis projects to exact zeros, which leave a
+    tensor unchanged under SGD and Adam (whose moments start afresh each
+    task), and a batch computes the bits of its rows run alone.
     """
     opt = OptimizerState(cfg.optimizer)
     if seen_classes is None:
@@ -212,13 +250,19 @@ def train_task(w, pet, head, task, cfg, bases=None, *, seen_classes=None,
     if n == 0:
         raise ValueError(f"task {task.task_id}: no training rows")
     mask = logit_mask(cfg.scenario, "train", head.shape[1], seen_classes, task.classes)
+    pooled = pooled_rows(w, pet, task, rows) if frozen(pet, bases, w.cfg.depth) else None
     curve = []
     for epoch in range(cfg.epochs):
         order = shuffle_rng.permutation(n)
         total = 0.0
         for start in range(0, n, cfg.batch_size):
-            idx = rows[order[start:start + cfg.batch_size]]
-            logits, trace = bb.forward(w, pet, task.tokens("train", idx), head=head)
+            batch = order[start:start + cfg.batch_size]
+            idx = rows[batch]
+            if pooled is None:
+                logits, trace = bb.forward(w, pet, task.tokens("train", idx), head=head)
+            else:
+                cached = pooled[batch]
+                logits = bb.head_logits(cached, head)
             losses, dlogits = masked_cross_entropy(logits, mask, task.train_y[idx])
             finite = np.isfinite(losses)
             if not finite.all():
@@ -227,13 +271,16 @@ def train_task(w, pet, head, task, cfg, bases=None, *, seen_classes=None,
                 )
             for loss in losses.tolist():
                 total += loss
-            grads, head_grad = bb.backward(trace, w, pet, dlogits, head=head)
             inv = 1.0 / idx.size
-            for name in grads:
-                grads[name] *= inv
+            if pooled is None:
+                grads, head_grad = bb.backward(trace, w, pet, dlogits, head=head)
+                for name in grads:
+                    grads[name] *= inv
+                if bases is not None:
+                    grads = project_grads(pet, grads, bases, w.cfg.depth)
+            else:
+                grads, head_grad = {}, bb.head_gradient(cached, dlogits)
             head_grad *= inv
-            if bases is not None:
-                grads = project_grads(pet, grads, bases, w.cfg.depth)
             apply_updates(opt, pet, head, grads, head_grad, cfg.lr)
         curve.append(total / n)
     return curve
@@ -283,7 +330,9 @@ def rebuild_bases(pet, buffers, proj_cfg, model_cfg, run, dealt=()) -> dict:
     `rebuild_jobs` is factored through `run` (see `workers.pool`): those
     of `dealt`, `deal_factors` pairs, were dealt before this call and the
     rest are dealt here.  The bases are cut, completed and merged here, in
-    job order, so any `EmptyBasisWarning` is raised in this process.
+    job order, so any `EmptyBasisWarning` is raised in this process: for
+    an empty site basis by `build_basis`, and for an empty merged basis
+    here, naming the tensor and beta.
     """
     jobs = rebuild_jobs(pet.paradigm, model_cfg.depth)
     done = {key for keys, _ in dealt for key in keys}
@@ -299,6 +348,13 @@ def rebuild_bases(pet, buffers, proj_cfg, model_cfg, run, dealt=()) -> dict:
         else:
             own = pj.build_basis(factors[r.name], proj_cfg.epsilon, r.name)
             bases[r.basis] = pj.merge_bases(bases[r.site], own, proj_cfg.beta)
+            if bases[r.basis].shape[1] == 0:
+                warnings.warn(
+                    f"tensor {r.name}: merged basis is empty at beta={proj_cfg.beta:g}; "
+                    "projected gradients will be zero",
+                    pj.EmptyBasisWarning,
+                    stacklevel=2,
+                )
     return bases
 
 

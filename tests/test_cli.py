@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import orthopet.cli as cli
+import orthopet.trainer as tr
 from orthopet.projection import EmptyBasisWarning
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -632,15 +633,20 @@ def uninterrupted(tmp_path_factory):
 @pytest.mark.filterwarnings("ignore::orthopet.projection.EmptyBasisWarning")
 @pytest.mark.parametrize("paradigm", ["lora", "prompt"])
 @pytest.mark.parametrize("k", range(RESUME_TASKS - 1))
-def test_resume_after_every_task_reproduces_the_run(uninterrupted, tmp_path, paradigm, k):
+def test_resume_after_every_task_reproduces_the_run(uninterrupted, tmp_path, monkeypatch, paradigm, k):
     """Stop after task k, resume: the report and every later checkpoint
-    match the run that was never interrupted."""
+    match the run that was never interrupted.  Every prompt task after
+    the first is frozen (its merged basis has no column), so the prompt
+    runs resume through the head-only path; no LoRA task is frozen."""
     path, full = uninterrupted[paradigm]
     out = tmp_path / "out"
     (out / "checkpoints").mkdir(parents=True)
     for t in range(k + 1):
         shutil.copy(full / "checkpoints" / f"task_{t}.npz", out / "checkpoints")
+    frozen, seen = tr.frozen, []
+    monkeypatch.setattr(tr, "frozen", lambda *args: seen.append(frozen(*args)) or seen[-1])
     assert cli.main(["train", "--config", path, "--out", str(out), "--resume"]) == 0
+    assert seen == [paradigm == "prompt"] * (RESUME_TASKS - 1 - k)
     assert (out / "report.jsonl").read_bytes() == (full / "report.jsonl").read_bytes()
     for t in range(k + 1, RESUME_TASKS):
         name = f"task_{t}.npz"

@@ -309,6 +309,148 @@ def test_non_finite_loss_names_its_sample(k, monkeypatch):
                       shuffle_rng=np.random.default_rng(5))
 
 
+# -- frozen tasks: the head-only path ---------------------------------------
+
+def _bases(pet, cols):
+    """A basis of `cols` all-zero columns for every route of `pet`: zero
+    columns take the head-only path, and one column the full path, whose
+    projected gradients are the same exact zeros."""
+    return {r.basis: np.zeros((pet.params[r.name].shape[r.spec.axis], cols))
+            for r in pm.routes(pet.paradigm, MODEL.depth)}
+
+
+def _train_counted(monkeypatch, paradigm, optimizer, bases_of, task=None):
+    """train_task on task 1 (or `task`) from the same start, with the bases
+    `bases_of(pet)`: the trained pet and head, the loss curve or the
+    exception raised, and the counts of forward and backward calls and
+    optimizer steps."""
+    task = _stream()[1] if task is None else task
+    w, pet, head = _fresh(paradigm)
+    cfg = tr.TrainConfig(epochs=3, batch_size=8, lr=0.05, optimizer=optimizer, scenario="cil", seed=0)
+    calls = {"forward": 0, "backward": 0, "steps": 0}
+
+    def counted(key, fn):
+        def call(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(bb, "forward", counted("forward", bb.forward))
+    monkeypatch.setattr(bb, "backward", counted("backward", bb.backward))
+    monkeypatch.setattr(tr, "apply_updates", counted("steps", tr.apply_updates))
+    try:
+        result = tr.train_task(w, pet, head, task, cfg, bases=bases_of(pet), seen_classes=4,
+                               shuffle_rng=np.random.default_rng(9))
+    except (ValueError, FloatingPointError) as exc:
+        result = exc
+    monkeypatch.undo()
+    return pet, head, result, calls
+
+
+@pytest.mark.parametrize("paradigm, optimizer", [("prompt", "sgd"), ("lora", "adam")])
+def test_head_only_path_has_the_bits_of_the_full_path(monkeypatch, paradigm, optimizer):
+    """Zero-column bases train the head alone; one all-zero column runs the
+    backbone and projects to the same exact zeros.  Head, paradigm tensors
+    and loss curve come out equal, and the tensors did not move."""
+    _, start, _ = _fresh(paradigm)
+    pet_a, head_a, curve_a, calls_a = _train_counted(monkeypatch, paradigm, optimizer,
+                                                     lambda pet: _bases(pet, 0))
+    pet_b, head_b, curve_b, calls_b = _train_counted(monkeypatch, paradigm, optimizer,
+                                                     lambda pet: _bases(pet, 1))
+    assert calls_a["backward"] == 0 and calls_b["backward"] == calls_b["steps"] > 0
+    assert curve_a == curve_b
+    assert np.array_equal(head_a, head_b) and not np.array_equal(head_a, start)
+    for name, arr in pet_a.params.items():
+        assert np.array_equal(arr, pet_b.params[name]), name
+        assert np.array_equal(arr, start.params[name]), name
+
+
+def test_head_only_path_runs_only_when_every_basis_is_empty(monkeypatch):
+    """A frozen task makes one forward per CHUNK_ROWS training rows and no
+    backward; one basis with a column, no bases at all, or a zero-column
+    basis of the wrong width runs the full path."""
+    n = _stream()[1].n_train
+    steps = 3 * -(-n // 8)
+    _, _, _, frozen = _train_counted(monkeypatch, "lora", "adam", lambda pet: _bases(pet, 0))
+    assert frozen == {"forward": -(-n // bb.CHUNK_ROWS), "backward": 0, "steps": steps}
+
+    def one_column(pet):
+        bases = _bases(pet, 0)
+        bases["lora_q_mid.1"] = np.eye(MODEL.rank)[:, :1]
+        return bases
+
+    for bases_of in (one_column, lambda pet: None):
+        _, _, _, full = _train_counted(monkeypatch, "lora", "adam", bases_of)
+        assert full == {"forward": steps, "backward": steps, "steps": steps}
+
+    def wrong_width(pet):
+        bases = _bases(pet, 0)
+        bases["lora_q_mid.1"] = np.zeros((MODEL.rank + 1, 0))
+        return bases
+
+    # a basis `project` refuses takes the full path, which raises at step 0
+    _, _, err, calls = _train_counted(monkeypatch, "lora", "adam", wrong_width)
+    assert isinstance(err, ValueError) and str(err).startswith("project: gradient axis 0 is 4, basis width is 5")
+    assert calls == {"forward": 1, "backward": 1, "steps": 0}
+
+
+@pytest.mark.parametrize("where", ["tokens", "raw"])
+def test_a_bad_row_raises_at_the_same_step_on_both_paths(monkeypatch, where):
+    """A NaN in one training row's tokens raises the forward's
+    FloatingPointError, and one in its raw draw the tokenizer's ValueError,
+    at the step that reads the row, with zero-column bases as with one
+    column: building the pooled vectors raises nothing early."""
+    task = _stream()[1]
+    order = np.random.default_rng(9).permutation(task.n_train)
+    bad = order[task.n_train // 2]
+    if where == "raw":
+        raw = task.train_raw.copy()
+        raw[bad, 5] = np.nan
+        task = replace(task, train_raw=raw)
+    else:
+        tokens = task.tokens
+
+        def planted(split, rows=slice(None)):
+            x = tokens(split, rows)
+            x[np.arange(task.n_train)[rows] == bad, 1, 3] = np.nan
+            return x
+
+        task = replace(task)
+        task.tokens = planted
+    results = [_train_counted(monkeypatch, "prompt", "sgd", lambda pet: _bases(pet, cols), task)
+               for cols in (0, 1)]
+    (_, head_a, err_a, calls_a), (_, head_b, err_b, calls_b) = results
+    kind, message = {"tokens": (FloatingPointError, "non-finite logits in forward pass"),
+                     "raw": (ValueError, "raw batch must be finite")}[where]
+    for err in (err_a, err_b):
+        assert type(err) is kind and str(err) == message
+    assert calls_a["steps"] == calls_b["steps"] == (task.n_train // 2) // 8
+    # rows the tokenizer refuses leave the frozen task to the full path
+    assert calls_a["backward"] == (0 if where == "tokens" else calls_b["backward"])
+    assert np.array_equal(head_a, head_b)
+
+
+def test_an_empty_merged_basis_warns_naming_the_tensor_and_beta():
+    """No column pair passes beta = 1, so the merged prompt basis comes out
+    empty and `rebuild_bases` warns once, as `build_basis` does for an
+    empty site basis; at beta = 0 the merge keeps columns and nothing
+    warns."""
+    w, pet, _ = _fresh("prompt")
+    buffers = tr.init_buffers("prompt", MODEL)
+    tr.update_buffers(w, pet, _stream()[0].tokens("train", np.arange(2)), buffers)
+    proj = pj.ProjectionConfig(beta=1.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        bases = tr.rebuild_bases(pet, buffers, proj, MODEL, workers.inline)
+    assert [(c.category, str(c.message)) for c in caught] == [
+        (pj.EmptyBasisWarning, "tensor prompt: merged basis is empty at beta=1; projected gradients will be zero")]
+    assert bases["prompt"].shape == (MODEL.dim, 0) and bases["embed"].shape[1] > 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bases = tr.rebuild_bases(pet, buffers, replace(proj, beta=0.0), MODEL, workers.inline)
+    assert bases["prompt"].shape[1] > 0
+
+
 # -- continual runs ----------------------------------------------------------
 
 def test_continual_run_is_deterministic():
