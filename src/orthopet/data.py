@@ -8,7 +8,16 @@ In the cil, til and oil scenarios each task gets its own disjoint label
 block; a dil stream keeps one label set and rotates the raw feature space
 a little further each task.
 
-A stream holds the raw draws, not tokens: `TaskDataset.tokens` maps only
+A stream keeps, per task, the test split, the labels, the classes and
+the state of the data generator where the task's draws start, but not
+the training draws: `TaskDataset.drawn` draws the training split again
+from that state, through the same `_assemble_task`, and checks that the
+test split comes out with the kept bits.  A run draws each task's
+training split when the task starts and drops it when the task ends, so
+it holds at most one (164 KB of draws for the shipped configs, against
+five in a stream that kept them).
+
+Splits hold raw draws, not tokens: `TaskDataset.tokens` maps only
 the rows a forward reads.  numpy's matmul of an (n, seq_len, token_width)
 stack makes one product per sample, so the tokens of a subset of rows
 have the bits of the same rows of the whole split.  A stored token grid
@@ -18,7 +27,7 @@ shipped configs; not storing them lowered `oil_lora`'s peak RSS by about
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -76,16 +85,22 @@ class ScenarioSpec:
 
 @dataclass
 class TaskDataset:
-    """One task's labelled raw draws, (n, feature_dim) per split, with the
-    run's tokenizer."""
+    """One task's labels and raw draws, (n, feature_dim) per split, with
+    the run's tokenizer.
+
+    A task of a stream holds no training draws (`train_raw` is None) but
+    its `source`: the spec, the class means and the generator state that
+    `gen_stream` drew the task from.  `drawn` gives the task with them.
+    """
 
     task_id: int
     classes: list[int]
     tokenizer: "Tokenizer"
-    train_raw: np.ndarray
     train_y: np.ndarray
     test_raw: np.ndarray
     test_y: np.ndarray
+    train_raw: np.ndarray | None = None
+    source: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
         # Not `np.unique`: its first call imports `numpy.ma` (numpy 2.x
@@ -97,16 +112,35 @@ class TaskDataset:
 
     @property
     def n_train(self) -> int:
-        return self.train_raw.shape[0]
+        return self.train_y.shape[0]
 
     @property
     def n_test(self) -> int:
         return self.test_raw.shape[0]
 
+    def drawn(self) -> "TaskDataset":
+        """This task with its training draws: itself if it holds them, else
+        the task drawn again from `source`.  The redraw reproduces the test
+        split too, and raises, naming the task, unless it has the bits kept
+        here."""
+        if self.train_raw is not None:
+            return self
+        if self.source is None:
+            raise ValueError(f"task {self.task_id}: no training draws and no source to draw them from")
+        spec, means, state = self.source
+        gen = np.random.Generator(np.random.PCG64(0))  # any seed: the state replaces it
+        gen.bit_generator.state = state
+        again = _assemble_task(spec, self.tokenizer, self.task_id, means, gen)
+        if again.test_raw.tobytes() != self.test_raw.tobytes():
+            raise RuntimeError(f"task {self.task_id}: drawn again, its test split has other bits than the stream's")
+        return replace(self, train_raw=again.train_raw)
+
     def tokens(self, split: str, rows=slice(None)) -> np.ndarray:
         """The token grids of `rows` (an index array or a slice) of the
-        "train" or "test" split."""
+        "train" or "test" split; "train" needs a `drawn` task."""
         raw = {"train": self.train_raw, "test": self.test_raw}[split]
+        if raw is None:
+            raise ValueError(f"task {self.task_id}: the training split is not drawn")
         return self.tokenizer.tokenize_batch(raw[rows])
 
 
@@ -185,7 +219,11 @@ def _split_rows(raws: np.ndarray, gen: np.random.Generator):
     return raws[perm[:n_train]], raws[perm[n_train:]]
 
 
-def _assemble_task(spec, tokenizer, task_id, classes, means, gen, rotate=None):
+def _assemble_task(spec, tokenizer, task_id, means, gen):
+    """Task `task_id` of the stream of `spec`, drawn from `gen`; for dil
+    its raw space is rotated by task_id * shift."""
+    classes = spec.task_classes(task_id)
+    rotate = rotation_matrix(spec.feature_dim, spec.shift * task_id) if spec.scenario == "dil" else None
     train_raws, train_labels, test_raws, test_labels = [], [], [], []
     for cls in classes:
         raws = means[cls] + spec.noise * gen.normal(size=(spec.samples_per_class, spec.feature_dim))
@@ -200,24 +238,24 @@ def _assemble_task(spec, tokenizer, task_id, classes, means, gen, rotate=None):
         task_id=task_id,
         classes=list(classes),
         tokenizer=tokenizer,
-        train_raw=np.vstack(train_raws),
         train_y=np.concatenate(train_labels),
         test_raw=np.vstack(test_raws),
         test_y=np.concatenate(test_labels),
+        train_raw=np.vstack(train_raws),
     )
 
 
 def gen_stream(spec: ScenarioSpec, tokenizer: Tokenizer, seed) -> list[TaskDataset]:
     """The task stream of `spec`: disjoint label blocks, or for dil one
-    label set with task t's raw space rotated by t * shift."""
+    label set with task t's raw space rotated by t * shift.  Every task is
+    drawn in order, so the generator advances as if all were kept, but a
+    task keeps only its `source`, not its training draws (see `drawn`)."""
     if tokenizer.feature_dim != spec.feature_dim:
         raise ValueError("tokenizer feature_dim does not match spec")
     gen = rng_mod.generator(seed, "data")
     means = _class_means(spec, gen)
-    return [
-        _assemble_task(
-            spec, tokenizer, t, spec.task_classes(t), means, gen,
-            rotate=rotation_matrix(spec.feature_dim, spec.shift * t) if spec.scenario == "dil" else None,
-        )
-        for t in range(spec.tasks)
-    ]
+    stream = []
+    for t in range(spec.tasks):
+        source = (spec, means, gen.bit_generator.state)
+        stream.append(replace(_assemble_task(spec, tokenizer, t, means, gen), train_raw=None, source=source))
+    return stream

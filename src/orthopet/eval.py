@@ -52,9 +52,11 @@ def ablation_sweep(stream, model_cfg, paradigm, base_cfg, key, values, seeds) ->
     avg_acc / forgetting / new_acc and the seed-mean raw basis column
     count after the final rebuild, with the per-seed values under `per_seed`.
 
-    The (value, seed) runs are one map over a `workers.pool`; each run
-    rebuilds inline in its worker, as pools never nest, and the warnings
-    it raised are raised again here, in run order.
+    The (value, seed) runs are one map over a `workers.pool`; each job
+    carries the stream, which holds no training draws (`data.gen_stream`),
+    and each run draws them task by task in its worker, where it also
+    rebuilds inline, as pools never nest.  The warnings a run raised are
+    raised again here, in run order.
     """
     if key not in SWEEP_KEYS:
         raise ValueError(f"sweep key must be one of {SWEEP_KEYS}, got {key!r}")
@@ -275,12 +277,12 @@ def orthogonality_check(paradigm: str, epsilon: float = 1e-10) -> dict:
     """
     cfg = ORTHO_MODEL
     tok = dm.make_tokenizer(ORTHO_DATA.feature_dim, cfg.seq_len, cfg.dim, 5)
-    stream = dm.gen_stream(ORTHO_DATA, tok, 5)
+    first, second = (task.drawn() for task in dm.gen_stream(ORTHO_DATA, tok, 5))
     w = bb.init_backbone(cfg, rng_mod.sub_seed(5, "backbone"))
     pet = pm.init_pet(cfg, paradigm, rng_mod.sub_seed(5, "pet"))
     head = w.classifier.copy()
     buffers = tr.init_buffers(paradigm, cfg)
-    tr.update_buffers(w, pet, stream[0].tokens("train", slice(8)), buffers)
+    tr.update_buffers(w, pet, first.tokens("train", slice(8)), buffers)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", pj.EmptyBasisWarning)
         bases = {site: pj.build_basis(pj.svd_factors(buffers[site].rows), epsilon, site)
@@ -288,7 +290,7 @@ def orthogonality_check(paradigm: str, epsilon: float = 1e-10) -> dict:
     routes = pm.routes(paradigm, cfg.depth)
     for r in routes:
         bases.setdefault(r.basis, bases[r.site])
-    grads = _mean_batch_grads(w, pet, head, stream[1].tokens("train", slice(8)), stream[1].train_y[:8], seen=4)
+    grads = _mean_batch_grads(w, pet, head, second.tokens("train", slice(8)), second.train_y[:8], seen=4)
     projected = tr.project_grads(pet, grads, bases, cfg.depth)
     overlaps = [_rel_overlap(buffers[r.site].rows, projected[r.name], r.spec.axis) for r in routes]
 
@@ -333,7 +335,7 @@ def _probe_state(paradigm: str):
     """Train the first task, build bases from it, stage a second-task batch."""
     cfg = PROBE_MODEL
     tok = dm.make_tokenizer(PROBE_DATA.feature_dim, cfg.seq_len, cfg.dim, 0)
-    stream = dm.gen_stream(PROBE_DATA, tok, 0)
+    first, second = (task.drawn() for task in dm.gen_stream(PROBE_DATA, tok, 0))
     w = bb.init_backbone(cfg, rng_mod.sub_seed(0, "backbone"))
     pet = pm.init_pet(cfg, paradigm, rng_mod.sub_seed(0, "pet"))
     head = w.classifier.copy()
@@ -341,17 +343,17 @@ def _probe_state(paradigm: str):
         epochs=3, batch_size=16, lr=0.05, optimizer="sgd", scenario="cil",
         seed=0, projection=True, proj=PROBE_PROJ,
     )
-    tr.train_task(w, pet, head, stream[0], train_cfg, bases=None,
+    tr.train_task(w, pet, head, first, train_cfg, bases=None,
                   seen_classes=2, shuffle_rng=np.random.default_rng(0))
     buffers = tr.init_buffers(paradigm, cfg)
-    tr.update_buffers(w, pet, stream[0].tokens("train", slice(32)), buffers)
+    tr.update_buffers(w, pet, first.tokens("train", slice(32)), buffers)
     with warnings.catch_warnings():
         # A full-rank bottleneck buffer is a legitimate operating point
         # here; the affected factor simply stays frozen.
         warnings.simplefilter("ignore", pj.EmptyBasisWarning)
         bases = tr.rebuild_bases(pet, buffers, PROBE_PROJ, cfg, workers.inline)
-    probes = stream[0].tokens("test", slice(16))
-    batch = (stream[1].tokens("train", slice(16)), stream[1].train_y[:16])
+    probes = first.tokens("test", slice(16))
+    batch = (second.tokens("train", slice(16)), second.train_y[:16])
     return w, pet, head, bases, probes, batch
 
 

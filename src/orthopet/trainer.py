@@ -1,16 +1,18 @@
 """Sequential-task training with per-site orthogonal gradient projection.
 
-One continual run is a loop over a task stream.  Each task trains the
-paradigm tensors plus a shared linear head, evaluates on every task seen
-so far, then appends the features of a held-out sampling slice to
-per-site buffers, which keep every sampled row, and rebuilds the
-projection bases from them.  From the second task onward, raw gradients
-are projected onto the stored feature null space before the optimizer
-sees them, so optimizer moments accumulate already-projected directions.
-The head is never projected.  When every basis has zero columns the
-projected gradients are exact zeros and no paradigm tensor can move: that
-task trains the head alone on pooled vectors computed once per row, with
-the bits of the full path (see `train_task`).
+One continual run is a loop over a task stream.  Each task draws its
+training split (`data.TaskDataset.drawn`), trains the paradigm tensors
+plus a shared linear head, appends the features of a held-out sampling
+slice to per-site buffers, which keep every sampled row, and drops the
+split.  It then evaluates on the test split of every task seen so far and
+rebuilds the projection bases from the buffers.  From the second task
+onward, raw gradients are projected onto the stored feature null space
+before the optimizer sees them, so optimizer moments accumulate
+already-projected directions.  The head is never projected.  When every
+basis has zero columns the projected gradients are exact zeros and no
+paradigm tensor can move: that task trains the head alone on pooled
+vectors computed once per row, with the bits of the full path (see
+`train_task`).
 
 Class visibility is controlled per scenario:
 
@@ -367,7 +369,9 @@ def continual_run(stream, model_cfg, paradigm, cfg, out_dir=None, config_hash=""
     returned for this run, with a task left to run, continues the run from
     the task after the saved one: the backbone is re-initialised from its
     seed, the bases are rebuilt from the restored buffers and paradigm
-    tensors, and info covers only the tasks run here.  Every rebuild, that
+    tensors, and info covers only the tasks run here.  A task's training
+    split is drawn when the task starts and dropped once its sampled rows
+    are buffered, so the run holds at most one.  Every rebuild, that
     one included, factors on the run's one `workers.pool`; each task's
     rebuild is dealt in two parts, the fixed sites before the task trains
     and the rest before it is evaluated (see the module docstring).
@@ -401,7 +405,7 @@ def continual_run(stream, model_cfg, paradigm, cfg, out_dir=None, config_hash=""
             bases = rebuild_bases(pet, buffers, cfg.proj, model_cfg, run)
         info = {"loss_curves": [], "basis_sizes": []}
         for t in range(start, len(stream)):
-            task = stream[t]
+            task = stream[t].drawn()
             seen = max(max(s.classes) for s in stream[: t + 1]) + 1
             perm = rngs["sampling"].permutation(task.n_train)
             k = min(cfg.proj.sample_count, max(task.n_train - 1, 0))
@@ -416,6 +420,7 @@ def continual_run(stream, model_cfg, paradigm, cfg, out_dir=None, config_hash=""
             )
             info["loss_curves"].append(curve)
             update_buffers(w, pet, sampling_set, buffers, before)
+            del task, sampling_set  # the task's training split is read no more
             dealt.append(deal_factors(run, [key for key in jobs if key not in before], pet,
                                       {site: b.rows for site, b in buffers.items()}))
             for i in range(t + 1):

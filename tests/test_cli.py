@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+import weakref
 import zipfile
 from dataclasses import fields
 from pathlib import Path
@@ -15,7 +16,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import orthopet.backbone as bb
 import orthopet.cli as cli
+import orthopet.data as dm
 import orthopet.trainer as tr
 from orthopet.projection import EmptyBasisWarning
 
@@ -651,6 +654,60 @@ def test_resume_after_every_task_reproduces_the_run(uninterrupted, tmp_path, mon
     for t in range(k + 1, RESUME_TASKS):
         name = f"task_{t}.npz"
         assert (out / "checkpoints" / name).read_bytes() == (full / "checkpoints" / name).read_bytes()
+
+
+@pytest.mark.filterwarnings("ignore::orthopet.projection.EmptyBasisWarning")
+@pytest.mark.parametrize("paradigm", ["lora", "prompt"])
+@pytest.mark.parametrize("k", [None, 1], ids=["fresh", "resumed"])
+def test_a_run_draws_each_training_split_again_and_holds_one_at_a_time(
+        uninterrupted, tmp_path, monkeypatch, paradigm, k):
+    """The stream drops each task's training draws; the run draws task t's
+    again, with the bits the stream drew, when task t starts, from the
+    first task or from task k + 1 under `--resume`.  Every forward sees at
+    most one task's training draws alive and every evaluation none.  The
+    prompt runs take the head-only path after task 0, the LoRA runs the
+    full path."""
+    path, full = uninterrupted[paradigm]
+    out = tmp_path / "out"
+    args = ["train", "--config", path, "--out", str(out)]
+    if k is not None:
+        (out / "checkpoints").mkdir(parents=True)
+        for t in range(k + 1):
+            shutil.copy(full / "checkpoints" / f"task_{t}.npz", out / "checkpoints")
+        args.append("--resume")
+    draws, alive = [], []
+    assemble, forward, evaluate, frozen = dm._assemble_task, bb.forward, tr.evaluate_task, tr.frozen
+
+    def live():
+        return sum(ref() is not None for ref in alive)
+
+    def drawing(spec, tokenizer, task_id, means, gen):
+        assert live() == 0, f"task {task_id} drawn while another's training draws are alive"
+        task = assemble(spec, tokenizer, task_id, means, gen)
+        draws.append((task_id, task.train_raw.tobytes()))
+        alive.append(weakref.ref(task.train_raw))
+        return task
+
+    def forwarding(*args, **kwargs):
+        assert live() <= 1
+        return forward(*args, **kwargs)
+
+    def evaluating(*args):
+        assert live() == 0
+        return evaluate(*args)
+
+    seen = []
+    monkeypatch.setattr(dm, "_assemble_task", drawing)
+    monkeypatch.setattr(bb, "forward", forwarding)
+    monkeypatch.setattr(tr, "evaluate_task", evaluating)
+    monkeypatch.setattr(tr, "frozen", lambda *args: seen.append(frozen(*args)) or seen[-1])
+    assert cli.main(args) == 0
+    first = 0 if k is None else k + 1
+    stream, run = draws[:RESUME_TASKS], draws[RESUME_TASKS:]
+    assert [t for t, _ in stream] == list(range(RESUME_TASKS))
+    assert run == stream[first:]
+    assert seen == [paradigm == "prompt" and t > 0 for t in range(first, RESUME_TASKS)]
+    assert (out / "report.jsonl").read_bytes() == (full / "report.jsonl").read_bytes()
 
 
 def test_resume_refuses_another_config(uninterrupted, tmp_path, capsys):

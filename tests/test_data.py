@@ -5,6 +5,8 @@ well-separated Gaussian clusters it should be essentially perfect, and it
 should decay as the domain rotation angle grows.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,11 @@ def spec_for(scenario="cil", **kw):
 
 def tok_for(spec, seed=0, seq_len=4, dim=8):
     return dm.make_tokenizer(spec.feature_dim, seq_len, dim, seed)
+
+
+def drawn_stream(spec, tok, seed):
+    """The stream of `spec` with every task's training split drawn."""
+    return [task.drawn() for task in dm.gen_stream(spec, tok, seed)]
 
 
 def test_scenario_spec_validation():
@@ -83,7 +90,7 @@ def test_tokens_of_a_subset_have_the_bits_of_the_whole_split(feature_dim, seq_le
     whole split's tokens, bit for bit (64 -> 4 x 32 is the shipped
     configs' shape)."""
     spec = spec_for(tasks=2, samples_per_class=50, feature_dim=feature_dim)
-    task = dm.gen_stream(spec, dm.make_tokenizer(feature_dim, seq_len, dim, 0), seed=3)[1]
+    task = dm.gen_stream(spec, dm.make_tokenizer(feature_dim, seq_len, dim, 0), seed=3)[1].drawn()
     gen = np.random.default_rng(0)
     for split, n in (("train", task.n_train), ("test", task.n_test)):
         whole = task.tokens(split)
@@ -103,6 +110,8 @@ def test_split_classes_shapes_and_balance():
     for t, task in enumerate(stream):
         assert task.task_id == t
         assert task.classes == [2 * t, 2 * t + 1]
+        assert task.train_raw is None and task.n_train == 2 * 16
+        task = task.drawn()
         assert task.train_raw.shape == (2 * 16, 16)
         assert task.test_raw.shape == (2 * 4, 16)
         assert task.tokens("train").shape == (2 * 16, 4, 8)
@@ -115,9 +124,9 @@ def test_split_classes_shapes_and_balance():
 def test_split_classes_deterministic():
     spec = spec_for()
     tok = tok_for(spec)
-    a = dm.gen_stream(spec, tok, seed=9)
-    b = dm.gen_stream(spec, tok, seed=9)
-    c = dm.gen_stream(spec, tok, seed=10)
+    a = drawn_stream(spec, tok, seed=9)
+    b = drawn_stream(spec, tok, seed=9)
+    c = drawn_stream(spec, tok, seed=10)
     assert np.array_equal(a[0].tokens("train"), b[0].tokens("train"))
     assert np.array_equal(a[3].test_y, b[3].test_y)
     assert not np.array_equal(a[0].tokens("train"), c[0].tokens("train"))
@@ -126,7 +135,7 @@ def test_split_classes_deterministic():
 def test_split_classes_zero_noise_collapses_clusters():
     spec = spec_for(noise=0.0, samples_per_class=10)
     tok = tok_for(spec)
-    task = dm.gen_stream(spec, tok, seed=1)[0]
+    task = dm.gen_stream(spec, tok, seed=1)[0].drawn()
     for cls in task.classes:
         rows = task.tokens("train", task.train_y == cls)
         assert np.abs(rows - rows[0]).max() == 0.0
@@ -135,7 +144,7 @@ def test_split_classes_zero_noise_collapses_clusters():
 def test_split_classes_probe_accuracy():
     spec = spec_for(samples_per_class=50)
     tok = tok_for(spec)
-    task = dm.gen_stream(spec, tok, seed=11)[0]
+    task = dm.gen_stream(spec, tok, seed=11)[0].drawn()
     acc = nearest_centroid_accuracy(task.tokens("train"), task.train_y, task.tokens("test"), task.test_y)
     assert acc >= 0.99
 
@@ -151,7 +160,7 @@ def test_rotation_matrix_orthogonal():
 def test_domain_shift_zero_angle_reproduces_means():
     spec = spec_for("dil", noise=0.0, shift=0.0, samples_per_class=6, classes_per_task=3)
     tok = tok_for(spec)
-    stream = dm.gen_stream(spec, tok, seed=13)
+    stream = drawn_stream(spec, tok, seed=13)
     base = {c: stream[0].tokens("train", stream[0].train_y == c)[0] for c in stream[0].classes}
     for task in stream[1:]:
         assert task.classes == stream[0].classes
@@ -165,7 +174,7 @@ def test_domain_shift_probe_degrades_with_angle():
     for shift in (0.0, 0.5, 1.0, 1.5):
         spec = spec_for("dil", classes_per_task=4, samples_per_class=40, shift=shift, tasks=2)
         tok = tok_for(spec, seed=5)
-        stream = dm.gen_stream(spec, tok, seed=17)
+        stream = drawn_stream(spec, tok, seed=17)
         accs.append(nearest_centroid_accuracy(stream[0].tokens("train"), stream[0].train_y,
                                               stream[1].tokens("test"), stream[1].test_y))
     assert all(accs[i + 1] <= accs[i] + 0.02 for i in range(len(accs) - 1))
@@ -210,3 +219,65 @@ def test_task_dataset_label_check():
                             ([0], [np.nan])):
         with pytest.raises(ValueError, match="^task 3: labels outside declared classes$"):
             _task(np.array(train_y), np.array(test_y))
+
+
+def _original_draws(monkeypatch, spec, seed):
+    """The stream of `spec` and the training draws `gen_stream` made for
+    each task before it dropped them."""
+    drawn, assemble = [], dm._assemble_task
+
+    def recording(*args):
+        task = assemble(*args)
+        drawn.append(task.train_raw.copy())
+        return task
+
+    monkeypatch.setattr(dm, "_assemble_task", recording)
+    stream = dm.gen_stream(spec, tok_for(spec), seed)
+    monkeypatch.undo()
+    return stream, drawn
+
+
+@pytest.mark.parametrize("scenario, samples_per_class", [
+    ("cil", 20), ("til", 20), ("oil", 20), ("dil", 20), ("cil", 13), ("dil", 7)])
+def test_a_redrawn_training_split_has_the_bits_of_the_original_draws(monkeypatch, scenario, samples_per_class):
+    """A stream keeps no training draws; `drawn` draws each task's again,
+    in any order and as often as asked, with the bits `gen_stream` drew,
+    for every scenario, a rotated dil stream and uneven 80/20 splits (13
+    rows a class give 10 and 3, 7 give 5 and 2)."""
+    spec = spec_for(scenario, samples_per_class=samples_per_class, shift=0.5)
+    stream, original = _original_draws(monkeypatch, spec, seed=21)
+    n_train = int(dm.TRAIN_FRACTION * samples_per_class) * spec.classes_per_task
+    assert [d.shape for d in original] == [(n_train, spec.feature_dim)] * spec.tasks
+    for t in (3, 0, 4, 1, 2, 3):
+        task = stream[t].drawn()
+        assert stream[t].train_raw is None and task.drawn() is task
+        assert task.train_raw.tobytes() == original[t].tobytes(), t
+        assert task.test_raw is stream[t].test_raw and task.n_train == stream[t].n_train == n_train
+    if scenario == "dil":
+        assert not np.array_equal(original[0], original[1])
+
+
+def test_a_redraw_that_misses_the_test_split_raises_naming_the_task():
+    """`drawn` checks the test split it draws again against the kept one:
+    one changed bit there, or the generator state of another task, and it
+    raises, naming the task."""
+    spec = spec_for()
+    stream = dm.gen_stream(spec, tok_for(spec), seed=4)
+    task = stream[2]
+    test_raw = task.test_raw.copy()
+    test_raw[3, 5] = np.nextafter(test_raw[3, 5], np.inf)
+    message = "^task 2: drawn again, its test split has other bits than the stream's$"
+    with pytest.raises(RuntimeError, match=message):
+        replace(task, test_raw=test_raw).drawn()
+    with pytest.raises(RuntimeError, match=message):
+        replace(task, source=stream[3].source).drawn()
+
+
+def test_training_tokens_need_a_drawn_task():
+    spec = spec_for()
+    task = dm.gen_stream(spec, tok_for(spec), seed=4)[1]
+    assert task.tokens("test").shape == (8, 4, 8)
+    with pytest.raises(ValueError, match="^task 1: the training split is not drawn$"):
+        task.tokens("train", slice(2))
+    with pytest.raises(ValueError, match="^task 1: no training draws and no source to draw them from$"):
+        replace(task, source=None).drawn()

@@ -194,12 +194,12 @@ def test_adam_moments_created_at_first_step_match_zero_arrays():
 
 def test_lr_zero_is_a_noop():
     w, pet, head = _fresh("lora")
-    stream = _stream()
+    task = _stream()[0].drawn()
     before = {name: arr.copy() for name, arr in pet.params.items()}
     head_before = head.copy()
     cfg = tr.TrainConfig(epochs=2, batch_size=8, lr=0.0, optimizer="sgd",
                          scenario="cil", seed=0)
-    tr.train_task(w, pet, head, stream[0], cfg, seen_classes=2)
+    tr.train_task(w, pet, head, task, cfg, seen_classes=2)
     for name, arr in pet.params.items():
         assert np.array_equal(arr, before[name])
     assert np.array_equal(head, head_before)
@@ -213,7 +213,7 @@ def test_optimizer_state_rejects_unknown_kind():
 # -- train_task behaviour ----------------------------------------------------
 
 def test_identity_bases_match_no_projection():
-    stream = _stream()
+    task = _stream()[0].drawn()
     cfg = tr.TrainConfig(epochs=3, batch_size=8, lr=0.05, optimizer="adam",
                          scenario="cil", seed=0)
     w, pet_a, head_a = _fresh("adapter")
@@ -224,9 +224,9 @@ def test_identity_bases_match_no_projection():
         identity[f"mlp_in.{i}"] = np.eye(MODEL.dim)
         identity[f"adapter_mid.{i}"] = np.eye(MODEL.rank)
 
-    curve_a = tr.train_task(w, pet_a, head_a, stream[0], cfg, bases=None,
+    curve_a = tr.train_task(w, pet_a, head_a, task, cfg, bases=None,
                             shuffle_rng=np.random.default_rng(9), seen_classes=2)
-    curve_b = tr.train_task(w, pet_b, head_b, stream[0], cfg, bases=identity,
+    curve_b = tr.train_task(w, pet_b, head_b, task, cfg, bases=identity,
                             shuffle_rng=np.random.default_rng(9), seen_classes=2)
     assert curve_a == curve_b
     for name in pet_a.params:
@@ -238,28 +238,27 @@ def test_sgd_learns_a_separable_task():
     spec = dm.ScenarioSpec(scenario="cil", tasks=2, classes_per_task=2,
                            samples_per_class=40, feature_dim=64, noise=0.05,
                            separation=8.0)
-    stream = _stream(spec)
+    task = _stream(spec)[0].drawn()
     w, pet, head = _fresh("adapter")
     cfg = tr.TrainConfig(epochs=20, batch_size=8, lr=0.05, optimizer="sgd",
                          scenario="cil", seed=0)
-    tr.train_task(w, pet, head, stream[0], cfg, seen_classes=2)
-    acc = tr.evaluate_task(w, pet, head, stream[0], "cil", seen_classes=2)
+    tr.train_task(w, pet, head, task, cfg, seen_classes=2)
+    acc = tr.evaluate_task(w, pet, head, task, "cil", seen_classes=2)
     assert acc >= 0.95
 
 
 def test_loss_curve_length_and_decrease():
-    stream = _stream()
+    task = _stream()[0].drawn()
     w, pet, head = _fresh("prefix")
     cfg = tr.TrainConfig(epochs=6, batch_size=8, lr=0.05, optimizer="adam",
                          scenario="cil", seed=0)
-    curve = tr.train_task(w, pet, head, stream[0], cfg, seen_classes=2)
+    curve = tr.train_task(w, pet, head, task, cfg, seen_classes=2)
     assert len(curve) == 6
     assert curve[-1] < curve[0]
 
 
 def test_train_rows_override_and_empty_rejection():
-    stream = _stream()
-    task = stream[0]
+    task = _stream()[0].drawn()
     w, pet, head = _fresh("adapter")
     cfg = tr.TrainConfig(epochs=1, batch_size=4, lr=0.01, optimizer="sgd",
                          scenario="cil", seed=0)
@@ -273,7 +272,7 @@ def test_non_finite_loss_names_its_sample(k, monkeypatch):
     """The per-batch finite check names the task's training row at the
     first non-finite batch position, rows[idx[k]]; a finite epoch's mean
     loss is the in-order Python-float sum of the per-sample losses over n."""
-    task = _stream()[0]
+    task = _stream()[0].drawn()
     rows = np.arange(3, 13)
     cfg = tr.TrainConfig(epochs=1, batch_size=4, lr=0.01, optimizer="sgd", scenario="cil", seed=0)
     order = np.random.default_rng(5).permutation(10)
@@ -324,7 +323,7 @@ def _train_counted(monkeypatch, paradigm, optimizer, bases_of, task=None):
     `bases_of(pet)`: the trained pet and head, the loss curve or the
     exception raised, and the counts of forward and backward calls and
     optimizer steps."""
-    task = _stream()[1] if task is None else task
+    task = _stream()[1].drawn() if task is None else task
     w, pet, head = _fresh(paradigm)
     cfg = tr.TrainConfig(epochs=3, batch_size=8, lr=0.05, optimizer=optimizer, scenario="cil", seed=0)
     calls = {"forward": 0, "backward": 0, "steps": 0}
@@ -400,7 +399,7 @@ def test_a_bad_row_raises_at_the_same_step_on_both_paths(monkeypatch, where):
     FloatingPointError, and one in its raw draw the tokenizer's ValueError,
     at the step that reads the row, with zero-column bases as with one
     column: building the pooled vectors raises nothing early."""
-    task = _stream()[1]
+    task = _stream()[1].drawn()
     order = np.random.default_rng(9).permutation(task.n_train)
     bad = order[task.n_train // 2]
     if where == "raw":
@@ -437,7 +436,7 @@ def test_an_empty_merged_basis_warns_naming_the_tensor_and_beta():
     warns."""
     w, pet, _ = _fresh("prompt")
     buffers = tr.init_buffers("prompt", MODEL)
-    tr.update_buffers(w, pet, _stream()[0].tokens("train", np.arange(2)), buffers)
+    tr.update_buffers(w, pet, _stream()[0].drawn().tokens("train", np.arange(2)), buffers)
     proj = pj.ProjectionConfig(beta=1.0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -519,7 +518,7 @@ def test_projection_with_buffered_probes_freezes_first_task_accuracy():
                            samples_per_class=50, feature_dim=128, noise=0.1,
                            separation=6.0)
     tok = dm.make_tokenizer(128, 4, 32, 0)
-    stream = dm.gen_stream(spec, tok, 0)
+    stream = [task.drawn() for task in dm.gen_stream(spec, tok, 0)]
     cfg = tr.TrainConfig(epochs=5, batch_size=8, lr=0.05, optimizer="sgd",
                          scenario="til", seed=0,
                          proj=pj.ProjectionConfig(epsilon=0.0, sample_count=128))
