@@ -14,7 +14,11 @@ with a merging tensor, the one basis it weighs.  Importing this module
 keeps OpenSSL's `_hashlib` out of the process unless it is already
 loaded, so `hashlib` runs on CPython's builtin hashes, and sets
 `OPENBLAS_NUM_THREADS=1` unless it is already set, so that OpenBLAS,
-loaded after it, starts no thread.
+loaded after it, starts no thread.  It also fixes glibc's heap trim
+threshold at `TRIM_THRESHOLD` (4 MiB) unless `MALLOC_TRIM_THRESHOLD_` is
+set, so that memory a training step frees stays in the heap for the next
+step; setting it turns off glibc's dynamic mmap threshold, which then
+stays at 128 KiB.
 
 Exit codes: 0 success, 1 runtime failure, 2 invalid config or usage.
 """
@@ -34,6 +38,22 @@ sys.modules.setdefault("_hashlib", None)
 # 3.12 and later warn about it.  OpenBLAS starts a thread per extra core
 # when numpy loads unless this is set first; a host's setting is kept.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# glibc gives the free memory at the top of its heap back to the kernel
+# once it exceeds M_TRIM_THRESHOLD, 128 KiB at start.  A training step
+# frees its forward's activations before the next step allocates as much
+# again, so at that threshold every step would unmap the pages and fault
+# them back.  A fixed threshold above one step's transient memory keeps
+# them; a host's MALLOC_TRIM_THRESHOLD_ is kept, and a libc without
+# mallopt is left alone.  Forked workers inherit the setting.
+TRIM_THRESHOLD = 4 << 20
+if "MALLOC_TRIM_THRESHOLD_" not in os.environ:
+    import ctypes
+
+    _mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if _mallopt is not None:
+        _mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+        _mallopt.restype = ctypes.c_int
+        _mallopt(-1, TRIM_THRESHOLD)  # -1 is M_TRIM_THRESHOLD
 
 import argparse
 import hashlib

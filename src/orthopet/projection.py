@@ -181,9 +181,11 @@ def sample_features(w: bb.FrozenWeights, pet, sampling_set, only=None) -> dict:
     `only`, for every sample in the sampling set.
 
     One traced forward per CHUNK_ROWS samples serves every site, and stops
-    after the last block a site reads; each sample contributes all its
-    token rows, in sample order.  Returns site -> rows of shape (n, width),
-    sites in route order; the caller adds them to the site buffers.
+    after the last block a site reads; a chunk's trace, but for the site
+    rows, is dropped before the next chunk's forward.  Each sample
+    contributes all its token rows, in sample order.  Returns site -> rows
+    of shape (n, width), sites in route order; the caller adds them to the
+    site buffers.
     """
     sites = {r.site: r for r in pm.routes(pet.paradigm, w.cfg.depth) if only is None or r.site in only}
     blocks = 1 + max((r.layer for r in sites.values() if r.layer is not None), default=-1)
@@ -194,6 +196,7 @@ def sample_features(w: bb.FrozenWeights, pet, sampling_set, only=None) -> dict:
         for site, r in sites.items():
             rows = _site_rows(trace, r)
             collected[site].append(rows.reshape(-1, rows.shape[-1]))
+        trace = None
     return {
         site: np.vstack(rows) if rows else np.zeros((0, site_width(sites[site], w.cfg)))
         for site, rows in collected.items()

@@ -231,7 +231,9 @@ def train_task(w, pet, head, task, cfg, bases=None, *, seen_classes=None,
     ``bases=None`` disables projection entirely (the baseline path).
     ``train_rows``, an index array into the task's training split,
     overrides it, e.g. to hold out the feature-sampling slice.  Each step
-    tokenizes only its batch.
+    tokenizes only its batch, and drops its forward's trace once
+    `backward` has read it, so the next step's forward never runs beside
+    it.
 
     When every basis has zero columns (`frozen`) the paradigm tensors
     cannot move, and the task trains the head alone: each training row's
@@ -276,6 +278,7 @@ def train_task(w, pet, head, task, cfg, bases=None, *, seen_classes=None,
             inv = 1.0 / idx.size
             if pooled is None:
                 grads, head_grad = bb.backward(trace, w, pet, dlogits, head=head)
+                trace = None
                 for name in grads:
                     grads[name] *= inv
                 if bases is not None:

@@ -19,6 +19,7 @@ import pytest
 import orthopet.backbone as bb
 import orthopet.cli as cli
 import orthopet.data as dm
+import orthopet.projection as pj
 import orthopet.trainer as tr
 from orthopet.projection import EmptyBasisWarning
 
@@ -585,6 +586,78 @@ def test_the_cli_forks_without_openblas_threads(setting, tmp_path):
             assert max(map(int, threads)) == 2
 
 
+@pytest.mark.parametrize("case", ["unset", "set", "no-mallopt"])
+def test_the_heap_trim_threshold_is_set_once_unless_the_host_set_it(case):
+    """Importing `orthopet.cli` calls libc's `mallopt(M_TRIM_THRESHOLD,
+    TRIM_THRESHOLD)` once; with `MALLOC_TRIM_THRESHOLD_` in the environment
+    it makes no call, and a libc without `mallopt` still imports."""
+    code = ("import ctypes, sys\n"
+            "calls, real = [], ctypes.CDLL\n"
+            "class Mallopt:\n"
+            "    def __call__(self, *args):\n"
+            "        calls.append(args)\n"
+            "        return 1\n"
+            "class Libc:\n"
+            "    pass\n"
+            "if sys.argv[1] != 'no-mallopt':\n"
+            "    Libc.mallopt = Mallopt()\n"
+            "ctypes.CDLL = lambda name, *a, **k: Libc() if name is None else real(name, *a, **k)\n"
+            "import orthopet.cli as cli\n"
+            "print(cli.TRIM_THRESHOLD, calls)\n")
+    environ = {k: v for k, v in os.environ.items() if k != "MALLOC_TRIM_THRESHOLD_"}
+    if case == "set":
+        environ["MALLOC_TRIM_THRESHOLD_"] = "131072"
+    done = _fresh(code, case, environ=environ)
+    assert done.returncode == 0, done.stderr
+    threshold, calls = done.stdout.splitlines()[-1].split(" ", 1)
+    assert threshold == str(4 << 20)
+    assert calls == (f"[(-1, {threshold})]" if case == "unset" else "[]")
+
+
+# Minor faults of one traced full-path step at glibc's 128 KiB trim
+# threshold: about 230, on the config below as on `configs/cil_prompt.json`.
+# At the CLI's threshold a step takes none, and the whole run below about
+# 240.
+STEP_FAULTS = 25
+
+
+def test_a_train_keeps_its_step_memory_in_the_heap(tmp_path):
+    """A training step frees its forward's activations before the next
+    step allocates as much again; with the CLI's heap trim threshold the
+    pages stay in the heap, so a prompt train's process takes fewer than
+    STEP_FAULTS minor faults per traced step across `continual_run`.  At
+    glibc's default each step would fault its pages back."""
+    doc = json.loads((CONFIGS / "cil_prompt.json").read_text())
+    del doc["out"]
+    doc["data"].update(tasks=2, samples_per_class=40)
+    doc["model"]["num_classes"] = 4
+    doc["train"]["epochs"] = 20
+    code = ("import io, os, resource, sys, warnings\n"
+            "from contextlib import redirect_stdout\n"
+            "os.sched_getaffinity = lambda pid: {0}\n"
+            "import orthopet.cli as cli, orthopet.backbone as bb, orthopet.trainer as tr\n"
+            "steps, faults, run, backward = [], [], tr.continual_run, bb.backward\n"
+            "def counted(*args, **kwargs):\n"
+            "    start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    out = run(*args, **kwargs)\n"
+            "    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start)\n"
+            "    return out\n"
+            "def stepping(*args, **kwargs):\n"
+            "    steps.append(1)\n"
+            "    return backward(*args, **kwargs)\n"
+            "tr.continual_run, bb.backward = counted, stepping\n"
+            "warnings.simplefilter('ignore')\n"
+            "with redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['train', '--config', sys.argv[1], '--out', sys.argv[1] + '.out']) == 0\n"
+            "print(len(steps), *faults)\n")
+    environ = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+    done = _fresh(code, _write(tmp_path, doc), environ=environ, timeout=120)
+    assert done.returncode == 0, done.stderr
+    steps, faults = map(int, done.stdout.split())
+    assert steps == 20 * 2  # task 0's 32 rows beside the sampling set, at batch 16; task 1 is frozen
+    assert faults < STEP_FAULTS * steps, (faults, steps)
+
+
 def test_readme_commands_parse():
     """Every `orthopet ...` line in a README code block parses, its
     `--sweep` is valid and the configs it names exist."""
@@ -708,6 +781,63 @@ def test_a_run_draws_each_training_split_again_and_holds_one_at_a_time(
     assert run == stream[first:]
     assert seen == [paradigm == "prompt" and t > 0 for t in range(first, RESUME_TASKS)]
     assert (out / "report.jsonl").read_bytes() == (full / "report.jsonl").read_bytes()
+
+
+@pytest.mark.filterwarnings("ignore::orthopet.projection.EmptyBasisWarning")
+@pytest.mark.parametrize("paradigm", ["lora", "prompt"])
+@pytest.mark.parametrize("k", [None, 1], ids=["fresh", "resumed"])
+def test_a_run_holds_one_activation_trace_at_a_time(tmp_path, monkeypatch, paradigm, k):
+    """Every traced forward of a train starts after the trace of the one
+    before it is gone: a full-path step drops its trace once `backward`
+    returns, and `sample_features` each chunk's before the next chunk's
+    forward.  The sampling set here takes three chunks.  LoRA trains every
+    task, and a prompt run task 0, through the full path; a `--resume`
+    starts at task k + 1."""
+    doc = _base(paradigm=paradigm, **{"data.tasks": RESUME_TASKS, "model.num_classes": 2 * RESUME_TASKS,
+                                      "data.samples_per_class": 40, "projection.sample_count": 40})
+    path = _write(tmp_path, doc)
+    out = tmp_path / "out"
+    args = ["train", "--config", path, "--out", str(out)]
+    if k is not None:
+        assert cli.main(["train", "--config", path, "--out", str(tmp_path / "full")]) == 0
+        (out / "checkpoints").mkdir(parents=True)
+        for t in range(k + 1):
+            shutil.copy(tmp_path / "full" / "checkpoints" / f"task_{t}.npz", out / "checkpoints")
+        args.append("--resume")
+    traces, overlaps, chunks, steps = [], [], [], []
+    forward, sample, backward = bb.forward, pj.sample_features, bb.backward
+
+    def forwarding(*args, **kwargs):
+        alive = [i for i, ref in enumerate(traces) if ref() is not None]
+        if alive:
+            overlaps.append((len(traces), alive))
+        logits, trace = forward(*args, **kwargs)
+        if trace is not None:
+            traces.append(weakref.ref(trace))
+        return logits, trace
+
+    def sampling(*args, **kwargs):
+        first = len(traces)
+        rows = sample(*args, **kwargs)
+        chunks.append(len(traces) - first)
+        return rows
+
+    def stepping(*args, **kwargs):
+        steps.append(1)
+        return backward(*args, **kwargs)
+
+    monkeypatch.setattr(bb, "forward", forwarding)
+    monkeypatch.setattr(pj, "sample_features", sampling)
+    monkeypatch.setattr(bb, "backward", stepping)
+    assert cli.main(args) == 0
+    assert overlaps == [], "(traced forward, earlier traces still alive)"
+    first = 0 if k is None else k + 1
+    assert chunks == [3] * 2 * (RESUME_TASKS - first)
+    assert len(steps) == (RESUME_TASKS - first if paradigm == "lora" else int(k is None)) * 3
+    assert len(traces) == sum(chunks) + len(steps)
+    if k is not None:
+        full = (tmp_path / "full" / "report.jsonl").read_bytes()
+        assert (out / "report.jsonl").read_bytes() == full
 
 
 def test_resume_refuses_another_config(uninterrupted, tmp_path, capsys):
